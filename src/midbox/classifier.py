@@ -350,6 +350,13 @@ class Verdict:
         return f"Verdict({self.kind}, rules={list(self.rule_ids)})"
 
 
+def probes_tables(pkt):
+    """True when classify probes the mask tables for this packet. Packets
+    with IPv4 options or fragments do not have the layout the masks were
+    compiled for and take the linear path instead."""
+    return pkt.ihl == 5 and not pkt.is_fragment
+
+
 def classify(pkt, snap, conn=None, now=0.0):
     """Drop/miss/match verdict for one packet.
 
@@ -359,7 +366,7 @@ def classify(pkt, snap, conn=None, now=0.0):
     dominates everything else.
     """
     matched = []
-    if pkt.ihl == 5 and not pkt.is_fragment:
+    if probes_tables(pkt):
         w = pkt.window80()
         for t in snap.tables:
             e = t.entries.get((w >> t.shift) & t.mask_int)

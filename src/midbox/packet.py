@@ -6,9 +6,6 @@ offsets. All field reads/writes go through FieldDescriptors so the matching
 and rewrite stages never hardcode wire offsets.
 """
 
-import array
-import sys
-
 from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
 from .fields import FIXED, FLAG, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
@@ -33,22 +30,24 @@ class _Absent:
 
 ABSENT = _Absent()
 
-_NATIVE_LE = sys.byteorder == "little"
 _ZEROS80 = bytes(80)
 
 
-def checksum16(data, csum=0):
-    """Ones'-complement sum of 16-bit big-endian words, folded to 16 bits."""
+def checksum16(data):
+    """Internet checksum (RFC 1071): the complement of the ones'-complement
+    sum of the 16-bit big-endian words of `data`, an odd last byte padded
+    with zero.
+
+    Read as one big-endian integer n, the data is a base-65536 number whose
+    digits are its words. 65536 is 1 modulo 0xFFFF and ones'-complement
+    addition is addition modulo 0xFFFF, so n is congruent to the word sum.
+    For nonzero data that sum lies in 1..0xFFFF and its complement is
+    -n mod 0xFFFF; all-zero data sums to 0, whose complement is 0xFFFF.
+    """
+    n = int.from_bytes(data, "big")
     if len(data) & 1:
-        data = bytes(data) + b"\x00"
-    s = csum + sum(array.array("H", bytes(data)))
-    s = (s & 0xFFFF) + (s >> 16)
-    s = (s & 0xFFFF) + (s >> 16)
-    if _NATIVE_LE:
-        # the word sum was done little-endian; swapping at the end is
-        # equivalent to summing big-endian words
-        s = ((s & 0xFF) << 8) | (s >> 8)
-    return (~s) & 0xFFFF
+        n <<= 8
+    return -n % 0xFFFF if n else 0xFFFF
 
 
 class TcpOptionView:
@@ -390,35 +389,119 @@ def write_field(pkt, fd, value):
     raise ValueError(f"unknown locator kind {kind}")
 
 
+def _transport_csum_at(pkt, seg_len):
+    """Offset of the TCP/UDP checksum field, or None when the packet carries
+    no transport checksum this engine maintains (fragments, other protocols,
+    segments too short for their header)."""
+    if pkt.is_fragment:
+        return None
+    if pkt.ip_proto == PROTO_TCP and seg_len >= 20:
+        return pkt.l4_offset + 16
+    if pkt.ip_proto == PROTO_UDP and seg_len >= 8:
+        return pkt.l4_offset + 6
+    return None
+
+
+def _transport_sum(pkt, seg_len):
+    """An integer congruent modulo 0xFFFF to the ones'-complement sum of the
+    pseudo-header and the segment as stored; never 0, since the protocol
+    word is not."""
+    d = pkt.data
+    l3 = pkt.l3_offset
+    l4 = pkt.l4_offset
+    seg = d[l4:l4 + seg_len]
+    n = int.from_bytes(seg, "big")
+    if len(seg) & 1:
+        n <<= 8
+    return int.from_bytes(d[l3 + 12:l3 + 20], "big") + pkt.ip_proto + seg_len + n
+
+
 def fix_checksums(pkt):
     """Recompute the IPv4 header checksum and, for TCP/UDP, the transport
-    checksum over the pseudo-header. Idempotent."""
+    checksum over the pseudo-header. Idempotent.
+
+    Recomputing from scratch makes both checksums valid whatever they held
+    before, so a transport checksum that arrived wrong comes out right.
+    """
     d = pkt.data
     l3 = pkt.l3_offset
     hdr_len = 4 * pkt.ihl
     d[l3 + 10:l3 + 12] = b"\x00\x00"
     d[l3 + 10:l3 + 12] = checksum16(d[l3:l3 + hdr_len]).to_bytes(2, "big")
 
-    if pkt.is_fragment:
-        pkt.invalidate()
-        return pkt
-    l4 = pkt.l4_offset
     seg_len = pkt.total_length - hdr_len
-    if pkt.ip_proto == PROTO_TCP and seg_len >= 20:
-        csum_at = l4 + 16
-    elif pkt.ip_proto == PROTO_UDP and seg_len >= 8:
-        csum_at = l4 + 6
-    else:
-        pkt.invalidate()
-        return pkt
-    d[csum_at:csum_at + 2] = b"\x00\x00"
-    pseudo = bytes(d[l3 + 12:l3 + 20]) + bytes([0, pkt.ip_proto]) + seg_len.to_bytes(2, "big")
-    c = checksum16(pseudo + bytes(d[l4:l4 + seg_len]))
-    if pkt.ip_proto == PROTO_UDP and c == 0:
-        c = 0xFFFF
-    d[csum_at:csum_at + 2] = c.to_bytes(2, "big")
+    csum_at = _transport_csum_at(pkt, seg_len)
+    if csum_at is not None:
+        d[csum_at:csum_at + 2] = b"\x00\x00"
+        c = -_transport_sum(pkt, seg_len) % 0xFFFF
+        if c == 0 and pkt.ip_proto == PROTO_UDP:
+            c = 0xFFFF  # 0 would mean "no checksum"
+        d[csum_at:csum_at + 2] = c.to_bytes(2, "big")
     pkt.invalidate()
     return pkt
+
+
+# IPv4 header bytes 0-9 that decide the packet's structure or its
+# pseudo-header: version/IHL, total length, fragment field and protocol.
+_STRUCTURE_BYTES = int.from_bytes(bytes.fromhex("ff00ffff0000ffff00ff"), "big")
+
+
+def update_checksums(pkt, before):
+    """Bring both checksums up to date after same-length header writes.
+
+    `before` is bytes(pkt.data[l3:l4 + 20]), taken before the writes. The
+    TCP/UDP checksum is patched by the RFC 1624 update HC' = ~(~HC + ~m + m'),
+    where m and m' are the pseudo-header addresses and the transport header
+    (checksum field left out) before and after, so the cost does not grow
+    with the payload. The result
+    is normalised to the value a full recompute gives (0 stands for 0xFFFF
+    only in UDP), so when the incoming checksum was valid the bytes equal
+    those of fix_checksums. An incoming checksum that was wrong stays wrong
+    by the same amount, as in Linux and VPP NAT. The IPv4 header checksum
+    is recomputed over the header as it now stands.
+
+    Returns False and changes nothing when the writes touched the
+    structure bytes of the IPv4 header (version/IHL, total length, fragment
+    field, protocol) or the UDP checksum is 0 ("not in use"); the caller
+    then recomputes with fix_checksums.
+    """
+    d = pkt.data
+    l3 = pkt.l3_offset
+    n = len(before)
+    old = int.from_bytes(before, "big")
+    new = int.from_bytes(d[l3:l3 + n], "big")
+    if n & 1:  # a short packet: make its odd last byte a word's high half
+        old <<= 8
+        new <<= 8
+        n += 1
+    # Read as integers, both spans are congruent modulo 0xFFFF to their word
+    # sums (see checksum16), and so is any word-aligned part of them. Bytes
+    # 0-11 are the IPv4 header fields outside the pseudo-header; the rest is
+    # the pseudo-header addresses, the IPv4 options and the transport header
+    # (for UDP, some payload). Options, payload and checksum fields are not
+    # written here, so they cancel out of old - new.
+    k = 8 * n - 96
+    old_top = old >> k
+    new_top = new >> k
+    if (old_top ^ new_top) >> 16 & _STRUCTURE_BYTES:
+        return False
+    hdr_len = 4 * pkt.ihl
+    csum_at = _transport_csum_at(pkt, pkt.total_length - hdr_len)
+    if csum_at is not None:
+        hc = (d[csum_at] << 8) | d[csum_at + 1]
+        udp = pkt.ip_proto == PROTO_UDP
+        if udp and hc == 0:
+            return False
+        hc = (hc + (old - old_top) - (new - new_top)) % 0xFFFF
+        if hc == 0 and udp:
+            hc = 0xFFFF
+        d[csum_at:csum_at + 2] = hc.to_bytes(2, "big")
+    # header as an integer == stored checksum + sum without it (mod 0xFFFF),
+    # and the new checksum is minus the sum without it
+    ip = ((d[l3 + 10] << 8) | d[l3 + 11]) - (new >> (8 * (n - hdr_len)))
+    d[l3 + 10:l3 + 12] = (ip % 0xFFFF).to_bytes(2, "big")
+    pkt.invalidate()
+    return True
 
 
 def verify_checksums(pkt):
@@ -428,16 +511,10 @@ def verify_checksums(pkt):
     hdr_len = 4 * pkt.ihl
     if checksum16(d[l3:l3 + hdr_len]) != 0:
         return False
-    if pkt.is_fragment:
-        return True
-    l4 = pkt.l4_offset
     seg_len = pkt.total_length - hdr_len
-    if pkt.ip_proto == PROTO_TCP and seg_len >= 20:
-        pass
-    elif pkt.ip_proto == PROTO_UDP and seg_len >= 8:
-        if d[l4 + 6] == 0 and d[l4 + 7] == 0:
-            return True  # UDP checksum not in use
-    else:
+    csum_at = _transport_csum_at(pkt, seg_len)
+    if csum_at is None:
         return True
-    pseudo = bytes(d[l3 + 12:l3 + 20]) + bytes([0, pkt.ip_proto]) + seg_len.to_bytes(2, "big")
-    return checksum16(pseudo + bytes(d[l4:l4 + seg_len])) == 0
+    if pkt.ip_proto == PROTO_UDP and d[csum_at] == 0 and d[csum_at + 1] == 0:
+        return True  # UDP checksum not in use
+    return _transport_sum(pkt, seg_len) % 0xFFFF == 0

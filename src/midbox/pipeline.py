@@ -11,7 +11,8 @@ hash.
 import time
 from dataclasses import dataclass, field
 
-from .classifier import DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify
+from .classifier import (DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify,
+                         probes_tables)
 from .conntrack import ConnTable, TimeoutPolicy
 from .errors import CommandError, MidboxError, NoSuchRule, NotIPv4, PacketError
 from .packet import ETHERNET, RAW_IP, PacketBuffer, parse_packet
@@ -272,7 +273,8 @@ class Engine:
         worker.conn.purge(now, self.config.purge_budget)
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
-        counters["table_probes"] += len(snap.tables) * len(pkts)
+        if snap.tables:
+            counters["table_probes"] += len(snap.tables) * sum(map(probes_tables, pkts))
 
         to_rewrite = [(p, v) for p, v in zip(pkts, verdicts) if v.kind == V_MATCH]
         t2 = time.perf_counter_ns()
@@ -281,12 +283,13 @@ class Engine:
             programs = [by_id[rid].program for rid in v.rule_ids
                         if not by_id[rid].program.is_empty]
             rewrite_packet(p, programs, v.entry, v.direction, counters)
-            if p._opts_bad:
-                counters["malformed_options"] += 1
         t3 = time.perf_counter_ns()
         if to_rewrite:
             stats["rewrite"].observe(len(to_rewrite), t3 - t2)
 
+        # the drop node is the disposition pass that takes dropped packets
+        # out of the vector
+        t4 = time.perf_counter_ns()
         out = []
         ndrop = 0
         for p, v in zip(pkts, verdicts):
@@ -298,7 +301,6 @@ class Engine:
             else:
                 out.append((p, DISP_FORWARD))
         if ndrop:
-            t4 = time.perf_counter_ns()
             stats["drop"].observe(ndrop, time.perf_counter_ns() - t4)
             counters["verdict_drops"] += ndrop
         return out
@@ -360,11 +362,15 @@ class Engine:
                 except NotIPv4:
                     stats["input"].observe(1, time.perf_counter_ns() - t0)
                     if self.config.link_type == ETHERNET:
-                        # non-IP frames never enter the engine; pass through
+                        # non-IP frames never enter the engine; they pass
+                        # through unparsed, in arrival order, after the
+                        # packets already waiting in vectors
                         counters["bypass_non_ip"] += 1
-                        forwarded += 1
-                        if isinstance(sink, list):
-                            sink.append(bytes(data))
+                        for widx in range(nworkers):
+                            flush(widx)
+                        emit(PacketBuffer(bytearray(data), 0, 0, 0, 0,
+                                          trace_id=packets_in - 1,
+                                          ts=ts_sec + ts_usec / 1e6))
                         continue
                     counters["parse_error_drops"] += 1
                     dropped += 1
@@ -390,4 +396,5 @@ class Engine:
     def reset_stats(self):
         self.node_stats = {n: NodeStats(n) for n in NODE_NAMES}
         self.counters = {"table_probes": 0, "verdict_drops": 0,
-                         "parse_error_drops": 0}
+                         "parse_error_drops": 0, "bypass_non_ip": 0,
+                         "malformed_options": 0}

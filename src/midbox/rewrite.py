@@ -10,11 +10,16 @@ the data offset and IP total length coherent.
 
 from .errors import MalformedOption
 from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
-from .packet import fix_checksums, parse_tcp_options, write_field
+from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT
 
 _WINDOW = 80
 _MAX_OPT_AREA = 40
+
+
+def _count(counters, name):
+    if counters is not None:
+        counters[name] = counters.get(name, 0) + 1
 
 
 def _encode_opt_value(value):
@@ -137,26 +142,26 @@ def apply_static(pkt, tp, counters=None):
     for fd, value in tp.cond_fields:
         if write_field(pkt, fd, value):
             modified = True
-        elif counters is not None:
-            counters["rewrite_skipped"] = counters.get("rewrite_skipped", 0) + 1
+        else:
+            _count(counters, "rewrite_skipped")
     for fd, value in tp.payload_mods:
         if write_field(pkt, fd, value):
             modified = True
-        elif counters is not None:
-            counters["rewrite_skipped"] = counters.get("rewrite_skipped", 0) + 1
+        else:
+            _count(counters, "rewrite_skipped")
     return modified
 
 
 def apply_option_edits(pkt, tp, counters=None):
     """Strip/whitelist/modify/append TCP options, repack, and keep the data
-    offset and IP total length coherent. A no-op edit leaves bytes alone."""
+    offset and IP total length coherent. A no-op edit leaves bytes alone; a
+    malformed option area is left alone and flagged in pkt._opts_bad."""
     if pkt.ip_proto != PROTO_TCP or pkt.is_fragment:
         return False
     try:
         views = parse_tcp_options(pkt)
     except MalformedOption:
-        if counters is not None:
-            counters["malformed_options"] = counters.get("malformed_options", 0) + 1
+        pkt._opts_bad = True
         return False
 
     d = pkt.data
@@ -183,8 +188,7 @@ def apply_option_edits(pkt, tp, counters=None):
                 else:
                     enc = bytes(mv) if len(mv) == len(payload) else None
                 if enc is None:
-                    if counters is not None:
-                        counters["rewrite_skipped"] = counters.get("rewrite_skipped", 0) + 1
+                    _count(counters, "rewrite_skipped")
                 elif enc != payload:
                     payload = enc
                     mod_changed = True
@@ -195,8 +199,7 @@ def apply_option_edits(pkt, tp, counters=None):
     if tp.opt_adds:
         need = sum(2 + len(p) for _, p in opts) + sum(2 + len(p) for _, p in tp.opt_adds)
         if need > _MAX_OPT_AREA:
-            if counters is not None:
-                counters["opt_add_skipped"] = counters.get("opt_add_skipped", 0) + 1
+            _count(counters, "opt_add_skipped")
         else:
             opts = opts + tp.opt_adds
             added = True
@@ -252,18 +255,35 @@ def apply_dynamic(pkt, entry, direction):
 
 def rewrite_packet(pkt, programs, entry=None, direction=None, counters=None):
     """Apply matched rules' programs in rule order, then the connection
-    translation, then one checksum fixup. Returns True when bytes changed."""
-    modified = False
+    translation, then bring the checksums up to date. Returns True when
+    bytes changed.
+
+    Same-length header writes (static mask/key spans, checked field writes,
+    flags, NAT bindings) patch the TCP/UDP checksum incrementally
+    (update_checksums), so a checksum that arrived wrong stays wrong.
+    Option edits, payload writes, writes to ip-len or ip-proto, and UDP
+    packets without a checksum recompute both checksums in full
+    (fix_checksums), which also repairs one that arrived wrong. A packet
+    whose TCP option area is malformed counts once in `malformed_options`.
+    """
+    before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
+    malformed = pkt._opts_bad
+    modified = full = False
     for tp in programs:
         if apply_static(pkt, tp, counters):
             modified = True
-        if tp.has_option_edits and apply_option_edits(pkt, tp, counters):
-            modified = True
-        if tp.dynamic and entry is None and counters is not None:
-            counters["missing_binding"] = counters.get("missing_binding", 0) + 1
+            full = full or bool(tp.payload_mods)
+        if tp.has_option_edits:
+            if apply_option_edits(pkt, tp, counters):
+                modified = full = True
+            malformed = malformed or pkt._opts_bad
+        if tp.dynamic and entry is None:
+            _count(counters, "missing_binding")
     if entry is not None and entry.bindings and direction is not None:
         if apply_dynamic(pkt, entry, direction):
             modified = True
-    if modified:
+    if malformed:
+        _count(counters, "malformed_options")
+    if modified and (full or not update_checksums(pkt, before)):
         fix_checksums(pkt)
     return modified

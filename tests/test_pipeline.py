@@ -3,9 +3,11 @@
 import json
 import random
 
+import pytest
+
 import oracle
 import refbuild as ref
-from midbox import Engine, EngineConfig, parse_packet
+from midbox import ETHERNET, Engine, EngineConfig, parse_packet
 from midbox.pcap import write_pcap
 from midbox.pipeline import DISP_DROP, DISP_FORWARD
 from midbox.rulegen import firewall_rules
@@ -87,6 +89,72 @@ def test_probe_count_is_tables_times_packets():
              if parse_packet(b).ihl == 5 and not parse_packet(b).is_fragment]
     report = engine.run_stream(as_source(blobs))
     assert report.counters["table_probes"] == ntables * len(blobs)
+
+
+def test_probes_count_only_table_path_packets():
+    engine = fresh_engine()
+    engine.add_commands(firewall_rules(50, seed=6))
+    assert len(engine.snapshot.tables) == 1
+    frag_hdr = ref.ipv4_header(0x0A000001, 0x0A000002, ref.UDP, 16,
+                               flags_frag=0x2000)
+    blobs = [ref.tcp_packet(sport=1000 + i) for i in range(3)]
+    blobs += [ref.tcp_packet(ihl=6, ip_options=bytes([1] * 4)),
+              ref.udp_packet(ihl=8, ip_options=bytes([1] * 12)),
+              frag_hdr + bytes(16), frag_hdr + b"x" * 16]
+    report = engine.run_stream(as_source(blobs))
+    assert report.forwarded == len(blobs)
+    assert report.counters["table_probes"] == 3
+
+
+MALFORMED_OPTS = bytes([8, 1, 0, 0])  # timestamp kind with length 1
+
+
+@pytest.mark.parametrize("rule, ttl", [
+    ("mmb add ! tcp-opt-mss mod ip-ttl 64", 64),  # rewrite changes no byte
+    ("mmb add ! tcp-opt-mss mod ip-ttl 64", 63),
+    ("mmb add ! tcp-opt-mss mod ip-ttl 64 strip tcp-opt-timestamp", 64),
+])
+def test_malformed_options_counted_once(rule, ttl):
+    engine = fresh_engine()
+    engine.add_commands([rule])
+    data = ref.tcp_packet(ttl=ttl, options=MALFORMED_OPTS)
+    report = engine.run_stream(as_source([data, ref.tcp_packet()]))
+    assert report.forwarded == report.rewritten == 2
+    assert report.counters["malformed_options"] == 1
+
+
+def _frame(ip, ethertype=b"\x08\x00"):
+    return b"\xaa" * 6 + b"\xbb" * 6 + ethertype + ip
+
+
+ARP = _frame(bytes(28), b"\x08\x06")
+
+
+def test_ethernet_bypass_list_sink_keeps_order():
+    engine = fresh_engine(link_type=ETHERNET)
+    engine.add_commands(["mmb add tcp-dport 80 mod tcp-dport 443"])
+    frames = [_frame(ref.tcp_packet(dport=80)), ARP,
+              _frame(ref.udp_packet()), ARP]
+    out = []
+    report = engine.run_stream(as_source(frames), out)
+    assert report.counters["bypass_non_ip"] == 2
+    assert report.forwarded == 4 and report.dropped == 0
+    assert out[1] == out[3] == ARP
+    assert out[2] == frames[2]
+    assert ref.ref_read(out[0], "tcp-dport", l3=14) == 443
+
+
+def test_pcap_out_round_trip_keeps_arp(tmp_path):
+    records = [(_frame(ref.tcp_packet(sport=1000 + i)), i, 250)
+               for i in range(3)]
+    records.insert(1, (ARP, 7, 125))
+    src = tmp_path / "in.pcap"
+    out = tmp_path / "out.pcap"
+    write_pcap(src, ETHERNET, records)
+    from midbox.cli import main
+    assert main(["--pcap-in", str(src), "--pcap-out", str(out)]) == 0
+    from midbox.pcap import read_pcap
+    assert read_pcap(out) == (ETHERNET, records)
 
 
 def test_parse_errors_become_drops():
