@@ -252,23 +252,10 @@ class CompiledRule:
 class SessionEntry:
     """Rules behind one (mask, key) pair, in insertion order."""
 
-    __slots__ = ("rules", "needs_complex", "needs_opts", "verdict_hint")
+    __slots__ = ("rules",)
 
-    def __init__(self):
-        self.rules = []
-        self.needs_complex = False
-        self.needs_opts = False
-        self.verdict_hint = "rewrite"
-
-    def add(self, cr):
-        self.rules.append(cr)
-        self.needs_complex = self.needs_complex or bool(cr.complex_exprs) \
-            or cr.proto is not None
-        self.needs_opts = self.needs_opts or bool(cr.opt_exprs)
-        if cr.drop:
-            self.verdict_hint = "drop"
-        elif cr.rule.stateful and self.verdict_hint != "drop":
-            self.verdict_hint = "stateful"
+    def __init__(self, rules):
+        self.rules = rules
 
 
 class ClassifierTable:
@@ -284,6 +271,12 @@ class ClassifierTable:
         self.shift = 8 * (WINDOW - CHUNK * (skip + chunks))
         self.entries = {}
 
+    def copy(self):
+        """A table with the same mask and its own copy of `entries`."""
+        table = ClassifierTable(self.mask, self.skip, self.chunks)
+        table.entries = dict(self.entries)
+        return table
+
     def probe(self, w80):
         return self.entries.get((w80 >> self.shift) & self.mask_int)
 
@@ -292,11 +285,22 @@ class ClassifierTable:
                 f"keys={len(self.entries)})")
 
 
+def _slot(cr):
+    """(table key, entry key) of a rule that has a mask."""
+    mk = cr.mask_key
+    return (mk.mask, mk.skip, mk.chunks), int.from_bytes(mk.key, "big")
+
+
 class RuleSetSnapshot:
     """Immutable compiled view of the rule set; one snapshot serves a whole
-    packet vector, so rule changes land between vectors."""
+    packet vector, so rule changes land between vectors.
 
-    __slots__ = ("tables", "slow", "by_id", "ordered", "version")
+    The constructor compiles every rule. `with_rule` and `without_rule`
+    derive the next snapshot copy-on-write: the new one shares every table,
+    entry and compiled rule the change does not touch, and the old one is
+    never mutated, so a vector still running on it keeps its view."""
+
+    __slots__ = ("tables", "slow", "by_id", "ordered", "version", "index")
 
     def __init__(self, rules, version=0):
         self.version = version
@@ -304,29 +308,94 @@ class RuleSetSnapshot:
         self.slow = []
         self.by_id = {}
         self.ordered = []
-        table_index = {}
+        self.index = {}  # table key -> ClassifierTable
         for rule in rules:
             cr = CompiledRule(rule)
             self.by_id[rule.id] = cr
             self.ordered.append(cr)
             if cr.never:
                 continue
-            mk = cr.mask_key
-            if mk is None:
+            if cr.mask_key is None:
                 self.slow.append(cr)
                 continue
-            tkey = (mk.mask, mk.skip, mk.chunks)
-            table = table_index.get(tkey)
+            tkey, key_int = _slot(cr)
+            table = self.index.get(tkey)
             if table is None:
-                table = ClassifierTable(mk.mask, mk.skip, mk.chunks)
-                table_index[tkey] = table
+                table = self.index[tkey] = ClassifierTable(*tkey)
                 self.tables.append(table)
-            key_int = int.from_bytes(mk.key, "big")
             entry = table.entries.get(key_int)
             if entry is None:
-                entry = SessionEntry()
-                table.entries[key_int] = entry
-            entry.add(cr)
+                table.entries[key_int] = SessionEntry([cr])
+            else:
+                entry.rules.append(cr)
+
+    def with_rule(self, rule, version):
+        """This snapshot plus `rule`, whose id must exceed every id in it;
+        only `rule` is compiled."""
+        cr = CompiledRule(rule)
+        snap = self._derive(version)
+        snap.by_id[rule.id] = cr
+        snap.ordered = self.ordered + [cr]
+        if cr.never:
+            return snap
+        if cr.mask_key is None:
+            snap.slow = self.slow + [cr]
+            return snap
+        tkey, key_int = _slot(cr)
+        old = self.index.get(tkey)
+        table = ClassifierTable(*tkey) if old is None else old.copy()
+        entry = table.entries.get(key_int)
+        table.entries[key_int] = SessionEntry([cr] if entry is None
+                                              else entry.rules + [cr])
+        snap._replace_table(tkey, old, table)
+        return snap
+
+    def without_rule(self, rule_id, version):
+        """This snapshot minus the rule `rule_id`; a table left with no
+        keys is dropped."""
+        cr = self.by_id[rule_id]
+        snap = self._derive(version)
+        del snap.by_id[rule_id]
+        snap.ordered = [c for c in self.ordered if c is not cr]
+        if cr.never:
+            return snap
+        if cr.mask_key is None:
+            snap.slow = [c for c in self.slow if c is not cr]
+            return snap
+        tkey, key_int = _slot(cr)
+        old = self.index[tkey]
+        table = old.copy()
+        rest = [c for c in table.entries[key_int].rules if c is not cr]
+        if rest:
+            table.entries[key_int] = SessionEntry(rest)
+        else:
+            del table.entries[key_int]
+        snap._replace_table(tkey, old, table if table.entries else None)
+        return snap
+
+    def _derive(self, version):
+        """A shallow copy with its own `tables`, `by_id` and `index`."""
+        snap = object.__new__(RuleSetSnapshot)
+        snap.version = version
+        snap.tables = list(self.tables)
+        snap.slow = self.slow
+        snap.by_id = dict(self.by_id)
+        snap.ordered = self.ordered
+        snap.index = dict(self.index)
+        return snap
+
+    def _replace_table(self, tkey, old, new):
+        """Put `new` where `old` was (None for either adds or drops one).
+        Table order does not affect verdicts, so a new table goes last."""
+        if old is None:
+            self.tables.append(new)
+            self.index[tkey] = new
+        elif new is None:
+            self.tables.remove(old)
+            del self.index[tkey]
+        else:
+            self.tables[self.tables.index(old)] = new
+            self.index[tkey] = new
 
     def stats_lines(self):
         out = [f"{len(self.tables)} tables, {len(self.slow)} maskless rules"]
@@ -395,7 +464,10 @@ def classify(pkt, snap, conn=None, now=0.0):
             cr.rule.hits += 1
             if cr.drop:
                 drop = True
-            if stateful_rule is None and cr.rule.stateful:
+            # the lowest-id stateful rule owns a new connection, whatever
+            # the order tables were probed in
+            if cr.rule.stateful and (stateful_rule is None
+                                     or cr.rule.id < stateful_rule.id):
                 stateful_rule = cr.rule
         if stateful_rule is not None and entry is None and conn is not None:
             entry = conn.insert(pkt, stateful_rule, now)

@@ -2,8 +2,9 @@
 
 Packets flow in vectors (up to 256 by default) through a small node graph:
 input (parse/validate) -> classify -> {error-drop | rewrite -> output |
-output}. Rule changes build a new immutable snapshot published between
-vectors, so one vector never sees two rule sets. Worker shards own their
+output}. Rule changes publish a new immutable snapshot between vectors, so
+one vector never sees two rule sets; a single add or del derives it
+copy-on-write from the previous one. Worker shards own their
 connection tables; packets are steered to workers by the normalized 5-tuple
 hash.
 """
@@ -147,20 +148,26 @@ class Engine:
 
     # ------------------------------------------------------------- rules
 
-    def install(self, rule, rebuild=True):
-        """Assign an id (never reused) and publish a new snapshot."""
+    def install(self, rule):
+        """Assign an id (never reused) and publish a new snapshot that
+        compiles only this rule."""
+        self._assign_id(rule)
+        self._version += 1
+        self.snapshot = self.snapshot.with_rule(rule, self._version)
+        return rule.id
+
+    def _assign_id(self, rule):
         rule.id = self._next_id
         self._next_id += 1
         self.rules[rule.id] = rule
-        if rebuild:
-            self._rebuild()
         return rule.id
 
     def remove(self, rule_id):
         if rule_id not in self.rules:
             raise NoSuchRule(f"no such rule {rule_id}")
         del self.rules[rule_id]
-        self._rebuild()
+        self._version += 1
+        self.snapshot = self.snapshot.without_rule(rule_id, self._version)
 
     def flush(self):
         n = len(self.rules)
@@ -170,8 +177,10 @@ class Engine:
 
     def add_commands(self, lines):
         """Install `mmb add ...` lines in bulk: one snapshot rebuild at the
-        end, so large rule sets load in linear time. Returns assigned ids."""
-        ids = []
+        end, so large rule sets load in linear time. Every line is parsed
+        before any is installed, so a bad line installs nothing. Returns
+        assigned ids."""
+        rules = []
         for line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -179,11 +188,13 @@ class Engine:
             cmd = parse_command(line)
             if cmd.verb not in ("add", "add-stateful"):
                 raise CommandError(f"expected an add command, got {cmd.verb!r}")
-            ids.append(self.install(cmd.rule, rebuild=False))
+            rules.append(cmd.rule)
+        ids = [self._assign_id(rule) for rule in rules]
         self._rebuild()
         return ids
 
     def _rebuild(self):
+        """Full build: compiles every installed rule."""
         self._version += 1
         self.snapshot = RuleSetSnapshot(
             [self.rules[k] for k in sorted(self.rules)], self._version)
@@ -321,18 +332,24 @@ class Engine:
         bufs = [[] for _ in range(nworkers)]
         packets_in = forwarded = dropped = rewritten = 0
 
+        if sink is None:
+            put = None
+        elif isinstance(sink, list):
+            def put(pkt):
+                sink.append(pkt.to_bytes())
+        else:
+            put = sink
+
         t_start = time.perf_counter_ns()
 
-        def emit(pkt):
+        def output(pkts):
             nonlocal forwarded
-            forwarded += 1
             t0 = time.perf_counter_ns()
-            if sink is not None:
-                if isinstance(sink, list):
-                    sink.append(pkt.to_bytes())
-                else:
-                    sink(pkt)
-            stats["output"].observe(1, time.perf_counter_ns() - t0)
+            if put is not None:
+                for pkt in pkts:
+                    put(pkt)
+            forwarded += len(pkts)
+            stats["output"].observe(len(pkts), time.perf_counter_ns() - t0)
 
         def flush(widx):
             nonlocal dropped, rewritten
@@ -340,17 +357,25 @@ class Engine:
             if not vec:
                 return
             bufs[widx] = []
+            fwd = []
             for pkt, disp in self.run_vector(vec, self.workers[widx]):
                 if disp == DISP_DROP:
                     dropped += 1
                 else:
                     if disp == DISP_REWRITTEN:
                         rewritten += 1
-                    emit(pkt)
+                    fwd.append(pkt)
+            if fwd:
+                output(fwd)
 
+        # the input node is timed once per vector: from the pull of its
+        # first source item until a worker's vector is full, the stream
+        # ends or a bypassed frame leaves it
+        t0 = time.perf_counter_ns()
+        n = 0
         for item in source:
             packets_in += 1
-            t0 = time.perf_counter_ns()
+            n += 1
             if isinstance(item, PacketBuffer):
                 pkt = item
             else:
@@ -360,31 +385,36 @@ class Engine:
                                        trace_id=packets_in - 1,
                                        ts=ts_sec + ts_usec / 1e6)
                 except NotIPv4:
-                    stats["input"].observe(1, time.perf_counter_ns() - t0)
                     if self.config.link_type == ETHERNET:
                         # non-IP frames never enter the engine; they pass
                         # through unparsed, in arrival order, after the
                         # packets already waiting in vectors
+                        stats["input"].observe(n, time.perf_counter_ns() - t0)
                         counters["bypass_non_ip"] += 1
                         for widx in range(nworkers):
                             flush(widx)
-                        emit(PacketBuffer(bytearray(data), 0, 0, 0, 0,
-                                          trace_id=packets_in - 1,
-                                          ts=ts_sec + ts_usec / 1e6))
+                        output([PacketBuffer(bytearray(data), 0, 0, 0, 0,
+                                             trace_id=packets_in - 1,
+                                             ts=ts_sec + ts_usec / 1e6)])
+                        n = 0
+                        t0 = time.perf_counter_ns()
                         continue
                     counters["parse_error_drops"] += 1
                     dropped += 1
                     continue
                 except PacketError:
-                    stats["input"].observe(1, time.perf_counter_ns() - t0)
                     counters["parse_error_drops"] += 1
                     dropped += 1
                     continue
-            stats["input"].observe(1, time.perf_counter_ns() - t0)
             widx = self.steer(pkt)
             bufs[widx].append(pkt)
             if len(bufs[widx]) >= V:
+                stats["input"].observe(n, time.perf_counter_ns() - t0)
                 flush(widx)
+                n = 0
+                t0 = time.perf_counter_ns()
+        if n:
+            stats["input"].observe(n, time.perf_counter_ns() - t0)
 
         for widx in range(nworkers):
             flush(widx)

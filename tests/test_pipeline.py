@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 import refbuild as ref
-from midbox import ETHERNET, Engine, EngineConfig, parse_packet
+from midbox import CommandError, ETHERNET, Engine, EngineConfig, parse_packet
 from midbox.pcap import write_pcap
 from midbox.pipeline import DISP_DROP, DISP_FORWARD
 from midbox.rulegen import firewall_rules
@@ -78,6 +78,40 @@ def test_packet_conservation_and_node_invariant():
         + miss_forward
     assert c.packets == report.node_stats["drop"].packets + \
         report.node_stats["rewrite"].packets + miss_forward
+
+
+def test_input_and_output_time_once_per_vector():
+    engine = fresh_engine()
+    engine.add_commands(["mmb add tcp-dport 443 mod tcp-win 99"])
+    report = engine.run_stream(as_source(corpus(5, 3000)))
+    assert report.counters["parse_error_drops"] == 0
+    nodes = report.node_stats
+    assert nodes["classify"].vectors == -(-3000 // 256)
+    assert nodes["input"].vectors == nodes["output"].vectors == \
+        nodes["classify"].vectors
+    assert nodes["input"].packets == report.packets_in
+    assert nodes["output"].packets == report.forwarded
+
+
+def test_lowest_id_stateful_rule_owns_new_connection():
+    # rule 1 is maskless, rule 2 sits in a table that is probed first
+    engine = fresh_engine()
+    engine.execute_line("mmb add-stateful tcp-dport >= 1 mod ip-saddr 1.1.1.1")
+    engine.execute_line("mmb add-stateful ip-proto tcp tcp-dport 80 "
+                        "mod ip-saddr 2.2.2.2")
+    out = []
+    engine.run_stream(as_source([ref.tcp_packet(dport=80, flags=ref.SYN)]), out)
+    assert ref.ref_read(out[0], "ip-saddr") == 0x01010101
+    assert engine.list_connections_text().endswith("rule=1")
+
+
+def test_failed_bulk_load_installs_nothing():
+    engine = fresh_engine()
+    with pytest.raises(CommandError):
+        engine.add_commands(["mmb add tcp-dport 80 drop", "mmb del 1"])
+    assert engine.rules == {}
+    assert engine.execute_line("mmb add tcp-dport 81 drop") == "added rule 1"
+    assert [cr.rule.id for cr in engine.snapshot.ordered] == [1]
 
 
 def test_probe_count_is_tables_times_packets():
