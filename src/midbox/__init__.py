@@ -7,8 +7,7 @@ vectors through a small node graph.
 """
 
 from .classifier import (ClassifierTable, MaskKey, RuleSetSnapshot,
-                         SessionEntry, Verdict, classify, compile_rule,
-                         evaluate_residue, match_chunks, match_options)
+                         SessionEntry, Verdict, classify)
 from .conntrack import ConnEntry, ConnTable, DynamicBinding, TimeoutPolicy
 from .errors import (BadChecksum, CommandError, CommandSyntaxError,
                      MalformedOption, MidboxError, NoSuchRule, NotIPv4,

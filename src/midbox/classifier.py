@@ -12,12 +12,12 @@ Masks are anchored at the L3 header and cover 16-byte chunks, at most five
 20-byte IPv4 header; packets with IP options take the linear path.
 """
 
-from . import fields as fields_mod
+from .conntrack import FWD
 from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
 from .packet import ABSENT, read_field
 from .rewrite import compile_targets
 from .rules import (EQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
-                    MatchExpr, _match_is_foldable, _prefix_mask)
+                    _match_is_foldable, _prefix_mask)
 
 WINDOW = 80
 CHUNK = 16
@@ -27,42 +27,21 @@ DROP = "drop"
 MISS = "miss"
 MATCH = "match"
 
-_IP_PROTO_FD = fields_mod.REGISTRY["ip-proto"]
-
 
 class MaskKey:
     """One compiled (mask, key) window: `chunks` 16-byte chunks starting
     `skip` chunks after the L3 anchor."""
 
-    __slots__ = ("mask", "key", "skip", "chunks", "mask_ints", "key_ints", "shifts")
+    __slots__ = ("mask", "key", "skip", "chunks")
 
     def __init__(self, mask, key, skip, chunks):
         self.mask = mask
         self.key = key
         self.skip = skip
         self.chunks = chunks
-        # per-chunk integers and their bit offsets within the 80-byte window
-        self.mask_ints = []
-        self.key_ints = []
-        self.shifts = []
-        for i in range(chunks):
-            self.mask_ints.append(int.from_bytes(mask[i * CHUNK:(i + 1) * CHUNK], "big"))
-            self.key_ints.append(int.from_bytes(key[i * CHUNK:(i + 1) * CHUNK], "big"))
-            self.shifts.append(8 * (WINDOW - CHUNK * (skip + i + 1)))
 
     def __repr__(self):
         return f"MaskKey(skip={self.skip}, chunks={self.chunks}, mask={self.mask.hex()})"
-
-
-def match_chunks(pkt, mk):
-    """Chunked matching: per active chunk, (pkt & mask) XOR key, OR-folded;
-    a packet matches when the folded result is all-zero. Packets shorter
-    than the window read as zero-extended."""
-    w = pkt.window80()
-    res = ((w >> mk.shifts[0]) & mk.mask_ints[0]) ^ mk.key_ints[0]
-    for i in range(1, mk.chunks):
-        res |= ((w >> mk.shifts[i]) & mk.mask_ints[i]) ^ mk.key_ints[i]
-    return res == 0
 
 
 def eval_match(pkt, m):
@@ -109,40 +88,9 @@ def eval_match(pkt, m):
     return ok != m.negated
 
 
-def evaluate_residue(pkt, exprs):
-    """Conjunction of complex-condition expressions."""
-    for e in exprs:
-        if not eval_match(pkt, e):
-            return False
-    return True
-
-
-def match_options(pkt, exprs):
-    """Conjunction of TCP-option expressions; false for non-TCP packets."""
-    if pkt.ip_proto != PROTO_TCP or pkt.is_fragment:
-        return False
-    for e in exprs:
-        if not eval_match(pkt, e):
-            return False
-    return True
-
-
-def compile_rule(rule):
-    """Fold the rule's foldable matches into a MaskKey; everything else
-    becomes residue, prefixed by an implied `ip-proto ==` check when the
-    rule uses transport fields without folding the protocol byte itself.
-
-    Returns (MaskKey | None, residue). A None mask means the rule can only
-    be matched by the linear slow path.
-    """
-    mk, residue, implied, _never = _compile_rule_parts(rule)
-    if implied is not None:
-        residue = [MatchExpr(_IP_PROTO_FD, EQ, implied)] + residue
-    return mk, residue
-
-
 def _compile_rule_parts(rule):
-    """(mask_key, residue, implied_proto, never).
+    """(mask_key, residue, never): the rule's foldable matches folded into
+    a MaskKey (None when nothing folds), and the matches left over.
 
     `never` marks a rule whose folded equalities contradict each other; it
     can match nothing and is excluded from table and slow paths alike.
@@ -150,7 +98,6 @@ def _compile_rule_parts(rule):
     mask = bytearray(WINDOW)
     key = bytearray(WINDOW)
     residue = []
-    folded_proto = False
     never = False
     for m in rule.matches:
         if not _match_is_foldable(m):
@@ -168,7 +115,7 @@ def _compile_rule_parts(rule):
         n = fd.span_bytes
         if start + n > WINDOW:
             # field not reachable by the fast path: whole rule goes slow
-            return None, list(rule.matches), None, False
+            return None, list(rule.matches), False
         if type(m.value) is tuple:
             addr, plen = m.value
             bits = _prefix_mask(plen)
@@ -183,67 +130,52 @@ def _compile_rule_parts(rule):
             never = True  # two equalities on the same bits disagree
         mask[start:start + n] = (om | bits).to_bytes(n, "big")
         key[start:start + n] = (ok | val).to_bytes(n, "big")
-        if fd.name == "ip-proto":
-            folded_proto = True
-
-    implied = rule.proto_req if (rule.proto_req is not None and not folded_proto) else None
 
     if not any(mask):
-        return None, residue, implied, never
+        return None, residue, never
 
     nz = [i for i in range(WINDOW // CHUNK) if any(mask[i * CHUNK:(i + 1) * CHUNK])]
     skip, last = nz[0], nz[-1]
     chunks = last - skip + 1
     mk = MaskKey(bytes(mask[skip * CHUNK:(last + 1) * CHUNK]),
                  bytes(key[skip * CHUNK:(last + 1) * CHUNK]), skip, chunks)
-    return mk, residue, implied, never
+    return mk, residue, never
+
+
+def _options_last(exprs):
+    """`exprs` with every TCP-option match moved behind the others, so the
+    cheap checks can fail a packet before its option area is walked."""
+    cheap, opts = [], []
+    for m in exprs:
+        (opts if m.field.kind == OPT else cheap).append(m)
+    return tuple(cheap + opts)
 
 
 class CompiledRule:
-    """One rule prepared for execution: mask/key, split residues, program."""
+    """One rule prepared for execution: mask/key, match tuples, program.
 
-    __slots__ = ("rule", "mask_key", "proto", "complex_exprs", "opt_exprs",
-                 "program", "drop", "never")
+    `residue` holds the matches the mask could not fold and is checked on
+    packets that hit the rule's table entry; `full` holds every match and
+    is checked on maskless rules and on packets outside the table path."""
+
+    __slots__ = ("rule", "mask_key", "proto", "residue", "full", "program",
+                 "drop", "never")
 
     def __init__(self, rule):
         self.rule = rule
-        self.mask_key, residue, self.proto, self.never = _compile_rule_parts(rule)
-        self.complex_exprs = []
-        self.opt_exprs = []
-        for m in residue:
-            # negated presence checks are satisfiable by absence, so they
-            # evaluate with the complex residue rather than the option walk
-            if m.field.kind == OPT and not (m.negated and m.cond == PRESENT):
-                self.opt_exprs.append(m)
-            else:
-                self.complex_exprs.append(m)
+        self.mask_key, residue, self.never = _compile_rule_parts(rule)
+        self.proto = rule.proto_req
+        self.residue = _options_last(residue)
+        self.full = _options_last(rule.matches)
         self.drop = any(t.kind == T_DROP for t in rule.targets)
         self.program = compile_targets(rule)
 
-    def residue_ok(self, pkt):
-        """Slow-path checks for a packet that already hit this rule's mask."""
+    def matches(self, pkt, exprs):
+        """The protocol gate, then every expression of `exprs` (`residue`
+        or `full`)."""
         if self.proto is not None and (pkt.ip_proto != self.proto or pkt.is_fragment):
             return False
-        for m in self.complex_exprs:
-            if not eval_match(pkt, m):
-                return False
-        if self.opt_exprs:
-            if pkt.ip_proto != PROTO_TCP or pkt.is_fragment:
-                return False
-            for m in self.opt_exprs:
-                if not eval_match(pkt, m):
-                    return False
-        return True
-
-    def matches_linear(self, pkt):
-        """Full evaluation of every match, independent of masks. Used for
-        packets outside the fast path and for maskless rules."""
-        if self.never:
-            return False
-        if self.rule.proto_req is not None and (
-                pkt.ip_proto != self.rule.proto_req or pkt.is_fragment):
-            return False
-        for m in self.rule.matches:
+        for m in exprs:
             if not eval_match(pkt, m):
                 return False
         return True
@@ -276,9 +208,6 @@ class ClassifierTable:
         table = ClassifierTable(self.mask, self.skip, self.chunks)
         table.entries = dict(self.entries)
         return table
-
-    def probe(self, w80):
-        return self.entries.get((w80 >> self.shift) & self.mask_int)
 
     def __repr__(self):
         return (f"ClassifierTable(skip={self.skip}, chunks={self.chunks}, "
@@ -441,19 +370,23 @@ def classify(pkt, snap, conn=None, now=0.0):
             e = t.entries.get((w >> t.shift) & t.mask_int)
             if e is not None:
                 for cr in e.rules:
-                    if cr.residue_ok(pkt):
+                    if cr.matches(pkt, cr.residue):
                         matched.append(cr)
         for cr in snap.slow:
-            if cr.matches_linear(pkt):
+            if cr.matches(pkt, cr.full):
                 matched.append(cr)
     else:
         for cr in snap.ordered:
-            if cr.matches_linear(pkt):
+            if cr.matches(pkt, cr.full):
                 matched.append(cr)
 
     entry = direction = None
     if conn is not None:
         entry, direction = conn.lookup(pkt, now)
+        if entry is not None and entry.rule_id not in snap.by_id:
+            # its rule was deleted; ids are never reused
+            conn.remove(entry)
+            entry = direction = None
         if entry is not None and pkt.ip_proto == PROTO_TCP and not pkt.is_fragment:
             conn.update_state(entry, pkt.tcp_flags, direction, now)
 
@@ -471,7 +404,7 @@ def classify(pkt, snap, conn=None, now=0.0):
                 stateful_rule = cr.rule
         if stateful_rule is not None and entry is None and conn is not None:
             entry = conn.insert(pkt, stateful_rule, now)
-            direction = "fwd" if entry is not None else None
+            direction = FWD if entry is not None else None
         if drop:
             return Verdict(DROP, tuple(sorted(cr.rule.id for cr in matched)),
                            entry, direction)

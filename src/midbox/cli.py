@@ -49,8 +49,6 @@ def repl(engine, lines=None, out=sys.stdout, prompt=PROMPT):
         outputs.append(text)
         if out is not None and text:
             print(text, file=out)
-            if not interactive:
-                pass
     return outputs
 
 
@@ -87,7 +85,6 @@ def build_parser():
     p.add_argument("--flows", type=int, metavar="N", help="scenario flow count")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--vector-size", type=int, default=256, metavar="V")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--report", metavar="PATH", help="write a JSON report here")
     return p
 
@@ -98,8 +95,7 @@ def main(argv=None):
     if args.scenario:
         rep = run_scenario(args.scenario, rule_count=args.rule_count,
                            packets=args.packets, flows=args.flows,
-                           seed=args.seed, vector_size=args.vector_size,
-                           workers=args.workers)
+                           seed=args.seed, vector_size=args.vector_size)
         print(rep.to_text())
         if args.report:
             with open(args.report, "w") as f:
@@ -107,7 +103,6 @@ def main(argv=None):
         return 0 if rep.ok else 1
 
     engine = Engine(EngineConfig(vector_size=args.vector_size,
-                                 workers=args.workers,
                                  shuffle_seed=args.seed))
     if args.rules:
         with open(args.rules) as f:

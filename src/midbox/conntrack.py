@@ -66,7 +66,7 @@ def reverse_tuple(t5):
 
 class ConnEntry:
     __slots__ = ("key", "trans_key", "fwd_pre", "fwd_post", "rev_expect",
-                 "proto", "state", "fin_dir", "flags_seen", "created",
+                 "proto", "state", "fin_dir", "created",
                  "last_seen", "rule_id", "bindings", "pkts", "octets")
 
     def __init__(self, t5, trans_t5, rule_id, now):
@@ -78,7 +78,6 @@ class ConnEntry:
         self.proto = t5[4]
         self.state = NEW if t5[4] == PROTO_TCP else ACTIVE
         self.fin_dir = None
-        self.flags_seen = {FWD: 0, REV: 0}
         self.created = now
         self.last_seen = now
         self.rule_id = rule_id
@@ -119,7 +118,7 @@ class _ShuffleAlloc:
 
 
 class ConnTable:
-    """One shard of the connection table; a worker owns it exclusively."""
+    """The engine's connection table."""
 
     def __init__(self, timeouts=None, capacity=2 ** 20, shuffle_seed=0,
                  shuffle_range=(1024, 65535)):
@@ -160,7 +159,7 @@ class ConnTable:
         if e is None:
             return None, None
         if now - e.last_seen > self.timeout_for(e):
-            self._remove(e)
+            self.remove(e)
             return None, None
         if t5 == e.fwd_pre or t5 == e.fwd_post:
             direction = FWD
@@ -214,8 +213,6 @@ class ConnTable:
                 trans[pos] = b.rewritten
         entry = ConnEntry(t5, tuple(trans), rule.id, now)
         entry.bindings = bindings
-        if pkt.ip_proto == PROTO_TCP:
-            entry.flags_seen[FWD] = pkt.tcp_flags
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[entry.key] = entry
@@ -229,7 +226,6 @@ class ConnTable:
         No transition leaves CLOSED."""
         if entry.proto != PROTO_TCP:
             return entry
-        entry.flags_seen[direction] |= flags
         s = entry.state
         if s == CLOSED:
             return entry
@@ -264,7 +260,7 @@ class ConnTable:
             scanned += 1
             e = self._entries.get(key)
             if e is not None and now - e.last_seen > self.timeout_for(e):
-                self._remove(e)
+                self.remove(e)
                 removed += 1
         return removed
 
@@ -278,10 +274,19 @@ class ConnTable:
             self._allocs[key] = alloc
         return alloc
 
-    def _remove(self, entry):
+    def release_pools(self, rule):
+        """Drop the shuffle pools of a deleted rule. Its connections stay
+        until a lookup finds them or they expire; releasing their values
+        then finds no pool."""
+        for t in rule.targets:
+            if t.kind == SHUFFLE:
+                self._allocs.pop((rule.id, t.field.name), None)
+
+    def remove(self, entry):
         self._entries.pop(entry.key, None)
-        if entry.trans_key != entry.key:
-            self._alias.pop(entry.trans_key, None)
+        # a later flow may have taken over the translated key
+        if entry.trans_key != entry.key and self._alias.get(entry.trans_key) is entry:
+            del self._alias[entry.trans_key]
         for b in entry.bindings:
             alloc = self._allocs.get((entry.rule_id, b.field.name))
             if alloc is not None:
@@ -289,6 +294,3 @@ class ConnTable:
 
     def entries(self):
         return list(self._entries.values())
-
-    def list_lines(self, now):
-        return [e.describe(now) for e in self._entries.values()]

@@ -168,11 +168,6 @@ class PacketBuffer:
     def to_bytes(self):
         return bytes(self.data) + self.trailer
 
-    def copy(self):
-        return PacketBuffer(bytearray(self.data), self.l3_offset, self.l4_offset,
-                            self.ihl, self.ip_proto, self.is_fragment,
-                            self.trailer, self.trace_id, self.ts)
-
     def __repr__(self):
         return (f"PacketBuffer(id={self.trace_id}, proto={self.l4_kind}, "
                 f"len={len(self.data)})")

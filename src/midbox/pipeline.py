@@ -4,9 +4,8 @@ Packets flow in vectors (up to 256 by default) through a small node graph:
 input (parse/validate) -> classify -> {error-drop | rewrite -> output |
 output}. Rule changes publish a new immutable snapshot between vectors, so
 one vector never sees two rule sets; a single add or del derives it
-copy-on-write from the previous one. Worker shards own their
-connection tables; packets are steered to workers by the normalized 5-tuple
-hash.
+copy-on-write from the previous one. One connection table serves every
+vector.
 """
 
 import time
@@ -26,6 +25,11 @@ DISP_FORWARD = "forward"
 DISP_REWRITTEN = "rewritten"
 
 NODE_NAMES = ("input", "classify", "rewrite", "drop", "output")
+
+# every counter a RunReport carries, zero when it never fired
+COUNTERS = ("table_probes", "verdict_drops", "parse_error_drops",
+            "bypass_non_ip", "malformed_options", "rewrite_skipped",
+            "opt_add_skipped", "missing_binding")
 
 
 class NodeStats:
@@ -50,24 +54,12 @@ class NodeStats:
 @dataclass
 class EngineConfig:
     vector_size: int = 256
-    workers: int = 1
     link_type: int = RAW_IP
     shuffle_seed: int = 0
     shuffle_range: tuple = (1024, 65535)
     conn_capacity: int = 2 ** 20
     purge_budget: int = 64
     timeouts: TimeoutPolicy = field(default_factory=TimeoutPolicy)
-
-
-class Worker:
-    """One logical pipeline worker: owns a connection-table shard."""
-
-    __slots__ = ("wid", "conn")
-
-    def __init__(self, wid, config):
-        self.wid = wid
-        self.conn = ConnTable(config.timeouts, config.conn_capacity,
-                              config.shuffle_seed + wid, config.shuffle_range)
 
 
 class RunReport:
@@ -134,7 +126,8 @@ class RunReport:
 
 
 class Engine:
-    """Rule store, compiled snapshot, workers, and the vector loop."""
+    """Rule store, compiled snapshot, connection table, and the vector
+    loop."""
 
     def __init__(self, config=None):
         self.config = config or EngineConfig()
@@ -143,7 +136,9 @@ class Engine:
         self.enabled = True
         self._version = 0
         self.snapshot = RuleSetSnapshot([], 0)
-        self.workers = [Worker(i, self.config) for i in range(self.config.workers)]
+        c = self.config
+        self.conn = ConnTable(c.timeouts, c.conn_capacity, c.shuffle_seed,
+                              c.shuffle_range)
         self.reset_stats()
 
     # ------------------------------------------------------------- rules
@@ -165,12 +160,14 @@ class Engine:
     def remove(self, rule_id):
         if rule_id not in self.rules:
             raise NoSuchRule(f"no such rule {rule_id}")
-        del self.rules[rule_id]
+        self.conn.release_pools(self.rules.pop(rule_id))
         self._version += 1
         self.snapshot = self.snapshot.without_rule(rule_id, self._version)
 
     def flush(self):
         n = len(self.rules)
+        for rule in self.rules.values():
+            self.conn.release_pools(rule)
         self.rules.clear()
         self._rebuild()
         return n
@@ -250,26 +247,14 @@ class Engine:
 
     def list_connections_text(self):
         now = time.monotonic()
-        lines = []
-        for w in self.workers:
-            lines.extend(w.conn.list_lines(now))
+        lines = [e.describe(now) for e in self.conn.entries()
+                 if e.rule_id in self.rules]
         return "\n".join(lines) if lines else "no connections"
 
     # ------------------------------------------------------------- packets
 
-    def steer(self, pkt):
-        if len(self.workers) == 1:
-            return 0
-        t5 = pkt.five_tuple()
-        a = (t5[0], t5[2])
-        b = (t5[1], t5[3])
-        key = (a, b, t5[4]) if a <= b else (b, a, t5[4])
-        return hash(key) % len(self.workers)
-
-    def run_vector(self, pkts, worker=None, now=None):
+    def run_vector(self, pkts, now=None):
         """Process one vector; returns [(pkt, disposition)] in input order."""
-        if worker is None:
-            worker = self.workers[0]
         if now is None:
             now = time.monotonic()
         stats = self.node_stats
@@ -280,8 +265,9 @@ class Engine:
             return [(p, DISP_FORWARD) for p in pkts]
 
         t0 = time.perf_counter_ns()
-        verdicts = [classify(p, snap, worker.conn, now) for p in pkts]
-        worker.conn.purge(now, self.config.purge_budget)
+        conn = self.conn
+        verdicts = [classify(p, snap, conn, now) for p in pkts]
+        conn.purge(now, self.config.purge_budget)
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
         if snap.tables:
@@ -328,8 +314,7 @@ class Engine:
         stats = self.node_stats
         counters = self.counters
         V = self.config.vector_size
-        nworkers = len(self.workers)
-        bufs = [[] for _ in range(nworkers)]
+        vec = []
         packets_in = forwarded = dropped = rewritten = 0
 
         if sink is None:
@@ -351,14 +336,13 @@ class Engine:
             forwarded += len(pkts)
             stats["output"].observe(len(pkts), time.perf_counter_ns() - t0)
 
-        def flush(widx):
-            nonlocal dropped, rewritten
-            vec = bufs[widx]
+        def flush():
+            nonlocal vec, dropped, rewritten
             if not vec:
                 return
-            bufs[widx] = []
+            pkts, vec = vec, []
             fwd = []
-            for pkt, disp in self.run_vector(vec, self.workers[widx]):
+            for pkt, disp in self.run_vector(pkts):
                 if disp == DISP_DROP:
                     dropped += 1
                 else:
@@ -369,7 +353,7 @@ class Engine:
                 output(fwd)
 
         # the input node is timed once per vector: from the pull of its
-        # first source item until a worker's vector is full, the stream
+        # first source item until the vector is full, the stream
         # ends or a bypassed frame leaves it
         t0 = time.perf_counter_ns()
         n = 0
@@ -391,8 +375,7 @@ class Engine:
                         # packets already waiting in vectors
                         stats["input"].observe(n, time.perf_counter_ns() - t0)
                         counters["bypass_non_ip"] += 1
-                        for widx in range(nworkers):
-                            flush(widx)
+                        flush()
                         output([PacketBuffer(bytearray(data), 0, 0, 0, 0,
                                              trace_id=packets_in - 1,
                                              ts=ts_sec + ts_usec / 1e6)])
@@ -406,18 +389,16 @@ class Engine:
                     counters["parse_error_drops"] += 1
                     dropped += 1
                     continue
-            widx = self.steer(pkt)
-            bufs[widx].append(pkt)
-            if len(bufs[widx]) >= V:
+            vec.append(pkt)
+            if len(vec) >= V:
                 stats["input"].observe(n, time.perf_counter_ns() - t0)
-                flush(widx)
+                flush()
                 n = 0
                 t0 = time.perf_counter_ns()
         if n:
             stats["input"].observe(n, time.perf_counter_ns() - t0)
 
-        for widx in range(nworkers):
-            flush(widx)
+        flush()
 
         duration = time.perf_counter_ns() - t_start
         return RunReport(packets_in, forwarded, dropped, rewritten, duration,
@@ -425,6 +406,4 @@ class Engine:
 
     def reset_stats(self):
         self.node_stats = {n: NodeStats(n) for n in NODE_NAMES}
-        self.counters = {"table_probes": 0, "verdict_drops": 0,
-                         "parse_error_drops": 0, "bypass_non_ip": 0,
-                         "malformed_options": 0}
+        self.counters = dict.fromkeys(COUNTERS, 0)

@@ -36,7 +36,7 @@ class TargetProgram:
     __slots__ = ("span_lo", "span_hi", "keep_mask_int", "key_int",
                  "folded_fields", "cond_fields", "payload_mods",
                  "opt_strip", "opt_strip_except", "opt_adds", "opt_mods",
-                 "dynamic", "needs_conn")
+                 "dynamic")
 
     def __init__(self):
         self.span_lo = None
@@ -51,7 +51,6 @@ class TargetProgram:
         self.opt_adds = []        # (kind, payload bytes)
         self.opt_mods = []        # (kind, value)
         self.dynamic = []         # fds of shuffle targets
-        self.needs_conn = False
 
     @property
     def has_option_edits(self):
@@ -117,7 +116,6 @@ def compile_targets(rule):
         tp.span_lo, tp.span_hi = cleared[0], cleared[-1] + 1
         tp.keep_mask_int = int.from_bytes(mask[tp.span_lo:tp.span_hi], "big")
         tp.key_int = int.from_bytes(key[tp.span_lo:tp.span_hi], "big")
-    tp.needs_conn = bool(tp.dynamic) or rule.stateful
     return tp
 
 

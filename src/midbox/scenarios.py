@@ -62,13 +62,12 @@ class ScenarioReport:
         }
 
 
-def _engine(vector_size, workers, seed):
-    return Engine(EngineConfig(vector_size=vector_size, workers=workers,
-                               shuffle_seed=seed))
+def _engine(vector_size, seed):
+    return Engine(EngineConfig(vector_size=vector_size, shuffle_seed=seed))
 
 
-def scenario_forward(packets=2000, flows=7, seed=0, vector_size=256, workers=1):
-    engine = _engine(vector_size, workers, seed)
+def scenario_forward(packets=2000, flows=7, seed=0, vector_size=256):
+    engine = _engine(vector_size, seed)
     profile = TrafficProfile(flows=flows, seed=seed)
     inputs = list(generate_traffic(profile, packets))
     out = []
@@ -77,17 +76,16 @@ def scenario_forward(packets=2000, flows=7, seed=0, vector_size=256, workers=1):
         "all_forwarded": (report.forwarded == report.packets_in,
                           f"{report.forwarded}/{report.packets_in}"),
         "no_drops": (report.dropped == 0, f"dropped={report.dropped}"),
-        "passthrough_identical": (
-            workers != 1 or [b for b, _, _ in inputs] == out,
-            "output bytes vs input bytes"),
+        "passthrough_identical": ([b for b, _, _ in inputs] == out,
+                                  "output bytes vs input bytes"),
     }
     return ScenarioReport("forward", seed, checks, report.to_json_dict(),
                           artifacts={"outputs": out})
 
 
 def scenario_firewall(rule_count=1000, packets=20000, flows=7, seed=0,
-                      vector_size=256, workers=1):
-    engine = _engine(vector_size, workers, seed)
+                      vector_size=256):
+    engine = _engine(vector_size, seed)
     engine.add_commands(firewall_rules(rule_count, seed))
     profile = TrafficProfile(flows=flows, seed=seed)
     report = engine.run_stream(generate_traffic(profile, packets))
@@ -105,12 +103,12 @@ def scenario_firewall(rule_count=1000, packets=20000, flows=7, seed=0,
 
 
 def scenario_stateful(rule_count=1000, packets=20000, flows=7, seed=0,
-                      vector_size=256, workers=1):
-    engine = _engine(vector_size, workers, seed)
+                      vector_size=256):
+    engine = _engine(vector_size, seed)
     engine.add_commands(stateful_rules(rule_count, seed))
     profile = TrafficProfile(flows=flows, seed=seed)
     report = engine.run_stream(generate_traffic(profile, packets))
-    tracked = sum(len(w.conn) for w in engine.workers)
+    tracked = len(engine.conn)
     checks = {
         "all_matched": (report.rewritten == report.packets_in,
                         f"{report.rewritten}/{report.packets_in}"),
@@ -131,12 +129,11 @@ def _run_phase(engine, raw_packets, vector_size):
     return results
 
 
-def scenario_nat(flows=1000, data_packets=2, seed=0, vector_size=256,
-                 workers=1):
+def scenario_nat(flows=1000, data_packets=2, seed=0, vector_size=256):
     """SNAT with port translation driven by the canonical single rule; the
     scenario plays both endpoints and bounces each flow's packets through
     the engine in phases."""
-    engine = _engine(vector_size, 1, seed)
+    engine = _engine(vector_size, seed)
     engine.add_commands([SNAT_RULE])
     profile = TrafficProfile(flows=flows, seed=seed,
                              client_net=(0x0A000000, 24),
@@ -249,12 +246,11 @@ def _option_kinds(data):
 
 
 def scenario_tcp_opts(rule_count=100, packets=10000, flows=7, seed=0,
-                      vector_size=256, workers=1, include_strip=True,
-                      packet_bytes=200):
+                      vector_size=256, include_strip=True, packet_bytes=200):
     """TCP option matching and mangling: random option-valued rules (drawn
     from the opposite value space as the traffic, so they never match) plus
     the timestamp-triggered whitelist strip rule."""
-    engine = _engine(vector_size, workers, seed)
+    engine = _engine(vector_size, seed)
     rules = tcp_option_rules(rule_count, seed)
     if include_strip:
         rules.append(STRIP_EXCEPT_RULE)
@@ -296,12 +292,12 @@ def scenario_tcp_opts(rule_count=100, packets=10000, flows=7, seed=0,
 
 
 def scenario_mask_limit(mask_counts=(1, 8, 26, 40, 64), packets=30000,
-                        flows=7, seed=0, vector_size=256, workers=1):
+                        flows=7, seed=0, vector_size=256):
     """Cost curve over the number of distinct masks, one table per rule."""
     curve = []
     tables_ok = True
     for n in mask_counts:
-        engine = _engine(vector_size, workers, seed)
+        engine = _engine(vector_size, seed)
         engine.add_commands(mask_limit_rules(n, seed))
         if len(engine.snapshot.tables) != n:
             tables_ok = False
@@ -315,25 +311,25 @@ def scenario_mask_limit(mask_counts=(1, 8, 26, 40, 64), packets=30000,
 
 
 def run_scenario(name, rule_count=None, packets=None, flows=None, seed=0,
-                 vector_size=256, workers=1, **kw):
+                 vector_size=256, **kw):
     """Dispatch by scenario name with per-scenario defaults."""
     if name == "forward":
         return scenario_forward(packets or 2000, flows or 7, seed,
-                                vector_size, workers)
+                                vector_size)
     if name == "firewall":
         return scenario_firewall(rule_count or 1000, packets or 20000,
-                                 flows or 7, seed, vector_size, workers)
+                                 flows or 7, seed, vector_size)
     if name == "stateful":
         return scenario_stateful(rule_count or 1000, packets or 20000,
-                                 flows or 7, seed, vector_size, workers)
+                                 flows or 7, seed, vector_size)
     if name == "nat":
         return scenario_nat(flows or 1000, kw.get("data_packets", 2), seed,
-                            vector_size, workers)
+                            vector_size)
     if name == "tcp-opts":
         return scenario_tcp_opts(rule_count or 100, packets or 10000,
-                                 flows or 7, seed, vector_size, workers)
+                                 flows or 7, seed, vector_size)
     if name == "mask-limit":
         return scenario_mask_limit(kw.get("mask_counts", (1, 8, 26, 40, 64)),
                                    packets or 30000, flows or 7, seed,
-                                   vector_size, workers)
+                                   vector_size)
     raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")

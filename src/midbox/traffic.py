@@ -198,7 +198,3 @@ def generate_traffic(profile, count=None):
         if count is None or emitted >= count:
             return
         seed += 1
-
-
-def traffic_packet_count(profile):
-    return profile.flows * (profile.data_packets + 7)

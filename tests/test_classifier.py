@@ -4,11 +4,9 @@ import random
 
 import oracle
 import refbuild as ref
-from midbox import classify, compile_rule, parse_command, parse_packet
-from midbox.classifier import (MaskKey, RuleSetSnapshot, evaluate_residue,
-                               match_chunks, match_options)
-from midbox.fields import REGISTRY
-from midbox.rules import EQ, LEQ, PRESENT, MatchExpr
+from midbox import classify, parse_command, parse_packet
+from midbox.classifier import RuleSetSnapshot
+from midbox.rules import LEQ
 
 
 def make_snapshot(lines):
@@ -20,34 +18,42 @@ def make_snapshot(lines):
     return rules, RuleSetSnapshot(rules, 1)
 
 
+def compiled(line):
+    """The compiled form of one rule, from a one-rule snapshot."""
+    return make_snapshot([line])[1].by_id[1]
+
+
+def drops(data, line):
+    """True when the one-rule snapshot of the drop rule `line` drops `data`."""
+    return classify(parse_packet(data), make_snapshot([line])[1]).kind == "drop"
+
+
 # ------------------------------------------------------------- compilation
 
 def test_compile_tcp_dport_80():
-    r = parse_command("mmb add tcp-dport 80 drop").rule
-    mk, residue = compile_rule(r)
+    cr = compiled("mmb add tcp-dport 80 drop")
+    mk = cr.mask_key
     assert (mk.skip, mk.chunks) == (1, 1)
     assert mk.mask == bytes(6) + b"\xff\xff" + bytes(8)
     assert mk.key == bytes(6) + b"\x00\x50" + bytes(8)
-    # implied protocol check rides along as residue
-    assert [(m.field.name, m.cond, m.value) for m in residue] == \
-        [("ip-proto", EQ, 6)]
+    # the implied protocol check is the rule's protocol gate
+    assert cr.proto == 6 and cr.residue == ()
 
 
 def test_compile_saddr_prefix():
-    r = parse_command("mmb add ip-saddr 10.0.0.0/24 drop").rule
-    mk, residue = compile_rule(r)
+    cr = compiled("mmb add ip-saddr 10.0.0.0/24 drop")
+    mk = cr.mask_key
     assert (mk.skip, mk.chunks) == (0, 1)
     assert mk.mask == bytes(12) + b"\xff\xff\xff\x00"
     assert mk.key == bytes(12) + b"\x0a\x00\x00\x00"
-    assert residue == []
+    assert cr.proto is None and cr.residue == ()
 
 
 def test_compile_complex_is_residue_only():
-    r = parse_command("mmb add tcp-dport <= 1024 drop").rule
-    mk, residue = compile_rule(r)
-    assert mk is None
+    cr = compiled("mmb add tcp-dport <= 1024 drop")
+    assert cr.mask_key is None
     assert ("tcp-dport", LEQ, 1024) in \
-        [(m.field.name, m.cond, m.value) for m in residue]
+        [(m.field.name, m.cond, m.value) for m in cr.residue]
 
 
 def test_mask_key_invariants():
@@ -55,7 +61,7 @@ def test_mask_key_invariants():
              "mmb add ip-daddr 10.0.0.0/8 ip-ttl 64 drop",
              "mmb add tcp-win 512 drop"]
     for line in lines:
-        mk, _ = compile_rule(parse_command(line).rule)
+        mk = compiled(line).mask_key
         assert 1 <= mk.chunks <= 5 and mk.chunks * 16 <= 80
         key_int = int.from_bytes(mk.key, "big")
         mask_int = int.from_bytes(mk.mask, "big")
@@ -75,102 +81,134 @@ def _byte_loop_match(data, mask, key, skip, chunks):
     return acc == 0
 
 
+def _quad(addr):
+    return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
+
+
+IP_FOLDABLE = [("ip-saddr", 32), ("ip-daddr", 32), ("ip-proto", 8),
+               ("ip-ttl", 8), ("ip-dscp", 6), ("ip-ecn", 2), ("ip-len", 16),
+               ("ip-id", 16)]
+L4_FOLDABLE = {
+    ref.TCP: [("tcp-sport", 16), ("tcp-dport", 16), ("tcp-seq", 32),
+              ("tcp-ack-num", 32), ("tcp-win", 16), ("tcp-flags", 8),
+              ("tcp-syn", 0), ("tcp-ack", 0), ("tcp-fin", 0), ("tcp-psh", 0)],
+    ref.UDP: [("udp-sport", 16), ("udp-dport", 16), ("udp-len", 16)],
+    ref.ICMP: [("icmp-type", 8), ("icmp-code", 8)],
+}
+
+
+def _folded_drop_rule(rng, data, from_packet):
+    """A drop rule of 1-4 distinct fixed-field equalities and flag checks,
+    all of which fold into a mask. Each value is read off `data` when
+    `from_packet` holds, else drawn at random; transport fields follow the
+    packet's protocol (or a random one)."""
+    proto = data[9] if from_packet else rng.choice(list(L4_FOLDABLE))
+    pool = IP_FOLDABLE + L4_FOLDABLE.get(proto, [])
+    parts = []
+    for name, width in rng.sample(pool, rng.randint(1, 4)):
+        if width == 0:  # flag presence
+            if not from_packet or ref.ref_read(data, name):
+                parts.append(name)
+            continue
+        if from_packet:
+            value = ref.ref_read(data, name)
+        elif name == "ip-proto":
+            value = proto  # any other value would contradict the transport fields
+        else:
+            value = rng.randrange(1 << width)
+        if name in ("ip-saddr", "ip-daddr"):
+            plen = rng.choice([8, 16, 24, 32])
+            value &= ((1 << plen) - 1) << (32 - plen)
+            parts.append(f"{name} {_quad(value)}/{plen}")
+        else:
+            parts.append(f"{name} {value}")
+    return "mmb add " + " ".join(parts or ["ip-proto " + str(data[9])]) + " drop"
+
+
 def test_match_chunks_identity():
+    # a key read off a packet's own bytes matches that packet
     data = ref.tcp_packet(payload=b"z" * 60)
-    pkt = parse_packet(data)
-    mask = b"\xff" * 16
-    key = bytes(data[:16])
-    assert match_chunks(pkt, MaskKey(mask, key, 0, 1))
+    fields = [name for name, _ in IP_FOLDABLE + L4_FOLDABLE[ref.TCP]
+              if name not in ("ip-saddr", "ip-daddr")]
+    parts = [f"{n} {ref.ref_read(data, n)}" for n in fields
+             if n not in ("tcp-syn", "tcp-ack", "tcp-fin", "tcp-psh")]
+    line = (f"mmb add ip-saddr {_quad(ref.ref_read(data, 'ip-saddr'))} "
+            f"ip-daddr {_quad(ref.ref_read(data, 'ip-daddr'))} "
+            + " ".join(parts) + " drop")
+    mk = compiled(line).mask_key
+    assert (mk.skip, mk.chunks) == (0, 3)
+    assert drops(data, line)
 
 
 def test_match_chunks_port_mismatch():
-    mk, _ = compile_rule(parse_command("mmb add tcp-dport 80 drop").rule)
-    pkt = parse_packet(ref.tcp_packet(dport=443))
-    assert not match_chunks(pkt, mk)
-    assert match_chunks(parse_packet(ref.tcp_packet(dport=80)), mk)
+    line = "mmb add tcp-dport 80 drop"
+    assert not drops(ref.tcp_packet(dport=443), line)
+    assert drops(ref.tcp_packet(dport=80), line)
 
 
 def test_match_chunks_vs_byte_loop_oracle():
     rng = random.Random(11)
+    outcomes = set()
     for _ in range(2000):
-        data = ref.random_valid_packet(rng)
-        skip = rng.randrange(5)
-        chunks = rng.randint(1, 5 - skip)
-        mask = bytearray(rng.randbytes(chunks * 16))
-        mask[rng.randrange(16)] |= 0x01  # keep first chunk non-zero
-        if rng.random() < 0.5:
-            # force a likely match: key = packet & mask over the window
-            window = (bytes(data) + bytes(96))[skip * 16:(skip + chunks) * 16]
-            key = bytes(a & b for a, b in zip(window, mask))
-        else:
-            key = bytes(a & b for a, b in zip(rng.randbytes(chunks * 16), mask))
-        mk = MaskKey(bytes(mask), key, skip, chunks)
-        pkt = parse_packet(data)
-        assert match_chunks(pkt, mk) == \
-            _byte_loop_match(data, mask, key, skip, chunks)
+        data = ref.random_valid_packet(rng, allow_frag=False,
+                                       allow_ipopts=False)
+        line = _folded_drop_rule(rng, data, rng.random() < 0.5)
+        cr = compiled(line)
+        mk = cr.mask_key
+        gate = cr.proto is None or cr.proto == data[9]
+        want = not cr.never and gate and \
+            _byte_loop_match(data, mk.mask, mk.key, mk.skip, mk.chunks)
+        assert drops(data, line) == want, (line, data.hex())
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_match_implies_masked_equality():
     rng = random.Random(12)
     hits = 0
     for _ in range(500):
-        data = ref.random_valid_packet(rng)
-        window = (bytes(data) + bytes(96))[:80]
-        skip = rng.randrange(3)
-        chunks = rng.randint(1, 2)
-        mask = bytearray(16 * chunks)
-        for _ in range(4):
-            mask[rng.randrange(len(mask))] = 0xFF
-        mask[0] |= 1
-        seg = window[skip * 16:(skip + chunks) * 16]
-        key = bytes(a & b for a, b in zip(seg, mask))
-        mk = MaskKey(bytes(mask), key, skip, chunks)
-        pkt = parse_packet(data)
-        if match_chunks(pkt, mk):
+        data = ref.random_valid_packet(rng, allow_frag=False,
+                                       allow_ipopts=False)
+        line = _folded_drop_rule(rng, data, True)
+        if drops(data, line):
             hits += 1
-            assert bytes(a & b for a, b in zip(seg, mask)) == key
+            mk = compiled(line).mask_key
+            seg = (bytes(data) + bytes(96))[mk.skip * 16:(mk.skip + mk.chunks) * 16]
+            assert bytes(a & b for a, b in zip(seg, mk.mask)) == mk.key
     assert hits > 400
 
 
 # ------------------------------------------------------------ residue eval
 
 def test_evaluate_residue_examples():
-    dport80 = parse_packet(ref.tcp_packet(dport=80))
-    leq = MatchExpr(REGISTRY["tcp-dport"], LEQ, 1024)
-    assert evaluate_residue(dport80, [leq])
-    syn = parse_packet(ref.tcp_packet(flags=ref.SYN))
-    not_syn = MatchExpr(REGISTRY["tcp-syn"], PRESENT, None, negated=True)
-    assert not evaluate_residue(syn, [not_syn])
-    assert evaluate_residue(parse_packet(ref.tcp_packet(flags=ref.ACK)),
-                            [not_syn])
+    assert drops(ref.tcp_packet(dport=80), "mmb add tcp-dport <= 1024 drop")
+    not_syn = "mmb add ! tcp-syn drop"
+    assert not drops(ref.tcp_packet(flags=ref.SYN), not_syn)
+    assert drops(ref.tcp_packet(flags=ref.ACK), not_syn)
 
 
 def test_match_options_examples():
     opts = ref.make_options((8, bytes(8)))
-    with_ts = parse_packet(ref.tcp_packet(flags=ref.SYN, options=opts))
-    present = MatchExpr(REGISTRY["tcp-opt-timestamp"], PRESENT, None)
-    assert match_options(with_ts, [present])
+    with_ts = ref.tcp_packet(flags=ref.SYN, options=opts)
+    present = "mmb add tcp-opt-timestamp drop"
+    assert drops(with_ts, present)
 
-    mss1400 = parse_packet(ref.tcp_packet(
-        options=ref.make_options((2, (1400).to_bytes(2, "big")))))
-    mss_eq = MatchExpr(REGISTRY["tcp-opt-mss"], EQ, 1460)
-    assert not match_options(mss1400, [mss_eq])
+    mss1400 = ref.tcp_packet(
+        options=ref.make_options((2, (1400).to_bytes(2, "big"))))
+    assert not drops(mss1400, "mmb add tcp-opt-mss 1460 drop")
 
-    udp = parse_packet(ref.udp_packet())
-    assert not match_options(udp, [present])
+    assert not drops(ref.udp_packet(), present)
 
 
 def test_match_options_random_vs_reference_walk():
     rng = random.Random(13)
     for _ in range(500):
         data = ref.random_valid_packet(rng)
-        pkt = parse_packet(data)
         kind = rng.choice([2, 3, 4, 8, 30, 34])
         fdname = {2: "tcp-opt-mss", 3: "tcp-opt-wscale", 4: "tcp-opt-sackp",
                   8: "tcp-opt-timestamp", 30: "tcp-opt-mptcp",
                   34: "tcp-opt-fastopen"}[kind]
-        expr = MatchExpr(REGISTRY[fdname], PRESENT, None)
-        got = match_options(pkt, [expr])
+        got = drops(data, f"mmb add {fdname} drop")
         if data[9] != ref.TCP or (((data[6] << 8) | data[7]) & 0x3FFF):
             assert got is False
         else:
@@ -233,8 +271,8 @@ def test_table_count_equals_distinct_masks():
     ]
     _, snap = make_snapshot(lines)
     masks = set()
-    for line in lines:
-        mk, _ = compile_rule(parse_command(line).rule)
+    for cr in snap.by_id.values():
+        mk = cr.mask_key
         if mk is not None:
             masks.add((mk.mask, mk.skip, mk.chunks))
     assert len(snap.tables) == len(masks) == 3

@@ -161,7 +161,7 @@ def test_state_machine_exhaustive_length_4():
             for flags, direction in seq:
                 conn.update_state(e, flags, direction)
             assert e.state == reference_machine(seq), seq
-            conn._remove(e)
+            conn.remove(e)
 
 
 def test_purge_budgeted():
@@ -231,7 +231,7 @@ def test_shuffle_values_unique_and_released():
         entries.append(conn.insert(pkt, rule, 0.0))
     ports = [e.bindings[0].rewritten for e in entries]
     assert len(set(ports)) == len(ports) == 300
-    conn._remove(entries[0])
+    conn.remove(entries[0])
     pkt = tcp_pkt(saddr=0x0A00F001, daddr=0x0A800001, sport=9999, dport=80,
                   flags=ref.SYN)
     e = conn.insert(pkt, rule, 0.0)

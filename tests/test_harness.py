@@ -92,12 +92,13 @@ def test_option_rule_values_disjoint_from_traffic_values():
 
 
 def test_mask_limit_rules_all_parse_distinct_masks():
-    from midbox import compile_rule
-    lines = mask_limit_rules(64, seed=8)
+    from midbox import RuleSetSnapshot
+    rules = [parse_command(line).rule for line in mask_limit_rules(64, seed=8)]
+    for i, rule in enumerate(rules, start=1):
+        rule.id = i
     masks = set()
-    for line in lines:
-        rule = parse_command(line).rule
-        mk, _ = compile_rule(rule)
+    for cr in RuleSetSnapshot(rules).by_id.values():
+        mk = cr.mask_key
         masks.add((mk.mask, mk.skip, mk.chunks))
     assert len(masks) == 64
 

@@ -4,13 +4,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 import refbuild as ref
-from midbox import CommandError, ETHERNET, Engine, EngineConfig, parse_packet
+from midbox import CommandError, ETHERNET, RAW_IP, Engine, EngineConfig, parse_packet
 from midbox.pcap import write_pcap
-from midbox.pipeline import DISP_DROP, DISP_FORWARD
-from midbox.rulegen import firewall_rules
+from midbox.pipeline import COUNTERS, DISP_DROP, DISP_FORWARD
+from midbox.rulegen import SNAT_RULE, firewall_rules
 
 
 def fresh_engine(**kw):
@@ -254,25 +256,33 @@ def test_hit_counters_in_list():
     assert "hits=3" in engine.execute_line("mmb list")
 
 
-def test_workers_shard_but_preserve_semantics():
-    blobs = corpus(9, 1000)
-    lines = oracle.random_ruleset(random.Random(10), 60)
-    engine1 = fresh_engine(workers=1)
-    engine1.add_commands(lines)
-    r1 = engine1.run_stream(as_source(blobs))
-    engine4 = fresh_engine(workers=4)
-    engine4.add_commands(lines)
-    r4 = engine4.run_stream(as_source(blobs))
-    assert (r1.forwarded, r1.dropped, r1.rewritten) == \
-        (r4.forwarded, r4.dropped, r4.rewritten)
+@pytest.mark.parametrize("removal", ["mmb del 1", "mmb flush"])
+def test_removed_rule_stops_translating_its_connections(removal):
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE])
+    syn = ref.tcp_packet(saddr=0x0A000001, dport=80, flags=ref.SYN)
+    ack = ref.tcp_packet(saddr=0x0A000001, dport=80, flags=ref.ACK)
+    out = []
+    engine.run_stream(as_source([syn]), out)
+    assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert "rule=1" in engine.list_connections_text()
+    engine.execute_line(removal)
+    assert engine.conn._allocs == {}
+    assert engine.list_connections_text() == "no connections"
+    out = []
+    report = engine.run_stream(as_source([ack]), out)
+    assert out == [ack] and report.rewritten == 0
+    assert len(engine.conn) == 0
 
 
 def test_report_json_shape():
     engine = fresh_engine()
     report = engine.run_stream(as_source(corpus(11, 50)))
+    assert set(report.counters) == set(COUNTERS)
     d = report.to_json_dict()
     js = json.loads(json.dumps(d))
     assert js["totals"]["packets_in"] == 50
+    assert set(js["counters"]) == set(COUNTERS)
     assert {n["name"] for n in js["nodes"]} == \
         {"input", "classify", "rewrite", "drop", "output"}
     text = report.to_text()
@@ -295,3 +305,51 @@ def test_repl_scripted_replay_is_deterministic():
     out2 = repl(Engine(), script, out=None)
     assert out1 == out2
     assert any("added rule 1" in o for o in out1)
+
+
+ETH_HEADER = b"\xaa" * 6 + b"\xbb" * 6
+
+
+@st.composite
+def engine_inputs(draw):
+    """(link type, rule lines, frames): arbitrary bytes mixed with pool
+    packets (on Ethernet, framed as IPv4 or as a non-IP ethertype), against
+    a random rule set that may carry the SNAT rule."""
+    link = draw(st.sampled_from([RAW_IP, ETHERNET]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = oracle.random_ruleset(rng, draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        lines.append(SNAT_RULE)
+    frames = []
+    kinds = st.sampled_from(["bytes", "ipv4", "ipv4", "non-ip"])
+    for kind in draw(st.lists(kinds, max_size=40)):
+        if kind == "bytes":
+            frames.append(draw(st.binary(max_size=80)))
+            continue
+        raw = oracle.random_pool_packet(rng)
+        if link == ETHERNET:
+            raw = ETH_HEADER + (b"\x08\x00" if kind == "ipv4" else b"\x08\x06") + raw
+        frames.append(raw)
+    return link, lines, frames
+
+
+@given(engine_inputs())
+@settings(max_examples=300)
+def test_run_stream_is_total_and_independent_of_vector_size(inputs):
+    """No input makes run_stream raise; every packet is forwarded or dropped
+    for a counted reason; the vector size changes nothing."""
+    link, lines, frames = inputs
+    results = []
+    for V in (1, 7, 256):
+        engine = fresh_engine(vector_size=V, link_type=link)
+        engine.add_commands(lines)
+        out = []
+        report = engine.run_stream(as_source(frames), out)
+        assert report.packets_in == len(frames)
+        assert report.forwarded + report.dropped == report.packets_in
+        assert report.counters["verdict_drops"] + \
+            report.counters["parse_error_drops"] == report.dropped
+        results.append((out, report.forwarded, report.dropped,
+                        report.rewritten, report.counters))
+    assert results[1] == results[0]
+    assert results[2] == results[0]

@@ -37,7 +37,7 @@ def test_compile_snat_static_and_dynamic_split():
     assert (tp.span_lo, tp.span_hi) == (12, 16)
     assert tp.key_int == 0xC8000001
     assert [fd.name for fd in tp.dynamic] == ["tcp-sport"]
-    assert tp.needs_conn
+    assert r.stateful
 
 
 def test_static_key_disjoint_from_mask_randomized():
