@@ -10,9 +10,13 @@ linear slow path for rules with no mask at all.
 Masks are anchored at the L3 header and cover 16-byte chunks, at most five
 (80 bytes); leading all-zero chunks are skipped. Transport fields assume a
 20-byte IPv4 header; packets with IP options take the linear path.
+
+Tables are probed a vector at a time (`match_tables`): each table runs over
+every packet of the vector, and tables that share a shift share one shifted
+copy of each packet's window.
 """
 
-from .conntrack import FWD
+from .conntrack import FWD, OUT_OF_PORTS
 from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
 from .packet import ABSENT, read_field
 from .rewrite import compile_targets
@@ -229,10 +233,12 @@ class RuleSetSnapshot:
     entry and compiled rule the change does not touch, and the old one is
     never mutated, so a vector still running on it keeps its view."""
 
-    __slots__ = ("tables", "slow", "by_id", "ordered", "version", "index")
+    __slots__ = ("tables", "slow", "by_id", "ordered", "version", "index",
+                 "_groups")
 
     def __init__(self, rules, version=0):
         self.version = version
+        self._groups = None
         self.tables = []
         self.slow = []
         self.by_id = {}
@@ -306,6 +312,7 @@ class RuleSetSnapshot:
         """A shallow copy with its own `tables`, `by_id` and `index`."""
         snap = object.__new__(RuleSetSnapshot)
         snap.version = version
+        snap._groups = None
         snap.tables = list(self.tables)
         snap.slow = self.slow
         snap.by_id = dict(self.by_id)
@@ -325,6 +332,19 @@ class RuleSetSnapshot:
         else:
             self.tables[self.tables.index(old)] = new
             self.index[tkey] = new
+
+    def groups(self):
+        """The tables grouped by window shift, as ((shift, (table, ...)),
+        ...). Built on the first probe, so deriving a snapshot never pays
+        for it; it holds only shared tables, so freeing it is cheap too."""
+        groups = self._groups
+        if groups is None:
+            by_shift = {}
+            for t in self.tables:
+                by_shift.setdefault(t.shift, []).append(t)
+            groups = self._groups = tuple((shift, tuple(tables))
+                                          for shift, tables in by_shift.items())
+        return groups
 
     def stats_lines(self):
         out = [f"{len(self.tables)} tables, {len(self.slow)} maskless rules"]
@@ -355,30 +375,63 @@ def probes_tables(pkt):
     return pkt.ihl == 5 and not pkt.is_fragment
 
 
-def classify(pkt, snap, conn=None, now=0.0):
+def match_tables(pkts, snap):
+    """(hits, probed) for a packet vector: the rules each packet matched
+    through the mask tables, residues included.
+
+    hits[i] is None when pkts[i] is off the table path (`probes_tables`),
+    () when it probed and nothing hit, else a list in probe order. probed
+    counts the packets that probed. Each table runs over the whole vector,
+    and each window is shifted once per group of tables sharing a shift."""
+    hits = [None] * len(pkts)
+    idx = [i for i, p in enumerate(pkts) if probes_tables(p)]
+    for i in idx:
+        hits[i] = ()
+    if not idx or not snap.tables:
+        return hits, len(idx)
+    wins = [pkts[i].window80() for i in idx]
+    for shift, tables in snap.groups():
+        xs = [w >> shift for w in wins]
+        for t in tables:
+            get, mask = t.entries.get, t.mask_int
+            for j, x in enumerate(xs):
+                e = get(x & mask)
+                if e is None:
+                    continue
+                i = idx[j]
+                p = pkts[i]
+                for cr in e.rules:
+                    if cr.matches(p, cr.residue):
+                        if hits[i]:
+                            hits[i].append(cr)
+                        else:
+                            hits[i] = [cr]
+    return hits, len(idx)
+
+
+_MISS = Verdict(MISS)
+
+
+def classify(pkt, snap, conn=None, now=0.0, hits=None):
     """Drop/miss/match verdict for one packet.
 
-    Probes every table (survivors get their residues evaluated), then the
-    maskless rules, then the connection table. A tracked reverse/forward
-    packet yields MATCH even without a rule hit; any matched drop rule
-    dominates everything else.
+    `hits` is the packet's entry of `match_tables` over its vector; without
+    it the packet's tables are probed here. Then come the maskless rules
+    (or, off the table path, every rule), then the connection table. A
+    tracked reverse/forward packet yields MATCH even without a rule hit; any
+    matched drop rule dominates everything else. A new flow whose stateful
+    rule finds no free shuffle value is dropped.
     """
-    matched = []
-    if probes_tables(pkt):
-        w = pkt.window80()
-        for t in snap.tables:
-            e = t.entries.get((w >> t.shift) & t.mask_int)
-            if e is not None:
-                for cr in e.rules:
-                    if cr.matches(pkt, cr.residue):
-                        matched.append(cr)
-        for cr in snap.slow:
-            if cr.matches(pkt, cr.full):
-                matched.append(cr)
+    if hits is None:
+        hits = match_tables((pkt,), snap)[0][0]
+    if hits is None:
+        matched = [cr for cr in snap.ordered if cr.matches(pkt, cr.full)]
     else:
-        for cr in snap.ordered:
-            if cr.matches(pkt, cr.full):
-                matched.append(cr)
+        matched = hits
+        if snap.slow:
+            slow = [cr for cr in snap.slow if cr.matches(pkt, cr.full)]
+            if slow:
+                matched = [*hits, *slow]
 
     entry = direction = None
     if conn is not None:
@@ -402,14 +455,13 @@ def classify(pkt, snap, conn=None, now=0.0):
             if cr.rule.stateful and (stateful_rule is None
                                      or cr.rule.id < stateful_rule.id):
                 stateful_rule = cr.rule
+        ids = tuple(sorted(cr.rule.id for cr in matched))
         if stateful_rule is not None and entry is None and conn is not None:
             entry = conn.insert(pkt, stateful_rule, now)
+            if entry is OUT_OF_PORTS:
+                return Verdict(DROP, ids)
             direction = FWD if entry is not None else None
-        if drop:
-            return Verdict(DROP, tuple(sorted(cr.rule.id for cr in matched)),
-                           entry, direction)
-        return Verdict(MATCH, tuple(sorted(cr.rule.id for cr in matched)),
-                       entry, direction)
+        return Verdict(DROP if drop else MATCH, ids, entry, direction)
     if entry is not None:
         return Verdict(MATCH, (), entry, direction)
-    return Verdict(MISS)
+    return _MISS

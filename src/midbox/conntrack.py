@@ -19,6 +19,9 @@ from .rules import MOD, SHUFFLE, TUPLE_FIELDS
 FWD = "fwd"
 REV = "rev"
 
+# what insert returns for a new flow whose shuffle target has no free value
+OUT_OF_PORTS = "out-of-ports"
+
 # TCP states
 NEW = "NEW"
 ESTABLISHED = "ESTABLISHED"
@@ -132,16 +135,18 @@ class ConnTable:
         self._scan = []
         self._scan_i = 0
         self.full_drops = 0
+        self.out_of_ports = 0
+        t = self.timeouts
+        self._timeout = {NEW: t.tcp_new, ESTABLISHED: t.tcp_established,
+                         FIN_WAIT: t.tcp_fin_wait, CLOSED: t.tcp_closed,
+                         ACTIVE: t.udp}
 
     def __len__(self):
         return len(self._entries)
 
     def timeout_for(self, entry):
-        t = self.timeouts
-        if entry.proto != PROTO_TCP:
-            return t.udp
-        return {NEW: t.tcp_new, ESTABLISHED: t.tcp_established,
-                FIN_WAIT: t.tcp_fin_wait, CLOSED: t.tcp_closed}[entry.state]
+        # UDP entries stay ACTIVE, TCP entries never are
+        return self._timeout[entry.state]
 
     def lookup(self, pkt, now):
         """(entry, direction) for a tracked packet, else (None, None).
@@ -177,7 +182,9 @@ class ConnTable:
     def insert(self, pkt, rule, now):
         """Track a new flow for a stateful rule match; allocates dynamic
         bindings. Idempotent for an already-tracked tuple; returns None when
-        the table is full (the packet is then processed statelessly)."""
+        the table is full (the packet is then processed statelessly), and
+        OUT_OF_PORTS, tracking nothing, when a shuffle target has no free
+        value left (the packet is then dropped)."""
         if pkt.is_fragment or pkt.ip_proto not in (PROTO_TCP, PROTO_UDP):
             return None
         t5 = pkt.five_tuple()
@@ -195,10 +202,11 @@ class ConnTable:
                 orig = read_field(pkt, t.field)
                 if orig is ABSENT:
                     continue
-                alloc = self._alloc_for(rule.id, t.field)
-                v = alloc.allocate()
+                v = self._alloc_for(rule.id, t.field).allocate()
                 if v is None:
-                    continue
+                    self._release(rule.id, bindings)
+                    self.out_of_ports += 1
+                    return OUT_OF_PORTS
                 bindings.append(DynamicBinding(t.field, orig, v))
             elif t.kind == MOD and t.field is not None and t.field.name in TUPLE_FIELDS:
                 orig = read_field(pkt, t.field)
@@ -287,8 +295,12 @@ class ConnTable:
         # a later flow may have taken over the translated key
         if entry.trans_key != entry.key and self._alias.get(entry.trans_key) is entry:
             del self._alias[entry.trans_key]
-        for b in entry.bindings:
-            alloc = self._allocs.get((entry.rule_id, b.field.name))
+        self._release(entry.rule_id, entry.bindings)
+
+    def _release(self, rule_id, bindings):
+        """Return the shuffled values of `bindings` to their pools."""
+        for b in bindings:
+            alloc = self._allocs.get((rule_id, b.field.name))
             if alloc is not None:
                 alloc.release(b.rewritten)
 

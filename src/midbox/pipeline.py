@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .classifier import (DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify,
-                         probes_tables)
+                         match_tables)
 from .conntrack import ConnTable, TimeoutPolicy
 from .errors import CommandError, MidboxError, NoSuchRule, NotIPv4, PacketError
 from .packet import ETHERNET, RAW_IP, PacketBuffer, parse_packet
@@ -26,10 +26,14 @@ DISP_REWRITTEN = "rewritten"
 
 NODE_NAMES = ("input", "classify", "rewrite", "drop", "output")
 
-# every counter a RunReport carries, zero when it never fired
+# every counter a RunReport carries, zero when it never fired.
+# conn_full_drops: new flows left untracked because the connection table
+# was full; out_of_ports: new flows dropped because a shuffle pool was
+# empty (also counted in verdict_drops).
 COUNTERS = ("table_probes", "verdict_drops", "parse_error_drops",
             "bypass_non_ip", "malformed_options", "rewrite_skipped",
-            "opt_add_skipped", "missing_binding")
+            "opt_add_skipped", "missing_binding", "conn_full_drops",
+            "out_of_ports")
 
 
 class NodeStats:
@@ -266,12 +270,15 @@ class Engine:
 
         t0 = time.perf_counter_ns()
         conn = self.conn
-        verdicts = [classify(p, snap, conn, now) for p in pkts]
+        full_drops, out_of_ports = conn.full_drops, conn.out_of_ports
+        hits, probed = match_tables(pkts, snap)
+        verdicts = [classify(p, snap, conn, now, h) for p, h in zip(pkts, hits)]
         conn.purge(now, self.config.purge_budget)
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
-        if snap.tables:
-            counters["table_probes"] += len(snap.tables) * sum(map(probes_tables, pkts))
+        counters["table_probes"] += len(snap.tables) * probed
+        counters["conn_full_drops"] += conn.full_drops - full_drops
+        counters["out_of_ports"] += conn.out_of_ports - out_of_ports
 
         to_rewrite = [(p, v) for p, v in zip(pkts, verdicts) if v.kind == V_MATCH]
         t2 = time.perf_counter_ns()

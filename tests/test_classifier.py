@@ -2,10 +2,14 @@
 
 import random
 
+from hypothesis import assume, given, settings, strategies as st
+
 import oracle
 import refbuild as ref
-from midbox import classify, parse_command, parse_packet
-from midbox.classifier import RuleSetSnapshot
+from midbox import Engine, classify, parse_command, parse_packet
+from midbox.classifier import RuleSetSnapshot, match_tables, probes_tables
+from midbox.pipeline import DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
+from midbox.rulegen import mask_limit_rules
 from midbox.rules import LEQ
 
 
@@ -312,3 +316,65 @@ def test_verdicts_match_linear_oracle_random():
             assert v.kind == kind, (data.hex(), v.kind, kind)
             if kind != "miss":
                 assert v.rule_ids == ids
+
+
+# ----------------------------------------------------------- vector probe
+
+def _odd_packet(rng, kind):
+    """A packet off the common path: IPv4 options, a fragment, UDP or ICMP."""
+    saddr, daddr = rng.choice(oracle.ADDR_POOL), rng.choice(oracle.ADDR_POOL)
+    if kind == "ipopts":
+        return ref.tcp_packet(saddr, daddr, rng.choice(oracle.PORT_POOL),
+                              rng.choice(oracle.PORT_POOL), ihl=6,
+                              ip_options=bytes([1] * 4))
+    if kind == "frag":
+        seg = ref.udp_segment(saddr, daddr, 53, 53, b"x" * 16)
+        return ref.ipv4_header(saddr, daddr, ref.UDP, len(seg),
+                               flags_frag=0x2000 | rng.randrange(64)) + seg
+    if kind == "udp":
+        return ref.udp_packet(saddr, daddr, rng.choice(oracle.PORT_POOL),
+                              rng.choice(oracle.PORT_POOL))
+    return ref.icmp_packet(saddr, daddr, rng.choice([0, 3, 8, 11]))
+
+
+@st.composite
+def vector_cases(draw):
+    """(rule lines, packet bytes): a random rule set plus mask-limit rules,
+    and one vector of pool packets mixed with off-path packets."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = oracle.random_ruleset(rng, draw(st.integers(0, 40)))
+    lines += rng.sample(mask_limit_rules(40, seed=rng.randrange(100)),
+                        draw(st.integers(2, 12)))
+    kinds = st.sampled_from(["pool", "pool", "pool", "ipopts", "frag", "udp", "icmp"])
+    blobs = [oracle.random_pool_packet(rng) if kind == "pool" else _odd_packet(rng, kind)
+             for kind in draw(st.lists(kinds, min_size=1, max_size=64))]
+    return lines, blobs
+
+
+def _ids(hits):
+    return [None if h is None else [cr.rule.id for cr in h] for h in hits]
+
+
+@settings(max_examples=300)
+@given(vector_cases())
+def test_vector_probe_equals_per_packet_probe(case):
+    lines, blobs = case
+    rules, snap = make_snapshot(lines)
+    assume(len({t.shift for t in snap.tables}) >= 2)
+    pkts = [parse_packet(b) for b in blobs]
+    hits, probed = match_tables(pkts, snap)
+    assert probed == sum(map(probes_tables, pkts))
+    assert [h is None for h in hits] == [not probes_tables(p) for p in pkts]
+    assert _ids(hits) == [_ids(match_tables([p], snap)[0])[0] for p in pkts]
+    alone = [classify(p, snap) for p in pkts]
+    in_vector = [classify(p, snap, None, 0.0, h) for p, h in zip(pkts, hits)]
+    assert [(v.kind, v.rule_ids) for v in in_vector] == \
+        [(v.kind, v.rule_ids) for v in alone]
+    orc = oracle.LinearOracle(rules)
+    assert [(v.kind, v.rule_ids) for v in alone] == [orc.verdict(b) for b in blobs]
+
+    engine = Engine()
+    engine.add_commands(lines)
+    disp = {"drop": DISP_DROP, "match": DISP_REWRITTEN, "miss": DISP_FORWARD}
+    results = engine.run_vector([parse_packet(b) for b in blobs])
+    assert [d for _, d in results] == [disp[v.kind] for v in alone]

@@ -7,8 +7,8 @@ import random
 import refbuild as ref
 from midbox import parse_command, parse_packet
 from midbox.conntrack import (ACK, CLOSED, ESTABLISHED, FIN, FIN_WAIT, FWD,
-                              NEW, REV, RST, SYN, ConnTable, TimeoutPolicy,
-                              normalize)
+                              NEW, OUT_OF_PORTS, REV, RST, SYN, ConnTable,
+                              TimeoutPolicy, normalize)
 
 
 def tracking_rule(line="mmb add-stateful ip-saddr 10.0.0.0/8 mod ip-ttl 63"):
@@ -236,6 +236,21 @@ def test_shuffle_values_unique_and_released():
                   flags=ref.SYN)
     e = conn.insert(pkt, rule, 0.0)
     assert e is not None  # released value made room for a new pick
+
+
+def test_out_of_ports_tracks_nothing_and_returns_taken_values():
+    # ip-ttl's pool is 250..255, one value short of tcp-sport's 250..256
+    conn = ConnTable(shuffle_range=(250, 256))
+    rule = tracking_rule("mmb add-stateful ip-proto tcp "
+                         "shuffle tcp-sport shuffle ip-ttl")
+    for i in range(6):
+        e = conn.insert(tcp_pkt(saddr=0x0A000001 + i, flags=ref.SYN), rule, 0.0)
+        assert len(e.bindings) == 2
+    assert conn.insert(tcp_pkt(saddr=0x0A0000FF, flags=ref.SYN), rule,
+                       0.0) is OUT_OF_PORTS
+    assert conn.out_of_ports == 1
+    assert len(conn) == 6
+    assert len(conn._allocs[(1, "tcp-sport")].in_use) == 6
 
 
 def test_table_full_policy():

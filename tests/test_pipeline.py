@@ -275,9 +275,34 @@ def test_removed_rule_stops_translating_its_connections(removal):
     assert len(engine.conn) == 0
 
 
+def test_exhausted_port_pool_drops_and_counts_new_flow():
+    engine = fresh_engine(shuffle_range=(1024, 1025))
+    engine.add_commands([SNAT_RULE])
+    syns = [ref.tcp_packet(saddr=0x0A000001, sport=5000 + i, dport=80,
+                           flags=ref.SYN) for i in range(3)]
+    out = []
+    report = engine.run_stream(as_source(syns), out)
+    assert [ref.ref_read(o, "ip-saddr") for o in out] == [0xC8000001] * 2
+    assert sorted(ref.ref_read(o, "tcp-sport") for o in out) == [1024, 1025]
+    assert report.dropped == report.counters["verdict_drops"] == 1
+    assert report.counters["out_of_ports"] == 1
+    assert len(engine.conn) == 2
+
+
+def test_full_connection_table_is_counted():
+    engine = fresh_engine(conn_capacity=1)
+    engine.add_commands([SNAT_RULE])
+    syns = [ref.tcp_packet(saddr=0x0A000001, sport=5000 + i, dport=80,
+                           flags=ref.SYN) for i in range(3)]
+    report = engine.run_stream(as_source(syns))
+    assert report.counters["conn_full_drops"] == 2
+    assert len(engine.conn) == 1
+
+
 def test_report_json_shape():
     engine = fresh_engine()
     report = engine.run_stream(as_source(corpus(11, 50)))
+    assert {"conn_full_drops", "out_of_ports"} <= set(COUNTERS)
     assert set(report.counters) == set(COUNTERS)
     d = report.to_json_dict()
     js = json.loads(json.dumps(d))

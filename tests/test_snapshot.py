@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from midbox import Engine, RuleSetSnapshot, classifier, classify, parse_packet
+from midbox.classifier import match_tables
 from midbox.rulegen import (SNAT_RULE, STRIP_EXCEPT_RULE, firewall_rules,
                             mask_limit_rules, tcp_option_rules)
 
@@ -37,10 +38,12 @@ def structure(snap):
 
 
 def verdicts(snap):
-    out = []
-    for pkt in PACKETS:
-        v = classify(pkt, snap)
-        out.append((v.kind, v.rule_ids))
+    """Verdicts of PACKETS one at a time; classifying them as one vector
+    must agree, so a snapshot's table grouping is its own."""
+    out = [(v.kind, v.rule_ids) for v in (classify(p, snap) for p in PACKETS)]
+    hits, _ = match_tables(PACKETS, snap)
+    assert [(v.kind, v.rule_ids) for v in
+            (classify(p, snap, hits=h) for p, h in zip(PACKETS, hits))] == out
     return out
 
 
