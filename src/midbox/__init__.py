@@ -6,22 +6,21 @@ connection table, and a mask/key rewrite stage; packets flow in batched
 vectors through a small node graph.
 """
 
-from .classifier import (ClassifierTable, MaskKey, RuleSetSnapshot,
-                         SessionEntry, Verdict, classify)
-from .conntrack import ConnEntry, ConnTable, DynamicBinding, TimeoutPolicy
+from .classifier import ClassifierTable, RuleSetSnapshot, Verdict, classify
+from .conntrack import ConnTable, TimeoutPolicy
 from .errors import (BadChecksum, CommandError, CommandSyntaxError,
                      MalformedOption, MidboxError, NoSuchRule, NotIPv4,
                      PacketError, SemanticError, TruncatedPacket,
                      TypeMismatch, UnknownField)
 from .fields import FieldDescriptor, REGISTRY
-from .packet import (ABSENT, ETHERNET, RAW_IP, PacketBuffer, TcpOptionView,
-                     fix_checksums, parse_packet, parse_tcp_options,
-                     read_field, serialize, verify_checksums, write_field)
+from .packet import (ABSENT, ETHERNET, RAW_IP, PacketBuffer, fix_checksums,
+                     parse_packet, parse_tcp_options, read_field, serialize,
+                     verify_checksums, write_field)
 from .pipeline import Engine, EngineConfig, RunReport
 from .rewrite import TargetProgram, apply_dynamic, apply_option_edits, \
     apply_static, compile_targets
-from .rules import (Command, MatchExpr, Rule, TargetExpr, format_command,
-                    format_rule, parse_command, validate_rule)
+from .rules import (MatchExpr, Rule, TargetExpr, format_command, format_rule,
+                    parse_command)
 from .scenarios import ScenarioReport, run_scenario
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ every packet of the vector, and tables that share a shift share one shifted
 copy of each packet's window.
 """
 
-from .conntrack import FWD, OUT_OF_PORTS
+from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
 from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
 from .packet import ABSENT, read_field
 from .rewrite import compile_targets
@@ -420,7 +420,8 @@ def classify(pkt, snap, conn=None, now=0.0, hits=None):
     (or, off the table path, every rule), then the connection table. A
     tracked reverse/forward packet yields MATCH even without a rule hit; any
     matched drop rule dominates everything else. A new flow whose stateful
-    rule finds no free shuffle value is dropped.
+    rule finds no free shuffle value, or translates and finds the
+    connection table full, is dropped.
     """
     if hits is None:
         hits = match_tables((pkt,), snap)[0][0]
@@ -458,7 +459,7 @@ def classify(pkt, snap, conn=None, now=0.0, hits=None):
         ids = tuple(sorted(cr.rule.id for cr in matched))
         if stateful_rule is not None and entry is None and conn is not None:
             entry = conn.insert(pkt, stateful_rule, now)
-            if entry is OUT_OF_PORTS:
+            if entry is OUT_OF_PORTS or entry is TABLE_FULL:
                 return Verdict(DROP, ids)
             direction = FWD if entry is not None else None
         return Verdict(DROP if drop else MATCH, ids, entry, direction)

@@ -14,13 +14,16 @@ from typing import NamedTuple
 
 from .fields import PROTO_TCP, PROTO_UDP
 from .packet import ABSENT, read_field
-from .rules import MOD, SHUFFLE, TUPLE_FIELDS
+from .rules import MOD, SHUFFLE, TUPLE_FIELDS, quad
 
 FWD = "fwd"
 REV = "rev"
 
 # what insert returns for a new flow whose shuffle target has no free value
 OUT_OF_PORTS = "out-of-ports"
+# what insert returns for a new flow of a translating rule when the table
+# is full
+TABLE_FULL = "table-full"
 
 # TCP states
 NEW = "NEW"
@@ -54,6 +57,15 @@ class DynamicBinding(NamedTuple):
     rewritten: int
 
 
+def _translates(rule):
+    """True when a stateful rule rewrites its flows' tuples: it shuffles a
+    field or mods a tuple field, so a flow it cannot track would leave
+    half-translated."""
+    return any(t.kind == SHUFFLE or (t.kind == MOD and t.field is not None
+                                     and t.field.name in TUPLE_FIELDS)
+               for t in rule.targets)
+
+
 def normalize(t5):
     """Direction-independent key: smaller (addr, port) endpoint first."""
     a = (t5[0], t5[2])
@@ -68,9 +80,14 @@ def reverse_tuple(t5):
 
 
 class ConnEntry:
+    """One tracked flow. `tuple_only` is True when the flow has bindings
+    and every one rewrites a tuple field, so fwd_pre/fwd_post alone
+    describe the translation."""
+
     __slots__ = ("key", "trans_key", "fwd_pre", "fwd_post", "rev_expect",
                  "proto", "state", "fin_dir", "created",
-                 "last_seen", "rule_id", "bindings", "pkts", "octets")
+                 "last_seen", "rule_id", "bindings", "tuple_only", "pkts",
+                 "octets")
 
     def __init__(self, t5, trans_t5, rule_id, now):
         self.key = normalize(t5)
@@ -85,16 +102,16 @@ class ConnEntry:
         self.last_seen = now
         self.rule_id = rule_id
         self.bindings = []
+        self.tuple_only = False
         self.pkts = [0, 0]
         self.octets = [0, 0]
 
     def describe(self, now):
         sa, da, sp, dp, proto = self.fwd_pre
         name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(proto, str(proto))
-        def q(a):
-            return ".".join(str((a >> s) & 0xFF) for s in (24, 16, 8, 0))
-        return (f"{name} {q(sa)}:{sp} -> {q(da)}:{dp} state={self.state} "
-                f"age={now - self.created:.1f}s pkts={self.pkts[0]}/{self.pkts[1]} "
+        return (f"{name} {quad(sa)}:{sp} -> {quad(da)}:{dp} "
+                f"state={self.state} age={now - self.created:.1f}s "
+                f"pkts={self.pkts[0]}/{self.pkts[1]} "
                 f"bytes={self.octets[0]}/{self.octets[1]} rule={self.rule_id}")
 
 
@@ -132,6 +149,7 @@ class ConnTable:
         self._entries = {}
         self._alias = {}
         self._allocs = {}
+        self._deleted = set()  # ids of rules deleted since the last reclaim
         self._scan = []
         self._scan_i = 0
         self.full_drops = 0
@@ -181,10 +199,15 @@ class ConnTable:
 
     def insert(self, pkt, rule, now):
         """Track a new flow for a stateful rule match; allocates dynamic
-        bindings. Idempotent for an already-tracked tuple; returns None when
-        the table is full (the packet is then processed statelessly), and
-        OUT_OF_PORTS, tracking nothing, when a shuffle target has no free
-        value left (the packet is then dropped)."""
+        bindings. Idempotent for an already-tracked tuple.
+
+        A full table first reclaims the connections of deleted rules. If it
+        is still full, the flow is counted in `full_drops` and insert
+        returns TABLE_FULL for a rule that translates (the packet is then
+        dropped, not sent out half-translated) and None otherwise (the
+        packet is processed statelessly). OUT_OF_PORTS, tracking nothing,
+        means a shuffle target has no free value left (the packet is then
+        dropped)."""
         if pkt.is_fragment or pkt.ip_proto not in (PROTO_TCP, PROTO_UDP):
             return None
         t5 = pkt.five_tuple()
@@ -193,8 +216,11 @@ class ConnTable:
         if existing is not None:
             return existing
         if len(self._entries) >= self.capacity:
-            self.full_drops += 1
-            return None
+            if self._deleted:
+                self._reclaim()
+            if len(self._entries) >= self.capacity:
+                self.full_drops += 1
+                return TABLE_FULL if _translates(rule) else None
 
         bindings = []
         for t in rule.targets:
@@ -215,12 +241,16 @@ class ConnTable:
                 bindings.append(DynamicBinding(t.field, orig, t.value))
 
         trans = list(t5)
+        tuple_only = bool(bindings)
         for b in bindings:
             pos = _TUPLE_POS.get(b.field.name)
-            if pos is not None:
+            if pos is None:
+                tuple_only = False
+            else:
                 trans[pos] = b.rewritten
         entry = ConnEntry(t5, tuple(trans), rule.id, now)
         entry.bindings = bindings
+        entry.tuple_only = tuple_only
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[entry.key] = entry
@@ -282,13 +312,24 @@ class ConnTable:
             self._allocs[key] = alloc
         return alloc
 
-    def release_pools(self, rule):
-        """Drop the shuffle pools of a deleted rule. Its connections stay
-        until a lookup finds them or they expire; releasing their values
-        then finds no pool."""
+    def forget_rule(self, rule):
+        """Release a deleted rule: drop its shuffle pools now, and remove its
+        connections when a lookup finds them, when they expire, or when an
+        insert finds the table full (`_reclaim`), whichever comes first.
+        Releasing their values then finds no pool."""
         for t in rule.targets:
             if t.kind == SHUFFLE:
                 self._allocs.pop((rule.id, t.field.name), None)
+        if rule.stateful and self._entries:
+            self._deleted.add(rule.id)
+
+    def _reclaim(self):
+        """Remove the connections of every rule deleted since the last
+        reclaim, in one walk of the table. Rule ids are never reused."""
+        dead = self._deleted
+        for e in [e for e in self._entries.values() if e.rule_id in dead]:
+            self.remove(e)
+        dead.clear()
 
     def remove(self, entry):
         self._entries.pop(entry.key, None)

@@ -27,9 +27,10 @@ DISP_REWRITTEN = "rewritten"
 NODE_NAMES = ("input", "classify", "rewrite", "drop", "output")
 
 # every counter a RunReport carries, zero when it never fired.
-# conn_full_drops: new flows left untracked because the connection table
-# was full; out_of_ports: new flows dropped because a shuffle pool was
-# empty (also counted in verdict_drops).
+# conn_full_drops: new flows the full connection table could not track
+# (those of translating rules are dropped and also counted in
+# verdict_drops, the others pass untracked); out_of_ports: new flows
+# dropped because a shuffle pool was empty (also counted in verdict_drops).
 COUNTERS = ("table_probes", "verdict_drops", "parse_error_drops",
             "bypass_non_ip", "malformed_options", "rewrite_skipped",
             "opt_add_skipped", "missing_binding", "conn_full_drops",
@@ -164,14 +165,14 @@ class Engine:
     def remove(self, rule_id):
         if rule_id not in self.rules:
             raise NoSuchRule(f"no such rule {rule_id}")
-        self.conn.release_pools(self.rules.pop(rule_id))
+        self.conn.forget_rule(self.rules.pop(rule_id))
         self._version += 1
         self.snapshot = self.snapshot.without_rule(rule_id, self._version)
 
     def flush(self):
         n = len(self.rules)
         for rule in self.rules.values():
-            self.conn.release_pools(rule)
+            self.conn.forget_rule(rule)
         self.rules.clear()
         self._rebuild()
         return n

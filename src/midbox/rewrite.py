@@ -8,13 +8,21 @@ checked per-field writes. Option strips/adds rebuild the option area and keep
 the data offset and IP total length coherent.
 """
 
+import struct
+
+from .conntrack import FWD
 from .errors import MalformedOption
-from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
+from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP, REGISTRY
 from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT
 
 _WINDOW = 80
 _MAX_OPT_AREA = 40
+# wire layouts of translate_session: the IPv4 header checksum and the
+# addresses after it, the ports, a transport checksum
+_CSUM_ADDRS = struct.Struct("!HII")
+_PORTS = struct.Struct("!HH")
+_CSUM = struct.Struct("!H")
 
 
 def _count(counters, name):
@@ -224,31 +232,75 @@ def apply_option_edits(pkt, tp, counters=None):
     return True
 
 
-_MIRROR = {
-    "ip-saddr": "ip-daddr", "ip-daddr": "ip-saddr",
-    "tcp-sport": "tcp-dport", "tcp-dport": "tcp-sport",
-    "udp-sport": "udp-dport", "udp-dport": "udp-sport",
-}
+_MIRROR = {a: REGISTRY[b] for a, b in (
+    ("ip-saddr", "ip-daddr"), ("ip-daddr", "ip-saddr"),
+    ("tcp-sport", "tcp-dport"), ("tcp-dport", "tcp-sport"),
+    ("udp-sport", "udp-dport"), ("udp-dport", "udp-sport"))}
 
 
 def mirror_field(fd):
     """The opposite-direction counterpart of a tuple field (sport <-> dport,
     saddr <-> daddr); fields without a mirror map to themselves."""
-    from . import fields
-    return fields.REGISTRY.get(_MIRROR.get(fd.name, fd.name), fd)
+    return _MIRROR.get(fd.name, fd)
 
 
 def apply_dynamic(pkt, entry, direction):
     """Per-connection translation: forward packets get the bound rewritten
     values; reverse packets get the originals written into mirrored fields."""
     modified = False
-    if direction == "fwd":
+    if direction == FWD:
         for b in entry.bindings:
             modified |= write_field(pkt, b.field, b.rewritten)
     else:
         for b in entry.bindings:
             modified |= write_field(pkt, mirror_field(b.field), b.original)
     return modified
+
+
+def translate_session(pkt, entry, direction):
+    """The connection translation of a TCP or UDP packet whose entry binds
+    tuple fields only (`entry.tuple_only`), without the generic writes and
+    checksum pass. Forward packets leave with fwd_post, reverse packets
+    with fwd_pre swapped; addresses and ports are written at the packet's
+    own offsets, so any IHL works (fragments never have an entry). Returns
+    True, or None, changing nothing, for a UDP packet without a checksum,
+    which the caller sends down the generic path.
+
+    Both checksums move by the RFC 1624 difference between the tuple the
+    packet carried and the one it leaves with. ConnTable.lookup matched the
+    packet to one of its direction's two tuples, so that is the session's
+    constant sum(pre[:4]) - sum(post[:4]) (negated on the reverse path), or
+    0 for a packet already carrying its post-image. A 32-bit address is
+    congruent to the sum of its two words modulo 0xFFFF, so this is the
+    word difference update_checksums finds, and the bytes equal those of
+    apply_dynamic and update_checksums: a UDP result of 0 is stored as
+    0xFFFF, a transport checksum that arrived wrong stays wrong by the same
+    amount, and the IPv4 header checksum (valid, as parse_packet requires)
+    moves by the address part alone.
+    """
+    d = pkt.data
+    l3 = pkt.l3_offset
+    l4 = pkt.l4_offset
+    udp = pkt.ip_proto != PROTO_TCP
+    at = l4 + 6 if udp else l4 + 16
+    (hc,) = _CSUM.unpack_from(d, at)
+    if udp and hc == 0:
+        return None
+    if direction == FWD:
+        sa, da, sp, dp, _ = entry.fwd_post
+    else:
+        da, sa, dp, sp, _ = entry.fwd_pre
+    ip, old_sa, old_da = _CSUM_ADDRS.unpack_from(d, l3 + 10)
+    old_sp, old_dp = _PORTS.unpack_from(d, l4)
+    addr_delta = old_sa + old_da - sa - da
+    _CSUM_ADDRS.pack_into(d, l3 + 10, (ip + addr_delta) % 0xFFFF, sa, da)
+    _PORTS.pack_into(d, l4, sp, dp)
+    hc = (hc + addr_delta + old_sp + old_dp - sp - dp) % 0xFFFF
+    if hc == 0 and udp:
+        hc = 0xFFFF
+    _CSUM.pack_into(d, at, hc)
+    pkt.invalidate()
+    return True
 
 
 def rewrite_packet(pkt, programs, entry=None, direction=None, counters=None):
@@ -263,9 +315,20 @@ def rewrite_packet(pkt, programs, entry=None, direction=None, counters=None):
     packets without a checksum recompute both checksums in full
     (fix_checksums), which also repairs one that arrived wrong. A packet
     whose TCP option area is malformed counts once in `malformed_options`.
+
+    A packet that no program rewrites and whose entry binds tuple fields
+    only takes translate_session, which gives the same bytes without the
+    generic writes and checksum pass.
     """
-    before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
     malformed = pkt._opts_bad
+    if (not programs and entry is not None and entry.tuple_only
+            and direction is not None):
+        modified = translate_session(pkt, entry, direction)
+        if modified is not None:
+            if malformed:
+                _count(counters, "malformed_options")
+            return modified
+    before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
     modified = full = False
     for tp in programs:
         if apply_static(pkt, tp, counters):

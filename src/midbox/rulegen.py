@@ -11,6 +11,7 @@ import itertools
 import random
 
 from .fields import TCP_OPT_NAMES
+from .rules import quad
 from .traffic import OPTION_CATALOG
 
 RULE_NET_BASE = 0xC6120000  # 198.18.0.0
@@ -31,10 +32,6 @@ MASK_FIELD_POOL = [
 ]
 
 
-def _quad(addr):
-    return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
-
-
 def _rule_addr(rng):
     return RULE_NET_BASE + rng.randrange(1 << (32 - RULE_NET_BITS))
 
@@ -52,7 +49,7 @@ def five_tuple_rules(n, seed, stateful=False):
         if t in seen:
             continue
         seen.add(t)
-        out.append(f"mmb {verb} ip-saddr {_quad(t[0])} ip-daddr {_quad(t[1])} "
+        out.append(f"mmb {verb} ip-saddr {quad(t[0])} ip-daddr {quad(t[1])} "
                    f"ip-proto tcp tcp-sport {t[2]} tcp-dport {t[3]} drop")
     return out
 
@@ -99,7 +96,7 @@ def mask_limit_rules(n, seed):
         has_tcp = any(name.startswith("tcp-") for name, _ in combo)
         for name, kind in combo:
             if kind == "addr":
-                parts.append(f"{name} {_quad(_rule_addr(rng))}")
+                parts.append(f"{name} {quad(_rule_addr(rng))}")
             elif kind == "proto":
                 # must agree with any tcp-* fields in the combination
                 parts.append(f"{name} {'tcp' if has_tcp else '47'}")

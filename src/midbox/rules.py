@@ -370,18 +370,19 @@ def validate_rule(rule):
 
 # ---------------------------------------------------------------- formatting
 
-def _quad(addr):
+def quad(addr):
+    """Dotted-quad text of an IPv4 address held as an integer."""
     return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
 
 
 def _format_value(fd, value):
     if isinstance(value, tuple):  # (addr, plen)
         addr, plen = value
-        return _quad(addr) if plen == 32 else f"{_quad(addr)}/{plen}"
+        return quad(addr) if plen == 32 else f"{quad(addr)}/{plen}"
     if isinstance(value, (bytes, bytearray)):
         return "0x" + value.hex()
     if fd is not None and fd.is_addr and isinstance(value, int):
-        return _quad(value)
+        return quad(value)
     if fd is not None and fd.name == "ip-proto" and value in PROTO_NAMES:
         return PROTO_NAMES[value]
     return str(value)

@@ -3,11 +3,13 @@ RFC 1071 word loop and the full recompute."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refbuild as ref
-from midbox import Engine, parse_packet, verify_checksums, write_field
+from midbox import (Engine, EngineConfig, parse_packet, verify_checksums,
+                    write_field)
 from midbox.fields import FIXED, FLAG, REGISTRY
 from midbox.packet import checksum16, fix_checksums, update_checksums
 from midbox.rulegen import SNAT_RULE
@@ -177,3 +179,189 @@ def test_same_length_rewrites_skip_full_recompute(monkeypatch):
     for pkt, _ in results:
         assert ref.verify_packet_checksums(bytes(pkt.data))
     assert bytes(results[1][0].data).endswith(b"abz")
+
+
+# ------------------------------------------- connection (session) rewrites
+
+TUPLE_FIELD_NAMES = ("ip-saddr", "ip-daddr", "tcp-sport", "tcp-dport",
+                     "udp-sport", "udp-dport")
+MOD_VALUES = {"ip-saddr": 0xC8000001, "ip-daddr": 0xC6336409,
+              "tcp-sport": 4242, "tcp-dport": 8080,
+              "udp-sport": 4343, "udp-dport": 5353}
+TUPLE_POS = {"ip-saddr": 0, "ip-daddr": 1, "tcp-sport": 2, "udp-sport": 2,
+             "tcp-dport": 3, "udp-dport": 3}
+CLIENT = (0x0A000005, 0xC6336401, 40000, 80)
+FIRST_IDENT = 1  # the rule matches the flow's first packet only
+
+
+def _build(proto, t4, ttl, ident, payload, ihl, csum=None):
+    """A refbuild packet with tuple t4; `csum` replaces the valid transport
+    checksum."""
+    opts = dict(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)), ttl=ttl,
+                ident=ident)
+    if proto == ref.TCP:
+        flags = ref.SYN if ident == FIRST_IDENT else ref.ACK
+        data = ref.tcp_packet(*t4, flags=flags, payload=payload, **opts)
+    else:
+        data = ref.udp_packet(*t4, payload=payload, **opts)
+    if csum is not None:
+        at = _csum_at(data)
+        data = data[:at] + csum.to_bytes(2, "big") + data[at + 2:]
+    return data
+
+
+def _csum_at(data):
+    return 4 * (data[0] & 0x0F) + (16 if data[9] == ref.TCP else 6)
+
+
+def _csum(data):
+    at = _csum_at(data)
+    return (data[at] << 8) | data[at + 1]
+
+
+def _expected(proto, t4_in, ttl_in, t4_out, ttl_out, ident, payload, ihl,
+              csum_in, bound):
+    """What the engine must emit: the input when the flow has no bindings;
+    else the new tuple and TTL (the same ones for an already translated
+    packet) with a valid IPv4 header and a transport checksum recomputed
+    from scratch when it arrived valid or absent (UDP 0), and off by the
+    same amount when it arrived wrong."""
+    if not bound:
+        return _build(proto, t4_in, ttl_in, ident, payload, ihl, csum_in)
+    valid_in = _csum(_build(proto, t4_in, ttl_in, ident, payload, ihl))
+    out = _build(proto, t4_out, ttl_out, ident, payload, ihl)
+    if proto == ref.UDP and csum_in == 0:
+        return out
+    c = (_csum(out) + csum_in - valid_in) % 0xFFFF
+    if c == 0 and proto == ref.UDP:
+        c = 0xFFFF
+    return _build(proto, t4_out, ttl_out, ident, payload, ihl, c)
+
+
+def _swap(t4):
+    return (t4[1], t4[0], t4[3], t4[2])
+
+
+# how a played packet's transport checksum arrives: valid, wrong, 0xFFFF
+# (one form of 0 for TCP, whose results the update normalises to 0x0000;
+# wrong for most packets) or 0 (UDP: no checksum)
+FAULTS = ("valid", "wrong", "ffff", "zero")
+
+
+def _fault(proto, fault, flip, valid):
+    if fault == "zero" and proto == ref.UDP:
+        return 0
+    if fault == "wrong":
+        return valid ^ flip
+    if fault == "ffff":
+        return 0xFFFF
+    return valid
+
+
+@st.composite
+def session_cases(draw):
+    proto = draw(st.sampled_from((ref.TCP, ref.UDP)))
+    names = draw(st.lists(st.sampled_from(TUPLE_FIELD_NAMES), min_size=1,
+                          max_size=4, unique=True))
+    targets = [f"mod {n} {MOD_VALUES[n]}" if draw(st.booleans())
+               else f"shuffle {n}" for n in names]
+    if draw(st.booleans()):
+        targets.append("shuffle ip-ttl")
+    kind = st.sampled_from(("fwd", "rev", "fwd-done", "rev-done"))
+    events = draw(st.lists(st.tuples(
+        kind, st.sampled_from(FAULTS),
+        st.integers(1, 0xFFFF), st.binary(max_size=24)),
+        min_size=1, max_size=8))
+    return (proto, draw(st.integers(5, 7)), draw(st.integers(2, 255)),
+            targets, draw(st.sampled_from(FAULTS)),
+            events)
+
+
+@given(session_cases())
+@settings(max_examples=300)
+def test_connection_rewrites_match_reference(case):
+    """Forward, reverse and already-translated packets of one tracked flow,
+    at IHL 5-7, with valid, wrong and (UDP) absent transport checksums:
+    the bytes are _expected's, whether the entry binds tuple fields only
+    (the session path) or also the TTL (the generic path)."""
+    proto, ihl, ttl0, targets, first_fault, events = case
+    engine = Engine(EngineConfig(shuffle_range=(1, 255)))
+    engine.add_commands([f"mmb add-stateful ip-id {FIRST_IDENT} "
+                         + " ".join(targets)])
+    valid = _csum(_build(proto, CLIENT, ttl0, FIRST_IDENT, b"", ihl))
+    csum = _fault(proto, first_fault, 0x5A5A, valid)
+    first = _build(proto, CLIENT, ttl0, FIRST_IDENT, b"", ihl, csum)
+    out = []
+    engine.run_stream(iter([(first, 0, 0)]), out)
+    (entry,) = engine.conn.entries()
+    assert entry.fwd_pre[:4] == CLIENT
+    post = entry.fwd_post[:4]
+    present = ("ip-", "tcp-" if proto == ref.TCP else "udp-")
+    for name in TUPLE_FIELD_NAMES:
+        pos = TUPLE_POS[name]
+        if not name.startswith(present):
+            continue
+        if f"mod {name} {MOD_VALUES[name]}" in targets:
+            assert post[pos] == MOD_VALUES[name]
+        elif f"shuffle {name}" in targets:
+            assert 1 <= post[pos] <= 255
+        else:
+            assert post[pos] == CLIENT[pos]
+    ttl_bound = "shuffle ip-ttl" in targets
+    ttl_fwd = entry.bindings[-1].rewritten if ttl_bound else None
+    bound = bool(entry.bindings)
+    assert entry.tuple_only == (bound and not ttl_bound)
+    assert out == [_expected(proto, CLIENT, ttl0, post, ttl_fwd or ttl0,
+                             FIRST_IDENT, b"", ihl, csum, bound)]
+
+    played, expected = [], []
+    for i, (kind, fault, flip, payload) in enumerate(events):
+        ident = FIRST_IDENT + 1 + i
+        t4_in = {"fwd": CLIENT, "fwd-done": post, "rev": _swap(post),
+                 "rev-done": _swap(CLIENT)}[kind]
+        t4_out = post if kind.startswith("fwd") else _swap(CLIENT)
+        ttl_in = ttl_out = 64
+        if ttl_bound:
+            ttl_out = ttl_fwd if kind.startswith("fwd") else ttl0
+            if kind.endswith("done"):
+                ttl_in = ttl_out
+        valid = _csum(_build(proto, t4_in, ttl_in, ident, payload, ihl))
+        csum = _fault(proto, fault, flip, valid)
+        played.append((_build(proto, t4_in, ttl_in, ident, payload, ihl,
+                              csum), 0, 0))
+        expected.append(_expected(proto, t4_in, ttl_in, t4_out, ttl_out,
+                                  ident, payload, ihl, csum, bound))
+    out = []
+    report = engine.run_stream(iter(played), out)
+    assert report.rewritten == len(played)
+    assert out == expected
+
+
+@pytest.mark.parametrize("direction", ["fwd", "rev"])
+@pytest.mark.parametrize("proto", [ref.TCP, ref.UDP])
+def test_session_checksum_landing_on_zero(proto, direction, monkeypatch):
+    """A session rewrite whose TCP/UDP checksum lands on 0 stores 0x0000 for
+    TCP and 0xFFFF for UDP, as a full recompute does."""
+    import midbox.rewrite
+    engine = Engine()
+    engine.add_commands([f"mmb add-stateful ip-id {FIRST_IDENT} "
+                         "mod ip-saddr 200.0.0.1 mod tcp-sport 4242 "
+                         "mod udp-sport 4242"])
+    first = _build(proto, CLIENT, 64, FIRST_IDENT, b"", 5)
+    engine.run_stream(iter([(first, 0, 0)]))
+    post = (0xC8000001, CLIENT[1], 4242, CLIENT[3])
+    t4_in, t4_out = (CLIENT, post) if direction == "fwd" else \
+        (_swap(post), _swap(CLIENT))
+    # a payload word chosen so the output's checksum sums to 0
+    word = (_csum(_build(proto, t4_out, 64, 2, b"\x03\xe8", 5)) + 1000) \
+        % 0xFFFF
+    payload = word.to_bytes(2, "big")
+    want = _build(proto, t4_out, 64, 2, payload, 5)
+    assert _csum(want) == (0 if proto == ref.TCP else 0xFFFF)
+    calls = []
+    monkeypatch.setattr(midbox.rewrite, "update_checksums",
+                        lambda *a: calls.append(a))
+    out = []
+    engine.run_stream(iter([(_build(proto, t4_in, 64, 2, payload, 5), 0, 0)]),
+                      out)
+    assert out == [want] and calls == []

@@ -299,6 +299,50 @@ def test_full_connection_table_is_counted():
     assert len(engine.conn) == 1
 
 
+def test_full_table_drops_new_flow_of_translating_rule():
+    engine = fresh_engine(conn_capacity=1)
+    engine.add_commands([SNAT_RULE])
+    syns = [ref.tcp_packet(saddr=0x0A000001, sport=5000 + i, dport=80,
+                           flags=ref.SYN) for i in range(2)]
+    out = []
+    report = engine.run_stream(as_source(syns), out)
+    assert len(out) == 1 and ref.ref_read(out[0], "tcp-sport") != 5000
+    assert report.dropped == report.counters["verdict_drops"] == 1
+    assert report.counters["conn_full_drops"] == 1
+    assert report.counters["missing_binding"] == 0
+
+
+def test_full_table_passes_new_flow_of_non_translating_rule():
+    engine = fresh_engine(conn_capacity=1)
+    engine.add_commands(["mmb add-stateful ip-proto tcp mod ip-ttl 63"])
+    syns = [ref.tcp_packet(saddr=0x0A000001, sport=5000 + i, dport=80,
+                           flags=ref.SYN) for i in range(2)]
+    out = []
+    report = engine.run_stream(as_source(syns), out)
+    assert [ref.ref_read(o, "ip-ttl") for o in out] == [63, 63]
+    assert report.counters["conn_full_drops"] == 1
+    assert report.dropped == 0
+
+
+def test_deleted_rule_connections_free_their_slots():
+    engine = fresh_engine(conn_capacity=1)
+    engine.add_commands([SNAT_RULE])
+    first = ref.tcp_packet(saddr=0x0A000001, sport=5000, dport=80,
+                           flags=ref.SYN)
+    engine.run_stream(as_source([first]))
+    assert engine.execute_line("mmb del 1") == "deleted rule 1"
+    engine.execute_line(SNAT_RULE)
+    second = ref.tcp_packet(saddr=0x0A000001, sport=5003, dport=80,
+                            flags=ref.SYN)
+    out = []
+    report = engine.run_stream(as_source([second]), out)
+    assert len(out) == 1 and report.counters["conn_full_drops"] == 0
+    assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert ref.ref_read(out[0], "tcp-sport") != 5003
+    assert len(engine.conn) == 1
+    assert "rule=2" in engine.list_connections_text()
+
+
 def test_report_json_shape():
     engine = fresh_engine()
     report = engine.run_stream(as_source(corpus(11, 50)))
