@@ -7,9 +7,12 @@ mask (complex conditions, negated matches, TCP options, payload bytes)
 remains as a per-rule residue evaluated only on mask survivors, or as a
 linear slow path for rules with no mask at all.
 
-Masks are anchored at the L3 header and cover 16-byte chunks, at most five
-(80 bytes); leading all-zero chunks are skipped. Transport fields assume a
-20-byte IPv4 header; packets with IP options take the linear path.
+A rule's equalities and set-flag checks fold (`fields.fold`) into one mask
+and one key over an 80-byte window read as one integer: the IPv4 header at
+byte 0 and the transport header at byte 20, so packets with IP options take
+the linear path. A table is (shift, mask): the window is shifted right by
+the mask's trailing zero bits, rounded down to a multiple of 128, and the
+mask and keys are stored shifted the same way.
 
 Tables are probed a vector at a time (`match_tables`): each table runs over
 every packet of the vector, and tables that share a shift share one shifted
@@ -17,35 +20,21 @@ copy of each packet's window.
 """
 
 from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
-from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP
+from .fields import FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_TCP, fold
 from .packet import ABSENT, read_field
 from .rewrite import compile_targets
 from .rules import (EQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
-                    _match_is_foldable, _prefix_mask)
+                    _match_is_foldable)
 
 WINDOW = 80
-CHUNK = 16
+# where fold's header integers sit in the window: the IPv4 header at byte
+# 0, the transport header right after it
+_AT = {L3: 8 * (WINDOW - HDR), L4: 8 * (WINDOW - 2 * HDR)}
 
 # verdict kinds
 DROP = "drop"
 MISS = "miss"
 MATCH = "match"
-
-
-class MaskKey:
-    """One compiled (mask, key) window: `chunks` 16-byte chunks starting
-    `skip` chunks after the L3 anchor."""
-
-    __slots__ = ("mask", "key", "skip", "chunks")
-
-    def __init__(self, mask, key, skip, chunks):
-        self.mask = mask
-        self.key = key
-        self.skip = skip
-        self.chunks = chunks
-
-    def __repr__(self):
-        return f"MaskKey(skip={self.skip}, chunks={self.chunks}, mask={self.mask.hex()})"
 
 
 def eval_match(pkt, m):
@@ -92,15 +81,15 @@ def eval_match(pkt, m):
     return ok != m.negated
 
 
-def _compile_rule_parts(rule):
-    """(mask_key, residue, never): the rule's foldable matches folded into
-    a MaskKey (None when nothing folds), and the matches left over.
+def _fold_matches(rule):
+    """(shift, mask, key, residue, never): the rule's foldable matches
+    folded into a table shift and a mask and key shifted by it (mask 0 when
+    nothing folds), and the matches left over.
 
     `never` marks a rule whose folded equalities contradict each other; it
     can match nothing and is excluded from table and slow paths alike.
     """
-    mask = bytearray(WINDOW)
-    key = bytearray(WINDOW)
+    mask = key = 0
     residue = []
     never = False
     for m in rule.matches:
@@ -108,42 +97,16 @@ def _compile_rule_parts(rule):
             residue.append(m)
             continue
         fd = m.field
-        if fd.kind == FLAG:
-            pos = 20 + 13
-            bit = 1 << fd.flag_bit
-            mask[pos] |= bit
-            key[pos] |= bit
-            continue
-        base = 20 if fd.base == L4 else 0
-        start = base + fd.offset
-        n = fd.span_bytes
-        if start + n > WINDOW:
-            # field not reachable by the fast path: whole rule goes slow
-            return None, list(rule.matches), False
-        if type(m.value) is tuple:
-            addr, plen = m.value
-            bits = _prefix_mask(plen)
-            val = addr & bits
-        else:
-            bits = ((1 << fd.width) - 1) << fd.shift
-            val = (m.value << fd.shift) & bits
-        om = int.from_bytes(mask[start:start + n], "big")
-        ok = int.from_bytes(key[start:start + n], "big")
-        overlap = om & bits
-        if overlap and (ok & overlap) != (val & overlap):
+        base, bits, val = fold(fd, 1 if fd.kind == FLAG else m.value)
+        at = _AT[base]
+        bits <<= at
+        val <<= at
+        if (key ^ val) & mask & bits:
             never = True  # two equalities on the same bits disagree
-        mask[start:start + n] = (om | bits).to_bytes(n, "big")
-        key[start:start + n] = (ok | val).to_bytes(n, "big")
-
-    if not any(mask):
-        return None, residue, never
-
-    nz = [i for i in range(WINDOW // CHUNK) if any(mask[i * CHUNK:(i + 1) * CHUNK])]
-    skip, last = nz[0], nz[-1]
-    chunks = last - skip + 1
-    mk = MaskKey(bytes(mask[skip * CHUNK:(last + 1) * CHUNK]),
-                 bytes(key[skip * CHUNK:(last + 1) * CHUNK]), skip, chunks)
-    return mk, residue, never
+        mask |= bits
+        key |= val
+    shift = ((mask & -mask).bit_length() - 1) // 128 * 128 if mask else 0
+    return shift, mask >> shift, key >> shift, residue, never
 
 
 def _options_last(exprs):
@@ -156,18 +119,20 @@ def _options_last(exprs):
 
 
 class CompiledRule:
-    """One rule prepared for execution: mask/key, match tuples, program.
+    """One rule prepared for execution: table shift, mask and key, match
+    tuples, program.
 
     `residue` holds the matches the mask could not fold and is checked on
     packets that hit the rule's table entry; `full` holds every match and
-    is checked on maskless rules and on packets outside the table path."""
+    is checked on maskless rules (mask 0) and on packets outside the table
+    path."""
 
-    __slots__ = ("rule", "mask_key", "proto", "residue", "full", "program",
-                 "drop", "never")
+    __slots__ = ("rule", "shift", "mask", "key", "proto", "residue", "full",
+                 "program", "drop", "never")
 
     def __init__(self, rule):
         self.rule = rule
-        self.mask_key, residue, self.never = _compile_rule_parts(rule)
+        self.shift, self.mask, self.key, residue, self.never = _fold_matches(rule)
         self.proto = rule.proto_req
         self.residue = _options_last(residue)
         self.full = _options_last(rule.matches)
@@ -185,43 +150,26 @@ class CompiledRule:
         return True
 
 
-class SessionEntry:
-    """Rules behind one (mask, key) pair, in insertion order."""
-
-    __slots__ = ("rules",)
-
-    def __init__(self, rules):
-        self.rules = rules
-
-
 class ClassifierTable:
-    """One hash table per distinct mask shape."""
+    """One hash table per distinct (shift, mask); `entries` maps a shifted
+    key to the rules behind it, a tuple in insertion order."""
 
-    __slots__ = ("mask", "skip", "chunks", "mask_int", "shift", "entries")
+    __slots__ = ("shift", "mask", "entries")
 
-    def __init__(self, mask, skip, chunks):
+    def __init__(self, shift, mask):
+        self.shift = shift
         self.mask = mask
-        self.skip = skip
-        self.chunks = chunks
-        self.mask_int = int.from_bytes(mask, "big")
-        self.shift = 8 * (WINDOW - CHUNK * (skip + chunks))
         self.entries = {}
 
     def copy(self):
         """A table with the same mask and its own copy of `entries`."""
-        table = ClassifierTable(self.mask, self.skip, self.chunks)
+        table = ClassifierTable(self.shift, self.mask)
         table.entries = dict(self.entries)
         return table
 
     def __repr__(self):
-        return (f"ClassifierTable(skip={self.skip}, chunks={self.chunks}, "
+        return (f"ClassifierTable(shift={self.shift}, mask={self.mask:x}, "
                 f"keys={len(self.entries)})")
-
-
-def _slot(cr):
-    """(table key, entry key) of a rule that has a mask."""
-    mk = cr.mask_key
-    return (mk.mask, mk.skip, mk.chunks), int.from_bytes(mk.key, "big")
 
 
 class RuleSetSnapshot:
@@ -250,19 +198,15 @@ class RuleSetSnapshot:
             self.ordered.append(cr)
             if cr.never:
                 continue
-            if cr.mask_key is None:
+            if not cr.mask:
                 self.slow.append(cr)
                 continue
-            tkey, key_int = _slot(cr)
+            tkey = (cr.shift, cr.mask)
             table = self.index.get(tkey)
             if table is None:
                 table = self.index[tkey] = ClassifierTable(*tkey)
                 self.tables.append(table)
-            entry = table.entries.get(key_int)
-            if entry is None:
-                table.entries[key_int] = SessionEntry([cr])
-            else:
-                entry.rules.append(cr)
+            table.entries[cr.key] = table.entries.get(cr.key, ()) + (cr,)
 
     def with_rule(self, rule, version):
         """This snapshot plus `rule`, whose id must exceed every id in it;
@@ -273,15 +217,13 @@ class RuleSetSnapshot:
         snap.ordered = self.ordered + [cr]
         if cr.never:
             return snap
-        if cr.mask_key is None:
+        if not cr.mask:
             snap.slow = self.slow + [cr]
             return snap
-        tkey, key_int = _slot(cr)
+        tkey = (cr.shift, cr.mask)
         old = self.index.get(tkey)
         table = ClassifierTable(*tkey) if old is None else old.copy()
-        entry = table.entries.get(key_int)
-        table.entries[key_int] = SessionEntry([cr] if entry is None
-                                              else entry.rules + [cr])
+        table.entries[cr.key] = table.entries.get(cr.key, ()) + (cr,)
         snap._replace_table(tkey, old, table)
         return snap
 
@@ -294,17 +236,17 @@ class RuleSetSnapshot:
         snap.ordered = [c for c in self.ordered if c is not cr]
         if cr.never:
             return snap
-        if cr.mask_key is None:
+        if not cr.mask:
             snap.slow = [c for c in self.slow if c is not cr]
             return snap
-        tkey, key_int = _slot(cr)
+        tkey = (cr.shift, cr.mask)
         old = self.index[tkey]
         table = old.copy()
-        rest = [c for c in table.entries[key_int].rules if c is not cr]
+        rest = tuple(c for c in table.entries[cr.key] if c is not cr)
         if rest:
-            table.entries[key_int] = SessionEntry(rest)
+            table.entries[cr.key] = rest
         else:
-            del table.entries[key_int]
+            del table.entries[cr.key]
         snap._replace_table(tkey, old, table if table.entries else None)
         return snap
 
@@ -349,9 +291,9 @@ class RuleSetSnapshot:
     def stats_lines(self):
         out = [f"{len(self.tables)} tables, {len(self.slow)} maskless rules"]
         for i, t in enumerate(self.tables):
-            nrules = sum(len(e.rules) for e in t.entries.values())
-            out.append(f"table {i}: skip={t.skip} chunks={t.chunks} "
-                       f"keys={len(t.entries)} rules={nrules} mask={t.mask.hex()}")
+            nrules = sum(map(len, t.entries.values()))
+            out.append(f"table {i}: shift={t.shift} keys={len(t.entries)} "
+                       f"rules={nrules} mask={t.mask:x}")
         return out
 
 
@@ -393,14 +335,14 @@ def match_tables(pkts, snap):
     for shift, tables in snap.groups():
         xs = [w >> shift for w in wins]
         for t in tables:
-            get, mask = t.entries.get, t.mask_int
+            get, mask = t.entries.get, t.mask
             for j, x in enumerate(xs):
                 e = get(x & mask)
                 if e is None:
                     continue
                 i = idx[j]
                 p = pkts[i]
-                for cr in e.rules:
+                for cr in e:
                     if cr.matches(p, cr.residue):
                         if hits[i]:
                             hits[i].append(cr)

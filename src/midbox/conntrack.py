@@ -307,7 +307,9 @@ class ConnTable:
         alloc = self._allocs.get(key)
         if alloc is None:
             lo, hi = self.shuffle_range
-            hi = min(hi, (1 << fd.width) - 1) if fd.width else hi
+            top = (1 << fd.width) - 1
+            # a field too narrow for the range draws from its whole space
+            lo, hi = (0, top) if lo > top else (lo, min(hi, top))
             alloc = _ShuffleAlloc(f"{self.shuffle_seed}:{rule_id}:{fd.name}", lo, hi)
             self._allocs[key] = alloc
         return alloc

@@ -2,7 +2,9 @@
 
 Every field the rule language can name maps to a FieldDescriptor telling the
 engine how to locate it in a packet: a fixed bit span relative to the L3 or L4
-header, a single TCP flag bit, a TCP option (by kind), or the L3/UDP payload.
+header (a TCP flag is a 1-bit span of the flags byte), a TCP option (by kind),
+or the L3/UDP payload. `fold` is the one place a field and a value become
+mask bits; the classifier and the static rewrite both build on it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ PROTO_UDP = 17
 PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 PROTO_NUMBERS = {v: k for k, v in PROTO_NAMES.items()}
 
-# locator kinds
+# locator kinds; a FLAG is a FIXED span whose presence means "set"
 FIXED = 0
 FLAG = 1
 OPT = 2
@@ -23,6 +25,10 @@ PAYLOAD = 3
 # anchor bases for FIXED locators
 L3 = 0
 L4 = 1
+
+# every FIXED field lies in the first HDR bytes of its base header: the
+# IPv4 header without options, the TCP header without options
+HDR = 20
 
 # TCP option kinds the language names directly
 TCP_OPT_KINDS = {
@@ -44,11 +50,12 @@ TCP_FLAG_BITS = {"fin": 0, "syn": 1, "rst": 2, "psh": 3, "ack": 4, "urg": 5}
 class FieldDescriptor:
     """Where a named field lives in a packet.
 
-    For FIXED locators the field occupies `width` bits ending `shift` bits
-    above the LSB of a big-endian span of ceil((shift+width)/8) bytes at
-    `base`+`offset`. For FLAG it is one bit of the TCP flags byte; for OPT
-    the payload of the TCP option with kind `opt_kind`; for PAYLOAD the bytes
-    following the IPv4 or UDP header.
+    For FIXED and FLAG locators the field occupies `width` bits ending
+    `shift` bits above the LSB of a big-endian span of
+    ceil((shift+width)/8) bytes at `base`+`offset`; a FLAG is one bit of
+    the TCP flags byte. For OPT it is the payload of the TCP option with
+    kind `opt_kind`; for PAYLOAD the bytes following the IPv4 or UDP
+    header.
     """
 
     name: str
@@ -57,7 +64,6 @@ class FieldDescriptor:
     offset: int = 0
     width: int = 0
     shift: int = 0
-    flag_bit: int = 0
     opt_kind: int = 0
     payload_base: str = ""
     proto: int | None = None  # protocol this field implies, if any
@@ -89,7 +95,7 @@ def _icmp(name, offset, width):
 
 
 def _flag(name, bit):
-    return FieldDescriptor(name, FLAG, flag_bit=bit, proto=PROTO_TCP)
+    return FieldDescriptor(name, FLAG, L4, 13, 1, bit, proto=PROTO_TCP)
 
 
 def tcp_option_field(kind):
@@ -139,3 +145,22 @@ for _name, _kind in TCP_OPT_KINDS.items():
 def lookup(name):
     """Registry lookup; returns None for unknown names."""
     return REGISTRY.get(name)
+
+
+def prefix_mask(plen):
+    """The 32-bit mask of an address prefix of `plen` bits."""
+    return ((1 << plen) - 1) << (32 - plen) if plen else 0
+
+
+def fold(fd, value):
+    """(base, bits, val) of a FIXED or FLAG field: the bits it covers and
+    the bits `value` sets in them, within the first HDR bytes of its base
+    header read as one big-endian integer. An (addr, prefix_len) value
+    covers its prefix only."""
+    at = 8 * (HDR - fd.offset - fd.span_bytes)
+    if type(value) is tuple:
+        addr, plen = value
+        bits = prefix_mask(plen)
+        return fd.base, bits << at, (addr & bits) << at
+    bits = ((1 << fd.width) - 1) << fd.shift
+    return fd.base, bits << at, ((value << fd.shift) & bits) << at

@@ -7,7 +7,7 @@ and rewrite stages never hardcode wire offsets.
 """
 
 from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
-from .fields import FIXED, FLAG, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from .fields import L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 RAW_IP = 101  # pcap LINKTYPE_RAW
 ETHERNET = 1  # pcap LINKTYPE_EN10MB
@@ -298,24 +298,14 @@ def _options_map(pkt):
 def read_field(pkt, fd):
     """Value of a field in a packet, or ABSENT.
 
-    Multi-byte integers are read big-endian; OPT returns the option payload
-    bytes; FLAG returns 0/1; PAYLOAD returns the payload bytes. A protocol
+    Bit spans (flags included, as 0/1) are read big-endian; OPT returns the
+    option payload bytes; PAYLOAD returns the payload bytes. A protocol
     mismatch (e.g. tcp-dport on a UDP packet) reads as ABSENT.
     """
     if fd.proto is not None and (pkt.ip_proto != fd.proto or pkt.is_fragment):
         return ABSENT
     kind = fd.kind
     d = pkt.data
-    if kind == FIXED:
-        base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
-        start = base + fd.offset
-        stop = start + fd.span_bytes
-        if stop > len(d):
-            return ABSENT
-        v = int.from_bytes(d[start:stop], "big")
-        return (v >> fd.shift) & ((1 << fd.width) - 1)
-    if kind == FLAG:
-        return (d[pkt.l4_offset + 13] >> fd.flag_bit) & 1
     if kind == OPT:
         v = _options_map(pkt).get(fd.opt_kind)
         return ABSENT if v is None else v
@@ -325,7 +315,13 @@ def read_field(pkt, fd):
         else:
             start = pkt.payload_offset
         return bytes(d[start:])
-    raise ValueError(f"unknown locator kind {kind}")
+    base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
+    start = base + fd.offset
+    stop = start + fd.span_bytes
+    if stop > len(d):
+        return ABSENT
+    v = int.from_bytes(d[start:stop], "big")
+    return (v >> fd.shift) & ((1 << fd.width) - 1)
 
 
 def write_field(pkt, fd, value):
@@ -335,26 +331,6 @@ def write_field(pkt, fd, value):
         return False
     kind = fd.kind
     d = pkt.data
-    if kind == FIXED:
-        base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
-        start = base + fd.offset
-        stop = start + fd.span_bytes
-        if stop > len(d):
-            return False
-        mask = ((1 << fd.width) - 1) << fd.shift
-        old = int.from_bytes(d[start:stop], "big")
-        new = (old & ~mask) | ((value << fd.shift) & mask)
-        d[start:stop] = new.to_bytes(fd.span_bytes, "big")
-        pkt.invalidate()
-        return True
-    if kind == FLAG:
-        i = pkt.l4_offset + 13
-        if value:
-            d[i] |= 1 << fd.flag_bit
-        else:
-            d[i] &= ~(1 << fd.flag_bit) & 0xFF
-        pkt.invalidate()
-        return True
     if kind == OPT:
         payload = _options_map(pkt).get(fd.opt_kind)
         if payload is None:
@@ -381,7 +357,17 @@ def write_field(pkt, fd, value):
         d[start:start + len(value)] = value
         pkt.invalidate()
         return True
-    raise ValueError(f"unknown locator kind {kind}")
+    base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
+    start = base + fd.offset
+    stop = start + fd.span_bytes
+    if stop > len(d):
+        return False
+    mask = ((1 << fd.width) - 1) << fd.shift
+    old = int.from_bytes(d[start:stop], "big")
+    new = (old & ~mask) | ((value << fd.shift) & mask)
+    d[start:stop] = new.to_bytes(fd.span_bytes, "big")
+    pkt.invalidate()
+    return True
 
 
 def _transport_csum_at(pkt, seg_len):

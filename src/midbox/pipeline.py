@@ -63,7 +63,6 @@ class EngineConfig:
     shuffle_seed: int = 0
     shuffle_range: tuple = (1024, 65535)
     conn_capacity: int = 2 ** 20
-    purge_budget: int = 64
     timeouts: TimeoutPolicy = field(default_factory=TimeoutPolicy)
 
 
@@ -274,7 +273,7 @@ class Engine:
         full_drops, out_of_ports = conn.full_drops, conn.out_of_ports
         hits, probed = match_tables(pkts, snap)
         verdicts = [classify(p, snap, conn, now, h) for p, h in zip(pkts, hits)]
-        conn.purge(now, self.config.purge_budget)
+        conn.purge(now)
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
         counters["table_probes"] += len(snap.tables) * probed

@@ -1,22 +1,23 @@
 """Target application: static mask/key rewrite, TCP option edits, dynamic
 per-connection values.
 
-Static rewrites compile to a keep-mask and a key over the affected byte span
-so the hot path is (packet & mask) | key. Fields the match does not guarantee
-to exist (e.g. a tcp-* target on a rule that can match UDP) fall back to
-checked per-field writes. Option strips/adds rebuild the option area and keep
-the data offset and IP total length coherent.
+Static rewrites compile (`fields.fold`) to a keep-mask and a key over the
+affected byte span of each header, at most one span for the IPv4 header and
+one for the transport header, so the hot path is (packet & mask) | key at
+the packet's own header offsets, whatever its IHL. Fields the match does
+not guarantee to exist (e.g. a tcp-* target on a rule that can match UDP)
+fall back to checked per-field writes. Option strips/adds rebuild the
+option area and keep the data offset and IP total length coherent.
 """
 
 import struct
 
 from .conntrack import FWD
 from .errors import MalformedOption
-from .fields import FLAG, L4, OPT, PAYLOAD, PROTO_TCP, REGISTRY
+from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, REGISTRY, fold
 from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT
 
-_WINDOW = 80
 _MAX_OPT_AREA = 40
 # wire layouts of translate_session: the IPv4 header checksum and the
 # addresses after it, the ports, a transport checksum
@@ -41,17 +42,11 @@ def _encode_opt_value(value):
 class TargetProgram:
     """Compiled targets of one rule."""
 
-    __slots__ = ("span_lo", "span_hi", "keep_mask_int", "key_int",
-                 "folded_fields", "cond_fields", "payload_mods",
-                 "opt_strip", "opt_strip_except", "opt_adds", "opt_mods",
-                 "dynamic")
+    __slots__ = ("spans", "cond_fields", "payload_mods", "opt_strip",
+                 "opt_strip_except", "opt_adds", "opt_mods", "dynamic")
 
     def __init__(self):
-        self.span_lo = None
-        self.span_hi = None
-        self.keep_mask_int = 0
-        self.key_int = 0
-        self.folded_fields = []   # (fd, value) mirrored by the mask/key span
+        self.spans = ()           # (base, lo, hi, keep mask, key), one per base
         self.cond_fields = []     # (fd, value) needing per-packet checks
         self.payload_mods = []    # (fd, bytes)
         self.opt_strip = frozenset()
@@ -67,7 +62,7 @@ class TargetProgram:
 
     @property
     def is_empty(self):
-        return (self.span_lo is None and not self.cond_fields
+        return (not self.spans and not self.cond_fields
                 and not self.payload_mods and not self.has_option_edits
                 and not self.dynamic)
 
@@ -76,9 +71,7 @@ def compile_targets(rule):
     """Build the rewrite program for a validated rule. Drop rules compile to
     an empty program (the drop happens during classification)."""
     tp = TargetProgram()
-    mask = bytearray(b"\xff" * _WINDOW)
-    key = bytearray(_WINDOW)
-    folded_any = False
+    folded = {}  # base -> [bits, val] over fold's header integer
 
     for t in rule.targets:
         if t.kind == MOD:
@@ -95,21 +88,10 @@ def compile_targets(rule):
             if not guaranteed:
                 tp.cond_fields.append((fd, t.value))
                 continue
-            if fd.kind == FLAG:
-                start, n = 20 + 13, 1
-                bits = 1 << fd.flag_bit
-                val = bits if t.value else 0
-            else:
-                start = (20 if fd.base == L4 else 0) + fd.offset
-                n = fd.span_bytes
-                bits = ((1 << fd.width) - 1) << fd.shift
-                val = (t.value << fd.shift) & bits
-            om = int.from_bytes(mask[start:start + n], "big")
-            ok = int.from_bytes(key[start:start + n], "big")
-            mask[start:start + n] = (om & ~bits).to_bytes(n, "big")
-            key[start:start + n] = ((ok & ~bits) | val).to_bytes(n, "big")
-            tp.folded_fields.append((fd, t.value))
-            folded_any = True
+            base, bits, val = fold(fd, t.value)
+            acc = folded.setdefault(base, [0, 0])
+            acc[0] |= bits
+            acc[1] = (acc[1] & ~bits) | val  # a later mod of the same bits wins
         elif t.kind == STRIP:
             tp.opt_strip = t.opt_kinds
         elif t.kind == STRIP_EXCEPT:
@@ -119,32 +101,34 @@ def compile_targets(rule):
         elif t.kind == SHUFFLE:
             tp.dynamic.append(t.field)
 
-    if folded_any:
-        cleared = [i for i in range(_WINDOW) if mask[i] != 0xFF or key[i] != 0]
-        tp.span_lo, tp.span_hi = cleared[0], cleared[-1] + 1
-        tp.keep_mask_int = int.from_bytes(mask[tp.span_lo:tp.span_hi], "big")
-        tp.key_int = int.from_bytes(key[tp.span_lo:tp.span_hi], "big")
+    spans = []
+    for base, (bits, val) in folded.items():
+        # the bytes from the first to the last one holding a written bit
+        lo = HDR - (bits.bit_length() + 7) // 8
+        cut = ((bits & -bits).bit_length() - 1) // 8  # bytes after the span
+        hi = HDR - cut
+        keep = ((1 << 8 * (hi - lo)) - 1) & ~(bits >> 8 * cut)
+        spans.append((base, lo, hi, keep, val >> 8 * cut))
+    tp.spans = tuple(spans)
     return tp
 
 
 def apply_static(pkt, tp, counters=None):
-    """Fixed-field rewrites. Eq-style masked write when the packet has the
-    compiled layout (IHL=5); per-field writes otherwise."""
+    """Fixed-field rewrites: a masked write of each span at its header's
+    offset in this packet. A span counts as a change only when its bytes
+    change."""
     modified = False
-    if tp.span_lo is not None:
-        if pkt.ihl == 5:
-            d = pkt.data
-            lo = pkt.l3_offset + tp.span_lo
-            hi = pkt.l3_offset + tp.span_hi
-            old = int.from_bytes(d[lo:hi], "big")
-            new = (old & tp.keep_mask_int) | tp.key_int
-            if new != old:
-                d[lo:hi] = new.to_bytes(hi - lo, "big")
-                pkt.invalidate()
-                modified = True
-        else:
-            for fd, value in tp.folded_fields:
-                modified |= write_field(pkt, fd, value)
+    d = pkt.data
+    for base, lo, hi, keep, key in tp.spans:
+        at = pkt.l4_offset if base == L4 else pkt.l3_offset
+        lo += at
+        hi += at
+        old = int.from_bytes(d[lo:hi], "big")
+        new = (old & keep) | key
+        if new != old:
+            d[lo:hi] = new.to_bytes(hi - lo, "big")
+            pkt.invalidate()
+            modified = True
     for fd, value in tp.cond_fields:
         if write_field(pkt, fd, value):
             modified = True

@@ -10,7 +10,7 @@ uses the low half, with the same effect.
 import itertools
 import random
 
-from .fields import TCP_OPT_NAMES
+from .fields import tcp_option_field
 from .rules import quad
 from .traffic import OPTION_CATALOG
 
@@ -77,9 +77,7 @@ def tcp_option_rules(n, seed, value_space="hi"):
         half = 1 << (w - 1)
         v = rng.randrange(half, 2 * half) if value_space == "hi" \
             else rng.randrange(0, half)
-        name = TCP_OPT_NAMES.get(kind)
-        fieldtok = f"tcp-opt-{name}" if name else f"tcp-opt {kind}"
-        out.append(f"mmb add {fieldtok} {v} drop")
+        out.append(f"mmb add {tcp_option_field(kind).name} {v} drop")
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import fields
 from .errors import CommandSyntaxError, SemanticError, TypeMismatch, UnknownField
 from .fields import (FIXED, FLAG, OPT, PAYLOAD, PROTO_NAMES, PROTO_NUMBERS,
-                     FieldDescriptor, tcp_option_field)
+                     FieldDescriptor, prefix_mask, tcp_option_field)
 
 # match conditions
 EQ = "=="
@@ -135,7 +135,7 @@ def _parse_value(tok, pos, fd):
             if plen > 32:
                 raise TypeMismatch(f"prefix length {plen} out of range", pos)
             addr = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
-            return (addr & _prefix_mask(plen), plen)
+            return (addr & prefix_mask(plen), plen)
         if _NUM_RE.match(tok):
             v = int(tok, 0)
             if v >= 1 << 32:
@@ -164,10 +164,6 @@ def _parse_value(tok, pos, fd):
     if fd.width and v >= 1 << fd.width:
         raise TypeMismatch(f"value {tok} too wide for {fd.name} ({fd.width} bits)", pos)
     return v
-
-
-def _prefix_mask(plen):
-    return ((1 << plen) - 1) << (32 - plen) if plen else 0
 
 
 def _field_token(cur, context="match"):
@@ -388,11 +384,6 @@ def _format_value(fd, value):
     return str(value)
 
 
-def _format_opt(kind):
-    name = fields.TCP_OPT_NAMES.get(kind)
-    return f"tcp-opt-{name}" if name else f"tcp-opt {kind}"
-
-
 def format_rule(rule):
     parts = []
     for m in rule.matches:
@@ -413,12 +404,12 @@ def format_rule(rule):
             parts += ["mod", t.field.name, _format_value(t.field, t.value)]
         elif t.kind == STRIP:
             for k in sorted(t.opt_kinds):
-                parts += ["strip", _format_opt(k)]
+                parts += ["strip", tcp_option_field(k).name]
         elif t.kind == STRIP_EXCEPT:
             for k in sorted(t.opt_kinds):
-                parts += ["strip", "!", _format_opt(k)]
+                parts += ["strip", "!", tcp_option_field(k).name]
         elif t.kind == ADD_OPT:
-            parts += ["add", _format_opt(t.field.opt_kind)]
+            parts += ["add", t.field.name]
             if t.value is not None:
                 parts.append(_format_value(t.field, t.value))
         elif t.kind == SHUFFLE:

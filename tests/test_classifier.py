@@ -1,4 +1,4 @@
-"""Classifier: compile, chunked matching, verdicts vs the linear oracle."""
+"""Classifier: compile, window matching, verdicts vs the linear oracle."""
 
 import random
 
@@ -36,26 +36,24 @@ def drops(data, line):
 
 def test_compile_tcp_dport_80():
     cr = compiled("mmb add tcp-dport 80 drop")
-    mk = cr.mask_key
-    assert (mk.skip, mk.chunks) == (1, 1)
-    assert mk.mask == bytes(6) + b"\xff\xff" + bytes(8)
-    assert mk.key == bytes(6) + b"\x00\x50" + bytes(8)
+    assert cr.shift == 8 * (80 - 32)  # the window's second 16 bytes
+    assert cr.mask.to_bytes(16, "big") == bytes(6) + b"\xff\xff" + bytes(8)
+    assert cr.key.to_bytes(16, "big") == bytes(6) + b"\x00\x50" + bytes(8)
     # the implied protocol check is the rule's protocol gate
     assert cr.proto == 6 and cr.residue == ()
 
 
 def test_compile_saddr_prefix():
     cr = compiled("mmb add ip-saddr 10.0.0.0/24 drop")
-    mk = cr.mask_key
-    assert (mk.skip, mk.chunks) == (0, 1)
-    assert mk.mask == bytes(12) + b"\xff\xff\xff\x00"
-    assert mk.key == bytes(12) + b"\x0a\x00\x00\x00"
+    assert cr.shift == 8 * (80 - 16)  # the window's first 16 bytes
+    assert cr.mask.to_bytes(16, "big") == bytes(12) + b"\xff\xff\xff\x00"
+    assert cr.key.to_bytes(16, "big") == bytes(12) + b"\x0a\x00\x00\x00"
     assert cr.proto is None and cr.residue == ()
 
 
 def test_compile_complex_is_residue_only():
     cr = compiled("mmb add tcp-dport <= 1024 drop")
-    assert cr.mask_key is None
+    assert cr.mask == 0
     assert ("tcp-dport", LEQ, 1024) in \
         [(m.field.name, m.cond, m.value) for m in cr.residue]
 
@@ -65,23 +63,29 @@ def test_mask_key_invariants():
              "mmb add ip-daddr 10.0.0.0/8 ip-ttl 64 drop",
              "mmb add tcp-win 512 drop"]
     for line in lines:
-        mk = compiled(line).mask_key
-        assert 1 <= mk.chunks <= 5 and mk.chunks * 16 <= 80
-        key_int = int.from_bytes(mk.key, "big")
-        mask_int = int.from_bytes(mk.mask, "big")
-        assert key_int & mask_int == key_int
-        assert any(mk.mask[:16])  # first active chunk non-zero
+        cr = compiled(line)
+        assert cr.shift % 128 == 0 and 0 <= cr.shift < 640
+        assert 0 < cr.mask.bit_length() <= 640 - cr.shift  # inside the window
+        assert cr.key & cr.mask == cr.key
+        assert cr.mask & ((1 << 128) - 1)  # last active chunk non-zero
 
 
 # ---------------------------------------------------------- chunk matching
 
-def _byte_loop_match(data, mask, key, skip, chunks):
+def _mask_bytes(cr):
+    """(mask, key) of a compiled rule as bytes over the window's first
+    80 - shift/8 bytes."""
+    n = 80 - cr.shift // 8
+    return cr.mask.to_bytes(n, "big"), cr.key.to_bytes(n, "big")
+
+
+def _byte_loop_match(data, cr):
     """Naive per-byte AND/XOR evaluation over the active window."""
     window = bytes(data[:80]) + bytes(max(0, 80 - len(data)))
+    mask, key = _mask_bytes(cr)
     acc = 0
-    for i in range(chunks * 16):
-        b = window[skip * 16 + i]
-        acc |= (b & mask[i]) ^ key[i]
+    for i in range(len(mask)):
+        acc |= (window[i] & mask[i]) ^ key[i]
     return acc == 0
 
 
@@ -139,8 +143,7 @@ def test_match_chunks_identity():
     line = (f"mmb add ip-saddr {_quad(ref.ref_read(data, 'ip-saddr'))} "
             f"ip-daddr {_quad(ref.ref_read(data, 'ip-daddr'))} "
             + " ".join(parts) + " drop")
-    mk = compiled(line).mask_key
-    assert (mk.skip, mk.chunks) == (0, 3)
+    assert compiled(line).shift == 8 * (80 - 48)  # tcp-win ends at byte 36
     assert drops(data, line)
 
 
@@ -158,10 +161,8 @@ def test_match_chunks_vs_byte_loop_oracle():
                                        allow_ipopts=False)
         line = _folded_drop_rule(rng, data, rng.random() < 0.5)
         cr = compiled(line)
-        mk = cr.mask_key
         gate = cr.proto is None or cr.proto == data[9]
-        want = not cr.never and gate and \
-            _byte_loop_match(data, mk.mask, mk.key, mk.skip, mk.chunks)
+        want = not cr.never and gate and _byte_loop_match(data, cr)
         assert drops(data, line) == want, (line, data.hex())
         outcomes.add(want)
     assert outcomes == {True, False}
@@ -176,9 +177,9 @@ def test_match_implies_masked_equality():
         line = _folded_drop_rule(rng, data, True)
         if drops(data, line):
             hits += 1
-            mk = compiled(line).mask_key
-            seg = (bytes(data) + bytes(96))[mk.skip * 16:(mk.skip + mk.chunks) * 16]
-            assert bytes(a & b for a, b in zip(seg, mk.mask)) == mk.key
+            mask, key = _mask_bytes(compiled(line))
+            seg = (bytes(data) + bytes(96))[:len(mask)]
+            assert bytes(a & b for a, b in zip(seg, mask)) == key
     assert hits > 400
 
 
@@ -259,7 +260,7 @@ def test_rules_sharing_mask_and_key_share_one_entry():
     ])
     assert len(snap.tables) == 1
     (entry,) = snap.tables[0].entries.values()
-    assert [cr.rule.id for cr in entry.rules] == [1, 2]
+    assert [cr.rule.id for cr in entry] == [1, 2]
     v = classify(parse_packet(ref.tcp_packet(dport=80)), snap)
     assert v.rule_ids == (1, 2)
 
@@ -276,11 +277,23 @@ def test_table_count_equals_distinct_masks():
     _, snap = make_snapshot(lines)
     masks = set()
     for cr in snap.by_id.values():
-        mk = cr.mask_key
-        if mk is not None:
-            masks.add((mk.mask, mk.skip, mk.chunks))
+        if cr.mask:
+            masks.add((cr.shift, cr.mask))
     assert len(snap.tables) == len(masks) == 3
     assert len(snap.slow) == 1
+
+
+def test_list_tables_opens_with_table_and_maskless_counts():
+    # perfbench reads classifier.tables and slow_rules off this first line
+    engine = Engine()
+    engine.add_commands(["mmb add tcp-dport 80 drop", "mmb add tcp-sport 80 drop",
+                         "mmb add ip-ttl 3 drop", "mmb add tcp-dport <= 10 drop",
+                         "mmb add tcp-opt-mss drop"])
+    lines = engine.execute_line("list tables").splitlines()
+    snap = engine.snapshot
+    assert lines[0] == f"{len(snap.tables)} tables, {len(snap.slow)} maskless rules"
+    assert (len(snap.tables), len(snap.slow)) == (3, 2)
+    assert len(lines) == 1 + len(snap.tables)
 
 
 def test_mixed_fixed_and_option_rule_uses_mask_plus_opts_residue():
@@ -301,6 +314,19 @@ def test_unsatisfiable_equalities_never_match():
     for dport in (80, 443, 507):  # 507 = 80|443 bit-OR trap
         pkt = parse_packet(ref.tcp_packet(dport=dport))
         assert classify(pkt, snap).kind == "miss"
+
+
+def test_flag_check_contradicting_flags_byte_never_matches():
+    # a flag is a 1-bit span of the flags byte, so `tcp-flags 0` and
+    # `tcp-syn` disagree in either order, on and off the table path
+    syn = [parse_packet(ref.tcp_packet(flags=ref.SYN, ihl=ihl,
+                                       ip_options=bytes(4 * (ihl - 5))))
+           for ihl in (5, 6)]
+    for line in ("mmb add tcp-flags 0 tcp-syn drop",
+                 "mmb add tcp-syn tcp-flags 0 drop"):
+        _, snap = make_snapshot([line])
+        assert snap.by_id[1].never
+        assert [classify(p, snap).kind for p in syn] == ["miss", "miss"]
 
 
 def test_verdicts_match_linear_oracle_random():

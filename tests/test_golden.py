@@ -109,3 +109,61 @@ def test_two_way_snat_stream_output_is_pinned():
     assert all(ref.ref_read(p, "ip-daddr") >> 8 == 0x0A0000 for p in rev)
     assert _digest(fwd + rev) == \
         "f7539241a3f1869c98ab5a1fc37eafa48e0c8e7677d88be407edb48f197e4c33"
+
+
+STATIC_RULES = [
+    "mmb add tcp-syn mod tcp-ack 1 mod tcp-fin 0 mod ip-ttl 33",
+    "mmb add tcp-dport 80 mod tcp-dport 8080 mod ip-saddr 192.0.2.1 "
+    "mod tcp-win 1000 mod tcp-psh 1",
+    "mmb add ip-proto udp mod ip-dscp 46 mod ip-ecn 1",
+    "mmb add udp-dport 53 mod udp-sport 5353 mod ip-id 7 mod ip-ttl 9",
+    "mmb add icmp-type 8 mod icmp-code 3 mod ip-daddr 10.9.9.9",
+    "mmb add ip-saddr 10.1.0.0/16 mod ip-ttl 1",
+]
+
+
+def _static_packets(rng, n):
+    """TCP, UDP, ICMP and UDP fragments at IHL 5-7 with valid, nonzero
+    checksums; TTLs, ports and flags often already carry the value a rule
+    writes, so some rewrites change nothing."""
+    out = []
+    for i in range(n):
+        extra = rng.randrange(3)
+        saddr = rng.choice((0x0A010000, 0x0A020000)) | rng.randrange(1, 255)
+        daddr = 0x0A090000 | rng.randrange(1, 255)
+        opts = dict(ihl=5 + extra, ip_options=bytes([1] * 4 * extra),
+                    ttl=rng.choice((1, 9, 33, 64, rng.randint(2, 255))),
+                    ident=rng.choice((7, rng.randrange(1 << 16))))
+        payload = rng.randbytes(rng.randrange(0, 40))
+        kind = i % 4
+        if kind == 0:
+            out.append(ref.tcp_packet(
+                saddr, daddr, rng.choice((1234, 5353)), rng.choice((80, 443)),
+                seq=i, flags=rng.choice((ref.SYN, ref.SYN | ref.ACK,
+                                         ref.SYN | ref.FIN, ref.ACK)),
+                window=rng.choice((1000, 8192)), payload=payload, **opts))
+        elif kind == 1:
+            out.append(ref.udp_packet(saddr, daddr, rng.choice((5353, 999)),
+                                      rng.choice((53, 123)), payload, **opts))
+        elif kind == 2:
+            out.append(ref.icmp_packet(saddr, daddr, rng.choice((0, 8)),
+                                       rng.choice((0, 3)), payload, **opts))
+        else:
+            seg = ref.udp_segment(saddr, daddr, 5353, 53, payload)
+            out.append(ref.ipv4_header(saddr, daddr, ref.UDP, len(seg),
+                                       ihl=5 + extra, ttl=opts["ttl"],
+                                       options=opts["ip_options"],
+                                       flags_frag=0x2000) + seg)
+    return out
+
+
+def test_static_rewrite_stream_output_is_pinned():
+    rng = random.Random(7)
+    engine = Engine()
+    engine.add_commands(STATIC_RULES)
+    out = []
+    rep = engine.run_stream(((p, 0, 0) for p in _static_packets(rng, 400)), out)
+    assert len(out) == 400 and rep.dropped == 0
+    assert all(ref.verify_packet_checksums(p) for p in out)
+    assert _digest(out) == \
+        "757276c554c92763fd08f02b52ce807e9c0b6d1b03b912f616257a98f20e22ab"

@@ -98,8 +98,7 @@ def test_mask_limit_rules_all_parse_distinct_masks():
         rule.id = i
     masks = set()
     for cr in RuleSetSnapshot(rules).by_id.values():
-        mk = cr.mask_key
-        masks.add((mk.mask, mk.skip, mk.chunks))
+        masks.add((cr.shift, cr.mask))
     assert len(masks) == 64
 
 

@@ -289,6 +289,22 @@ def test_exhausted_port_pool_drops_and_counts_new_flow():
     assert len(engine.conn) == 2
 
 
+@pytest.mark.parametrize("field,width", [("ip-ttl", 8), ("ip-dscp", 6)])
+def test_shuffle_of_field_narrower_than_range_draws_its_whole_space(field, width):
+    # the default shuffle range starts at 1024, above both fields' maximum
+    engine = Engine()
+    engine.add_commands([f"mmb add-stateful ip-proto tcp shuffle {field}"])
+    syns = [ref.tcp_packet(saddr=0x0A000001, sport=5000 + i, flags=ref.SYN)
+            for i in range(20)]
+    out = []
+    report = engine.run_stream(as_source(syns), out)
+    assert len(out) == 20 and report.counters["out_of_ports"] == 0
+    values = [ref.ref_read(o, field) for o in out]
+    assert len(set(values)) == 20
+    assert max(values) < 1 << width
+    assert all(ref.verify_packet_checksums(o) for o in out)
+
+
 def test_full_connection_table_is_counted():
     engine = fresh_engine(conn_capacity=1)
     engine.add_commands([SNAT_RULE])

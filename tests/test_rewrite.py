@@ -2,11 +2,14 @@
 
 import random
 
+import pytest
+
 import oracle
 import refbuild as ref
 from midbox import (compile_targets, parse_command, parse_packet,
                     parse_tcp_options, serialize, verify_checksums)
 from midbox.conntrack import ConnTable
+from midbox.fields import L3, L4
 from midbox.packet import fix_checksums
 from midbox.rewrite import (apply_dynamic, apply_option_edits, apply_static,
                             rewrite_packet)
@@ -20,9 +23,7 @@ def program_of(line):
 
 def test_compile_port_rewrite_span_and_wellformedness():
     _, tp = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
-    assert (tp.span_lo, tp.span_hi) == (22, 24)
-    assert tp.key_int == 0x01BB
-    assert tp.key_int & tp.keep_mask_int == 0
+    assert tp.spans == ((L4, 2, 4, 0, 0x01BB),)  # (base, lo, hi, keep, key)
 
 
 def test_compile_drop_rule_is_empty_program():
@@ -34,8 +35,7 @@ def test_compile_snat_static_and_dynamic_split():
     r, tp = program_of(
         "mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp tcp-syn "
         "shuffle tcp-sport mod ip-saddr 200.0.0.1")
-    assert (tp.span_lo, tp.span_hi) == (12, 16)
-    assert tp.key_int == 0xC8000001
+    assert tp.spans == ((L3, 12, 16, 0, 0xC8000001),)
     assert [fd.name for fd in tp.dynamic] == ["tcp-sport"]
     assert r.stateful
 
@@ -48,7 +48,11 @@ def test_static_key_disjoint_from_mask_randomized():
         picks = rng.sample(fields, rng.randint(1, 4))
         parts = " ".join(f"mod {f} {rng.randrange(50)}" for f in picks)
         _, tp = program_of(f"mmb add tcp-syn {parts}")
-        assert tp.key_int & tp.keep_mask_int == 0
+        assert 1 <= len(tp.spans) <= 2
+        for _, lo, hi, keep, key in tp.spans:
+            assert key & keep == 0 and 0 <= lo < hi <= 20
+            assert keep.bit_length() <= 8 * (hi - lo)
+            assert key.bit_length() <= 8 * (hi - lo)
 
 
 def test_transport_mods_not_folded_without_transport_match():
@@ -56,7 +60,7 @@ def test_transport_mods_not_folded_without_transport_match():
     # transport header: tcp-* writes must go through checked per-field
     # writes, never a blind masked span
     _, tp = program_of("mmb add ip-proto tcp mod tcp-win 7 mod ip-ttl 3")
-    assert (tp.span_lo, tp.span_hi) == (8, 9)  # only the ttl byte folds
+    assert [s[:3] for s in tp.spans] == [(L3, 8, 9)]  # only the ttl byte folds
     assert [fd.name for fd, _ in tp.cond_fields] == ["tcp-win"]
     frag_hdr = ref.ipv4_header(0x0A000001, 0x0A000002, ref.TCP, 24,
                                flags_frag=0x2000)
@@ -99,16 +103,67 @@ def test_apply_static_random_vs_byte_loop():
             f"mod tcp-seq {rng.randrange(1 << 32)}")
         data = ref.random_valid_packet(rng)
         pkt = parse_packet(data)
-        if pkt.ihl != 5 or pkt.ip_proto != ref.TCP or pkt.is_fragment:
+        if pkt.ip_proto != ref.TCP or pkt.is_fragment:
             continue
         apply_static(pkt, tp)
-        lo, hi = tp.span_lo, tp.span_hi
-        mask = tp.keep_mask_int.to_bytes(hi - lo, "big")
-        key = tp.key_int.to_bytes(hi - lo, "big")
         expect = bytearray(data)
-        for i in range(lo, hi):
-            expect[i] = (data[i] & mask[i - lo]) | key[i - lo]
+        for base, lo, hi, keep, key in tp.spans:
+            at = 4 * pkt.ihl if base == L4 else 0
+            mask = keep.to_bytes(hi - lo, "big")
+            key = key.to_bytes(hi - lo, "big")
+            for i in range(lo, hi):
+                expect[at + i] = (data[at + i] & mask[i - lo]) | key[i - lo]
         assert bytes(pkt.data) == bytes(expect)
+
+
+def _udp_without_checksum(**kw):
+    data = bytearray(ref.udp_packet(**kw))
+    at = 4 * (data[0] & 0x0F) + 6
+    data[at:at + 2] = b"\x00\x00"
+    return bytes(data)
+
+
+def _without_ip_options(data):
+    """`data` as an IHL-5 packet: options dropped, total length and header
+    checksum made to fit, every other byte as it was."""
+    hlen = 4 * (data[0] & 0x0F)
+    hdr = bytearray(data[:20])
+    hdr[0] = 0x45
+    hdr[2:4] = (len(data) - hlen + 20).to_bytes(2, "big")
+    hdr[10:12] = b"\x00\x00"
+    hdr[10:12] = ref.rfc1071_checksum(bytes(hdr)).to_bytes(2, "big")
+    return bytes(hdr) + data[hlen:]
+
+
+@pytest.mark.parametrize("line,build,kw,changes", [
+    ("mmb add ip-proto udp mod ip-ttl 64", _udp_without_checksum,
+     dict(ttl=64), False),
+    ("mmb add ip-proto udp mod ip-ttl 64", _udp_without_checksum,
+     dict(ttl=10), True),
+    ("mmb add tcp-syn mod tcp-syn 1", ref.tcp_packet, dict(flags=ref.SYN), False),
+    ("mmb add tcp-syn mod tcp-ack 1 mod ip-ttl 5", ref.tcp_packet,
+     dict(flags=ref.SYN), True),
+    ("mmb add udp-dport 53 mod udp-sport 1234 mod ip-dscp 0", ref.udp_packet,
+     dict(), False),
+    ("mmb add udp-dport 53 mod udp-sport 5353 mod ip-dscp 10", ref.udp_packet,
+     dict(), True),
+], ids=["udp-nocsum-same", "udp-nocsum-ttl", "tcp-flag-same", "tcp-flag-ttl",
+        "udp-l3l4-same", "udp-l3l4"])
+def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
+    """IP options move the transport header, not what a static mod does:
+    the same bytes come out and a change is reported only when bytes
+    change."""
+    _, tp = program_of(line)
+    results = []
+    for ihl in (5, 6):
+        data = build(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)), **kw)
+        pkt = parse_packet(data)
+        changed = rewrite_packet(pkt, [tp])
+        results.append((changed, _without_ip_options(bytes(pkt.data)),
+                        _without_ip_options(data)))
+    assert results[0] == results[1]
+    changed, out, data = results[0]
+    assert changed == changes == (out != data)
 
 
 def test_rewrite_touches_only_program_bytes():

@@ -27,10 +27,10 @@ PACKETS = [parse_packet(oracle.random_pool_packet(_rng)) for _ in range(60)]
 def structure(snap):
     """({table key: {entry key: [rule ids]}}, slow ids, ordered ids, by_id
     keys); also checks that the table index matches the table list."""
-    tables = {(t.mask, t.skip, t.chunks): t for t in snap.tables}
+    tables = {(t.shift, t.mask): t for t in snap.tables}
     assert len(tables) == len(snap.tables)
     assert snap.index == tables
-    return ({tkey: {k: [cr.rule.id for cr in e.rules] for k, e in t.entries.items()}
+    return ({tkey: {k: [cr.rule.id for cr in e] for k, e in t.entries.items()}
              for tkey, t in tables.items()},
             [cr.rule.id for cr in snap.slow],
             [cr.rule.id for cr in snap.ordered],
