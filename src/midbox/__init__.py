@@ -17,8 +17,8 @@ from .packet import (ABSENT, ETHERNET, RAW_IP, PacketBuffer, fix_checksums,
                      parse_packet, parse_tcp_options, read_field, serialize,
                      verify_checksums, write_field)
 from .pipeline import Engine, EngineConfig, RunReport
-from .rewrite import TargetProgram, apply_dynamic, apply_option_edits, \
-    apply_static, compile_targets
+from .rewrite import TargetProgram, apply_option_edits, apply_static, \
+    compile_targets
 from .rules import (MatchExpr, Rule, TargetExpr, format_command, format_rule,
                     parse_command)
 from .scenarios import ScenarioReport, run_scenario

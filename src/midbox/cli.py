@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from .pcap import PcapReader, PcapWriter
+from .pcap import PcapFormatError, PcapReader, PcapWriter
 from .pipeline import Engine, EngineConfig
 from .scenarios import SCENARIO_NAMES, run_scenario
 
@@ -109,7 +109,11 @@ def main(argv=None):
             engine.add_commands(f)
 
     if args.pcap_in:
-        report = _run_pcap(engine, args)
+        try:
+            report = _run_pcap(engine, args)
+        except (PcapFormatError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         print(report.to_text())
         if args.report:
             with open(args.report, "w") as f:

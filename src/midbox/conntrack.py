@@ -37,9 +37,10 @@ SYN = 0x02
 RST = 0x04
 ACK = 0x10
 
-_TUPLE_POS = {"ip-saddr": 0, "ip-daddr": 1,
-              "tcp-sport": 2, "udp-sport": 2,
-              "tcp-dport": 3, "udp-dport": 3}
+# where a tuple field sits in (saddr, daddr, sport, dport)
+TUPLE_POS = {"ip-saddr": 0, "ip-daddr": 1,
+             "tcp-sport": 2, "udp-sport": 2,
+             "tcp-dport": 3, "udp-dport": 3}
 
 
 @dataclass
@@ -75,34 +76,35 @@ def normalize(t5):
     return (b, a, t5[4])
 
 
-def reverse_tuple(t5):
-    return (t5[1], t5[0], t5[3], t5[2], t5[4])
-
-
 class ConnEntry:
-    """One tracked flow. `tuple_only` is True when the flow has bindings
-    and every one rewrites a tuple field, so fwd_pre/fwd_post alone
-    describe the translation."""
+    """One tracked flow. fwd_pre is its client tuple and fwd_post that tuple
+    with the bindings of tuple fields applied; `extra` holds the bindings
+    of fields outside the tuple, and `bindings` all of them, so the pools
+    get their values back."""
 
-    __slots__ = ("key", "trans_key", "fwd_pre", "fwd_post", "rev_expect",
+    __slots__ = ("key", "trans_key", "fwd_pre", "fwd_post",
                  "proto", "state", "fin_dir", "created",
-                 "last_seen", "rule_id", "bindings", "tuple_only", "pkts",
+                 "last_seen", "rule_id", "bindings", "extra", "pkts",
                  "octets")
 
-    def __init__(self, t5, trans_t5, rule_id, now):
+    def __init__(self, t5, bindings, rule_id, now):
+        trans = list(t5)
+        for b in bindings:
+            if b.field.name in TUPLE_POS:
+                trans[TUPLE_POS[b.field.name]] = b.rewritten
         self.key = normalize(t5)
-        self.trans_key = normalize(trans_t5)
         self.fwd_pre = t5
-        self.fwd_post = trans_t5
-        self.rev_expect = reverse_tuple(trans_t5)
+        self.fwd_post = tuple(trans)
+        self.trans_key = normalize(self.fwd_post)
         self.proto = t5[4]
         self.state = NEW if t5[4] == PROTO_TCP else ACTIVE
         self.fin_dir = None
         self.created = now
         self.last_seen = now
         self.rule_id = rule_id
-        self.bindings = []
-        self.tuple_only = False
+        self.bindings = bindings
+        # the shared () when every binding is in the tuple (SNAT)
+        self.extra = tuple(b for b in bindings if b.field.name not in TUPLE_POS)
         self.pkts = [0, 0]
         self.octets = [0, 0]
 
@@ -184,12 +186,9 @@ class ConnTable:
         if now - e.last_seen > self.timeout_for(e):
             self.remove(e)
             return None, None
-        if t5 == e.fwd_pre or t5 == e.fwd_post:
-            direction = FWD
-        elif t5 == e.rev_expect or t5 == reverse_tuple(e.fwd_pre):
-            direction = REV
-        else:
-            return None, None
+        # a key hit means t5 is fwd_pre or its reverse, an alias hit
+        # fwd_post or its reverse
+        direction = FWD if t5 == e.fwd_pre or t5 == e.fwd_post else REV
         if now > e.last_seen:
             e.last_seen = now
         i = 0 if direction == FWD else 1
@@ -240,17 +239,7 @@ class ConnTable:
                     continue
                 bindings.append(DynamicBinding(t.field, orig, t.value))
 
-        trans = list(t5)
-        tuple_only = bool(bindings)
-        for b in bindings:
-            pos = _TUPLE_POS.get(b.field.name)
-            if pos is None:
-                tuple_only = False
-            else:
-                trans[pos] = b.rewritten
-        entry = ConnEntry(t5, tuple(trans), rule.id, now)
-        entry.bindings = bindings
-        entry.tuple_only = tuple_only
+        entry = ConnEntry(t5, bindings, rule.id, now)
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[entry.key] = entry

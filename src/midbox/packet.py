@@ -325,29 +325,13 @@ def read_field(pkt, fd):
 
 
 def write_field(pkt, fd, value):
-    """Write a field in place. Returns True when a write happened; False when
-    the packet cannot hold the value (callers count these skips)."""
+    """Write a bit-span or payload field in place. Returns True when a write
+    happened; False when the packet cannot hold the value (callers count
+    these skips). TCP option edits belong to rewrite.apply_option_edits."""
     if fd.proto is not None and (pkt.ip_proto != fd.proto or pkt.is_fragment):
         return False
     kind = fd.kind
     d = pkt.data
-    if kind == OPT:
-        payload = _options_map(pkt).get(fd.opt_kind)
-        if payload is None:
-            return False
-        if isinstance(value, int):
-            try:
-                value = value.to_bytes(len(payload), "big")
-            except OverflowError:
-                return False
-        elif len(value) != len(payload):
-            return False
-        for v in parse_tcp_options(pkt):
-            if v.kind == fd.opt_kind:
-                d[v.value_offset:v.value_offset + len(value)] = value
-                break
-        pkt.invalidate()
-        return True
     if kind == PAYLOAD:
         start = pkt.l4_offset + 8 if fd.payload_base == "udp" else pkt.payload_offset
         if not isinstance(value, (bytes, bytearray)):

@@ -7,6 +7,8 @@ LINKTYPE_EN10MB (1, Ethernet frames).
 
 import struct
 
+from .packet import ETHERNET, RAW_IP
+
 MAGIC = 0xA1B2C3D4
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
@@ -17,7 +19,8 @@ class PcapFormatError(ValueError):
 
 
 class PcapReader:
-    """Iterates (data, ts_sec, ts_usec) records of a pcap file."""
+    """Iterates (data, ts_sec, ts_usec) records of a pcap file of one of the
+    two link types the engine ingests."""
 
     def __init__(self, path):
         self.f = open(path, "rb")
@@ -35,6 +38,9 @@ class PcapReader:
             raise PcapFormatError(f"bad pcap magic 0x{magic:08x}")
         (_, _, _, _, self.snaplen, self.link_type) = struct.unpack(
             self.endian + "HHiIII", hdr[4:])
+        if self.link_type not in (RAW_IP, ETHERNET):
+            self.f.close()
+            raise PcapFormatError(f"unsupported link type {self.link_type}")
 
     def __iter__(self):
         return self

@@ -1,5 +1,5 @@
-"""Target application: static mask/key rewrite, TCP option edits, dynamic
-per-connection values.
+"""Target application: static mask/key rewrite, TCP option edits, and the
+connection translation of tracked packets.
 
 Static rewrites compile (`fields.fold`) to a keep-mask and a key over the
 affected byte span of each header, at most one span for the IPv4 header and
@@ -7,14 +7,15 @@ one for the transport header, so the hot path is (packet & mask) | key at
 the packet's own header offsets, whatever its IHL. Fields the match does
 not guarantee to exist (e.g. a tcp-* target on a rule that can match UDP)
 fall back to checked per-field writes. Option strips/adds rebuild the
-option area and keep the data offset and IP total length coherent.
+option area and keep the data offset and IP total length coherent. A
+tracked packet's addresses and ports are written by translate_session alone.
 """
 
 import struct
 
-from .conntrack import FWD
+from .conntrack import FWD, TUPLE_POS
 from .errors import MalformedOption
-from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, REGISTRY, fold
+from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, fold
 from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT
 
@@ -24,11 +25,6 @@ _MAX_OPT_AREA = 40
 _CSUM_ADDRS = struct.Struct("!HII")
 _PORTS = struct.Struct("!HH")
 _CSUM = struct.Struct("!H")
-
-
-def _count(counters, name):
-    if counters is not None:
-        counters[name] = counters.get(name, 0) + 1
 
 
 def _encode_opt_value(value):
@@ -113,7 +109,7 @@ def compile_targets(rule):
     return tp
 
 
-def apply_static(pkt, tp, counters=None):
+def apply_static(pkt, tp, counters):
     """Fixed-field rewrites: a masked write of each span at its header's
     offset in this packet. A span counts as a change only when its bytes
     change."""
@@ -133,16 +129,16 @@ def apply_static(pkt, tp, counters=None):
         if write_field(pkt, fd, value):
             modified = True
         else:
-            _count(counters, "rewrite_skipped")
+            counters["rewrite_skipped"] += 1
     for fd, value in tp.payload_mods:
         if write_field(pkt, fd, value):
             modified = True
         else:
-            _count(counters, "rewrite_skipped")
+            counters["rewrite_skipped"] += 1
     return modified
 
 
-def apply_option_edits(pkt, tp, counters=None):
+def apply_option_edits(pkt, tp, counters):
     """Strip/whitelist/modify/append TCP options, repack, and keep the data
     offset and IP total length coherent. A no-op edit leaves bytes alone; a
     malformed option area is left alone and flagged in pkt._opts_bad."""
@@ -178,7 +174,7 @@ def apply_option_edits(pkt, tp, counters=None):
                 else:
                     enc = bytes(mv) if len(mv) == len(payload) else None
                 if enc is None:
-                    _count(counters, "rewrite_skipped")
+                    counters["rewrite_skipped"] += 1
                 elif enc != payload:
                     payload = enc
                     mod_changed = True
@@ -189,7 +185,7 @@ def apply_option_edits(pkt, tp, counters=None):
     if tp.opt_adds:
         need = sum(2 + len(p) for _, p in opts) + sum(2 + len(p) for _, p in tp.opt_adds)
         if need > _MAX_OPT_AREA:
-            _count(counters, "opt_add_skipped")
+            counters["opt_add_skipped"] += 1
         else:
             opts = opts + tp.opt_adds
             added = True
@@ -216,119 +212,96 @@ def apply_option_edits(pkt, tp, counters=None):
     return True
 
 
-_MIRROR = {a: REGISTRY[b] for a, b in (
-    ("ip-saddr", "ip-daddr"), ("ip-daddr", "ip-saddr"),
-    ("tcp-sport", "tcp-dport"), ("tcp-dport", "tcp-sport"),
-    ("udp-sport", "udp-dport"), ("udp-dport", "udp-sport"))}
-
-
-def mirror_field(fd):
-    """The opposite-direction counterpart of a tuple field (sport <-> dport,
-    saddr <-> daddr); fields without a mirror map to themselves."""
-    return _MIRROR.get(fd.name, fd)
-
-
-def apply_dynamic(pkt, entry, direction):
-    """Per-connection translation: forward packets get the bound rewritten
-    values; reverse packets get the originals written into mirrored fields."""
-    modified = False
-    if direction == FWD:
-        for b in entry.bindings:
-            modified |= write_field(pkt, b.field, b.rewritten)
-    else:
-        for b in entry.bindings:
-            modified |= write_field(pkt, mirror_field(b.field), b.original)
-    return modified
-
-
-def translate_session(pkt, entry, direction):
-    """The connection translation of a TCP or UDP packet whose entry binds
-    tuple fields only (`entry.tuple_only`), without the generic writes and
-    checksum pass. Forward packets leave with fwd_post, reverse packets
-    with fwd_pre swapped; addresses and ports are written at the packet's
-    own offsets, so any IHL works (fragments never have an entry). Returns
-    True, or None, changing nothing, for a UDP packet without a checksum,
-    which the caller sends down the generic path.
+def translate_session(pkt, entry, direction, programs):
+    """The connection translation of a tracked TCP or UDP packet, the one
+    writer of its addresses and ports. Forward packets leave with fwd_post,
+    reverse packets with fwd_pre swapped, written at the packet's own
+    offsets, so any IHL works (fragments never have an entry). After
+    `programs` ran, a tuple field that no binding covers keeps what they
+    wrote there.
 
     Both checksums move by the RFC 1624 difference between the tuple the
-    packet carried and the one it leaves with. ConnTable.lookup matched the
-    packet to one of its direction's two tuples, so that is the session's
-    constant sum(pre[:4]) - sum(post[:4]) (negated on the reverse path), or
-    0 for a packet already carrying its post-image. A 32-bit address is
-    congruent to the sum of its two words modulo 0xFFFF, so this is the
-    word difference update_checksums finds, and the bytes equal those of
-    apply_dynamic and update_checksums: a UDP result of 0 is stored as
-    0xFFFF, a transport checksum that arrived wrong stays wrong by the same
-    amount, and the IPv4 header checksum (valid, as parse_packet requires)
-    moves by the address part alone.
+    packet carries and the one it leaves with (0 for a packet already
+    carrying its post-image). A 32-bit address is congruent to the sum of
+    its two words modulo 0xFFFF, so this is the word difference
+    update_checksums finds: a UDP result of 0 is stored as 0xFFFF, a
+    transport checksum that arrived wrong stays wrong by the same amount,
+    and the IPv4 header checksum (valid, as parse_packet and the checksum
+    step leave it) moves by the address part alone. A UDP packet without a
+    checksum gets both recomputed by fix_checksums.
     """
     d = pkt.data
     l3 = pkt.l3_offset
     l4 = pkt.l4_offset
-    udp = pkt.ip_proto != PROTO_TCP
-    at = l4 + 6 if udp else l4 + 16
-    (hc,) = _CSUM.unpack_from(d, at)
-    if udp and hc == 0:
-        return None
     if direction == FWD:
         sa, da, sp, dp, _ = entry.fwd_post
     else:
         da, sa, dp, sp, _ = entry.fwd_pre
     ip, old_sa, old_da = _CSUM_ADDRS.unpack_from(d, l3 + 10)
     old_sp, old_dp = _PORTS.unpack_from(d, l4)
+    if programs:
+        # the positions in (saddr, daddr, sport, dport) that bindings write
+        bound = {TUPLE_POS.get(b.field.name) for b in entry.bindings}
+        if direction != FWD:
+            bound = {p ^ 1 for p in bound if p is not None}  # the mirror
+        new, cur = (sa, da, sp, dp), (old_sa, old_da, old_sp, old_dp)
+        sa, da, sp, dp = [new[i] if i in bound else cur[i] for i in range(4)]
     addr_delta = old_sa + old_da - sa - da
     _CSUM_ADDRS.pack_into(d, l3 + 10, (ip + addr_delta) % 0xFFFF, sa, da)
     _PORTS.pack_into(d, l4, sp, dp)
+    udp = pkt.ip_proto != PROTO_TCP
+    at = l4 + 6 if udp else l4 + 16
+    (hc,) = _CSUM.unpack_from(d, at)
+    if udp and hc == 0:
+        fix_checksums(pkt)
+        return
     hc = (hc + addr_delta + old_sp + old_dp - sp - dp) % 0xFFFF
     if hc == 0 and udp:
         hc = 0xFFFF
     _CSUM.pack_into(d, at, hc)
     pkt.invalidate()
-    return True
 
 
-def rewrite_packet(pkt, programs, entry=None, direction=None, counters=None):
-    """Apply matched rules' programs in rule order, then the connection
-    translation, then bring the checksums up to date. Returns True when
-    bytes changed.
+def rewrite_packet(pkt, programs, entry, direction, counters):
+    """Apply matched rules' programs in rule order, then the entry's
+    bindings outside the tuple (`entry.extra`: forward packets get the
+    rewritten value, reverse packets the original), then bring the
+    checksums up to date, and last write the connection's addresses and
+    ports (translate_session). Returns True when bytes changed.
 
     Same-length header writes (static mask/key spans, checked field writes,
-    flags, NAT bindings) patch the TCP/UDP checksum incrementally
+    flags, bindings) patch the TCP/UDP checksum incrementally
     (update_checksums), so a checksum that arrived wrong stays wrong.
     Option edits, payload writes, writes to ip-len or ip-proto, and UDP
     packets without a checksum recompute both checksums in full
     (fix_checksums), which also repairs one that arrived wrong. A packet
     whose TCP option area is malformed counts once in `malformed_options`.
-
-    A packet that no program rewrites and whose entry binds tuple fields
-    only takes translate_session, which gives the same bytes without the
-    generic writes and checksum pass.
+    A packet with bindings counts as changed even when it already carried
+    their values, and has its checksums normalised as if they had moved.
     """
     malformed = pkt._opts_bad
-    if (not programs and entry is not None and entry.tuple_only
-            and direction is not None):
-        modified = translate_session(pkt, entry, direction)
-        if modified is not None:
-            if malformed:
-                _count(counters, "malformed_options")
-            return modified
-    before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
+    extra = entry.extra if entry is not None else ()
     modified = full = False
-    for tp in programs:
-        if apply_static(pkt, tp, counters):
-            modified = True
-            full = full or bool(tp.payload_mods)
-        if tp.has_option_edits:
-            if apply_option_edits(pkt, tp, counters):
-                modified = full = True
-            malformed = malformed or pkt._opts_bad
-        if tp.dynamic and entry is None:
-            _count(counters, "missing_binding")
-    if entry is not None and entry.bindings and direction is not None:
-        if apply_dynamic(pkt, entry, direction):
-            modified = True
+    if programs or extra:
+        before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
+        for tp in programs:
+            if apply_static(pkt, tp, counters):
+                modified = True
+                full = full or bool(tp.payload_mods)
+            if tp.has_option_edits:
+                if apply_option_edits(pkt, tp, counters):
+                    modified = full = True
+                malformed = malformed or pkt._opts_bad
+            if tp.dynamic and entry is None:
+                counters["missing_binding"] += 1
+        for b in extra:
+            modified |= write_field(pkt, b.field,
+                                    b.rewritten if direction == FWD else b.original)
+        if modified and (full or not update_checksums(pkt, before)):
+            fix_checksums(pkt)
     if malformed:
-        _count(counters, "malformed_options")
-    if modified and (full or not update_checksums(pkt, before)):
-        fix_checksums(pkt)
+        counters["malformed_options"] += 1
+    if entry is not None and entry.bindings:
+        translate_session(pkt, entry, direction, programs)
+        modified = True
     return modified

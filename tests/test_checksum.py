@@ -283,7 +283,7 @@ def test_connection_rewrites_match_reference(case):
     """Forward, reverse and already-translated packets of one tracked flow,
     at IHL 5-7, with valid, wrong and (UDP) absent transport checksums:
     the bytes are _expected's, whether the entry binds tuple fields only
-    (the session path) or also the TTL (the generic path)."""
+    or also the TTL."""
     proto, ihl, ttl0, targets, first_fault, events = case
     engine = Engine(EngineConfig(shuffle_range=(1, 255)))
     engine.add_commands([f"mmb add-stateful ip-id {FIRST_IDENT} "
@@ -310,7 +310,7 @@ def test_connection_rewrites_match_reference(case):
     ttl_bound = "shuffle ip-ttl" in targets
     ttl_fwd = entry.bindings[-1].rewritten if ttl_bound else None
     bound = bool(entry.bindings)
-    assert entry.tuple_only == (bound and not ttl_bound)
+    assert len(entry.extra) == ttl_bound
     assert out == [_expected(proto, CLIENT, ttl0, post, ttl_fwd or ttl0,
                              FIRST_IDENT, b"", ihl, csum, bound)]
 

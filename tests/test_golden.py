@@ -8,7 +8,7 @@ import random
 
 import refbuild as ref
 from midbox import Engine, run_scenario
-from midbox.rulegen import SNAT_RULE
+from midbox.rulegen import SNAT_RULE, STRIP_EXCEPT_RULE
 
 TCP_UDP_SNAT_RULE = ("mmb add-stateful ip-saddr 10.0.0.0/24 shuffle udp-sport "
                      "shuffle tcp-sport mod ip-saddr 200.0.0.1")
@@ -167,3 +167,86 @@ def test_static_rewrite_stream_output_is_pinned():
     assert all(ref.verify_packet_checksums(p) for p in out)
     assert _digest(out) == \
         "757276c554c92763fd08f02b52ce807e9c0b6d1b03b912f616257a98f20e22ab"
+
+
+# a tracked flow's packets that programs also rewrite: the SYN under the
+# SNAT rule's own mods, option strips on TCP data, a payload write on UDP
+# and a TTL binding beside the port binding
+PROGRAM_RULES = [
+    SNAT_RULE,
+    STRIP_EXCEPT_RULE,
+    "mmb add ip-proto udp ip-ttl < 128 mod udp-payload 0x6d6d62",
+    "mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto udp "
+    "shuffle udp-sport shuffle ip-ttl",
+]
+
+
+def _tcp_options(rng):
+    """An option area that sometimes carries a timestamp."""
+    opts = [(2, (1460).to_bytes(2, "big"))]
+    if rng.random() < 0.6:
+        opts.append((8, rng.randbytes(8)))
+    if rng.random() < 0.5:
+        opts += [(1,), (3, bytes([7]))]
+    return ref.make_options(*opts)
+
+
+def _fault_checksum(data, rng):
+    """Leave the transport checksum valid, make it wrong, or (UDP) 0."""
+    ihl = data[0] & 0x0F
+    udp = data[9] == ref.UDP
+    at = 4 * ihl + (6 if udp else 16)
+    roll = rng.random()
+    b = bytearray(data)
+    if roll < 0.2:
+        b[at] ^= 0x5A
+    elif roll < 0.35 and udp:
+        b[at:at + 2] = b"\x00\x00"
+    return bytes(b)
+
+
+def _program_packet(rng, proto, t4, ihl, flags=ref.ACK):
+    saddr, daddr, sport, dport = t4
+    opts = dict(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)),
+                ttl=rng.randint(2, 255), ident=rng.randrange(1 << 16))
+    payload = rng.randbytes(rng.randrange(0, 40))
+    if proto == ref.UDP:
+        data = ref.udp_packet(saddr, daddr, sport, dport, payload, **opts)
+    else:
+        data = ref.tcp_packet(saddr, daddr, sport, dport, seq=rng.randrange(1 << 32),
+                              flags=flags, options=_tcp_options(rng),
+                              payload=payload, **opts)
+    return _fault_checksum(data, rng)
+
+
+def test_tracked_stream_with_programs_is_pinned():
+    rng = random.Random(11)
+    engine = Engine()
+    engine.add_commands(PROGRAM_RULES)
+    flows = []
+    for i in range(60):
+        proto = ref.UDP if i % 2 else ref.TCP
+        t4 = (0x0A000000 | (1 + i % 200), 0xC6336400 | rng.randrange(1, 255),
+              rng.randint(1024, 65535), rng.choice((53, 80, 443)))
+        flows.append((proto, t4, 5 + i % 3))
+    fwd = []
+    first = [_program_packet(rng, proto, t4, ihl, ref.SYN)
+             for proto, t4, ihl in flows]
+    engine.run_stream(((p, 0, 0) for p in first), fwd)
+    data = [_program_packet(rng, proto, t4, ihl)
+            for _ in range(2) for proto, t4, ihl in flows]
+    engine.run_stream(((p, 0, 0) for p in data), fwd)
+    replies = []
+    for (proto, t4, ihl), p in zip(flows, fwd):
+        port = "udp-" if proto == ref.UDP else "tcp-"
+        post = (ref.ref_read(p, "ip-saddr"), ref.ref_read(p, port + "sport"))
+        replies += [_program_packet(rng, proto, (t4[1], post[0], t4[3], post[1]),
+                                    ihl) for _ in range(2)]
+    rev = []
+    engine.run_stream(((p, 0, 0) for p in replies), rev)
+    assert len(fwd) == 180 and len(rev) == 120
+    assert all(ref.ref_read(p, "ip-saddr") == 0xC8000001
+               for p in fwd if p[9] == ref.TCP)
+    assert all(ref.ref_read(p, "ip-daddr") >> 8 == 0x0A0000 for p in rev)
+    assert _digest(fwd + rev) == \
+        "84ef07ffe269f721bdcad6295897057385d1543582aa3d8e01d0c846aa974a5b"

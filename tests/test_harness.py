@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import refbuild as ref
 from midbox import parse_command, parse_packet
 from midbox.rulegen import (firewall_rules, mask_limit_rules,
@@ -162,3 +164,22 @@ def test_cli_rules_file_and_pcap(tmp_path):
     assert records[1][0] == blobs[1]
     assert records[2][0] == blobs[2]
     assert ref.verify_packet_checksums(records[0][0])
+
+@pytest.mark.parametrize("fault", ["link-type-113", "bad-magic", "truncated-record",
+                                   "missing-file"])
+def test_cli_bad_pcap_is_an_error_not_a_traceback(tmp_path, capsys, fault):
+    from midbox.cli import main
+    from midbox.pcap import write_pcap
+    src = tmp_path / "in.pcap"
+    write_pcap(src, 113 if fault == "link-type-113" else 101,
+               [(ref.tcp_packet(), 0, 0), (ref.udp_packet(), 0, 1)])
+    raw = src.read_bytes()
+    if fault == "bad-magic":
+        src.write_bytes(b"\x00" * 4 + raw[4:])
+    elif fault == "truncated-record":
+        src.write_bytes(raw[:-10])
+    elif fault == "missing-file":
+        src.unlink()
+    rc = main(["--pcap-in", str(src), "--pcap-out", str(tmp_path / "out.pcap")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

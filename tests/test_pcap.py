@@ -54,3 +54,10 @@ def test_truncated_record_rejected(tmp_path):
     with PcapReader(path) as r:
         with pytest.raises(PcapFormatError):
             list(r)
+
+
+def test_unsupported_link_type_rejected(tmp_path):
+    path = tmp_path / "sll.pcap"
+    write_pcap(path, 113, [(ref.tcp_packet(), 0, 0)])
+    with pytest.raises(PcapFormatError, match="link type 113"):
+        PcapReader(path)

@@ -11,8 +11,14 @@ from midbox import (compile_targets, parse_command, parse_packet,
 from midbox.conntrack import ConnTable
 from midbox.fields import L3, L4
 from midbox.packet import fix_checksums
-from midbox.rewrite import (apply_dynamic, apply_option_edits, apply_static,
-                            rewrite_packet)
+from midbox.pipeline import COUNTERS
+from midbox.rewrite import (apply_option_edits, apply_static, rewrite_packet,
+                            translate_session)
+
+
+def no_counts():
+    """A counter dict as the engine keeps it."""
+    return dict.fromkeys(COUNTERS, 0)
 
 
 def program_of(line):
@@ -66,7 +72,7 @@ def test_transport_mods_not_folded_without_transport_match():
                                flags_frag=0x2000)
     frag = frag_hdr + bytes(24)
     pkt = parse_packet(frag)
-    apply_static(pkt, tp)
+    apply_static(pkt, tp, no_counts())
     assert bytes(pkt.data[20:]) == bytes(24)  # payload untouched
     assert pkt.data[8] == 3
 
@@ -75,7 +81,7 @@ def test_identity_program_leaves_packet_alone():
     _, tp = program_of("mmb add tcp-dport 80 drop")  # empty program
     data = ref.tcp_packet(dport=80)
     pkt = parse_packet(data)
-    assert not apply_static(pkt, tp)
+    assert not apply_static(pkt, tp, no_counts())
     assert serialize(pkt) == data
 
 
@@ -83,7 +89,7 @@ def test_port_80_to_443():
     _, tp = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
     data = ref.tcp_packet(dport=80, payload=b"req")
     pkt = parse_packet(data)
-    assert apply_static(pkt, tp)
+    assert apply_static(pkt, tp, no_counts())
     fix_checksums(pkt)
     out = serialize(pkt)
     assert ref.ref_read(out, "tcp-dport") == 443
@@ -105,7 +111,7 @@ def test_apply_static_random_vs_byte_loop():
         pkt = parse_packet(data)
         if pkt.ip_proto != ref.TCP or pkt.is_fragment:
             continue
-        apply_static(pkt, tp)
+        apply_static(pkt, tp, no_counts())
         expect = bytearray(data)
         for base, lo, hi, keep, key in tp.spans:
             at = 4 * pkt.ihl if base == L4 else 0
@@ -158,7 +164,7 @@ def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
     for ihl in (5, 6):
         data = build(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)), **kw)
         pkt = parse_packet(data)
-        changed = rewrite_packet(pkt, [tp])
+        changed = rewrite_packet(pkt, [tp], None, None, no_counts())
         results.append((changed, _without_ip_options(bytes(pkt.data)),
                         _without_ip_options(data)))
     assert results[0] == results[1]
@@ -172,7 +178,7 @@ def test_rewrite_touches_only_program_bytes():
     for _ in range(100):
         data = ref.tcp_packet(payload=rng.randbytes(rng.randrange(40)))
         pkt = parse_packet(data)
-        apply_static(pkt, tp)
+        apply_static(pkt, tp, no_counts())
         out = bytes(pkt.data)
         spans = [(8, 9), (34, 36)]  # ttl, tcp-win
         for i, (a, b) in enumerate(zip(data, out)):
@@ -187,7 +193,7 @@ def test_strip_except_keeps_whitelist():
                             (8, bytes(8)), (1,), (3, b"\x07"))
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN, options=opts,
                                       payload=b"PAY"))
-    assert apply_option_edits(pkt, tp)
+    assert apply_option_edits(pkt, tp, no_counts())
     fix_checksums(pkt)
     kinds = [(v.kind, v.length) for v in parse_tcp_options(pkt)]
     assert kinds == [(2, 4), (3, 3)]
@@ -201,7 +207,7 @@ def test_strip_absent_option_is_byte_identical():
     opts = ref.make_options((2, (1460).to_bytes(2, "big")), (1,), (3, b"\x07"))
     data = ref.tcp_packet(flags=ref.SYN, options=opts)
     pkt = parse_packet(data)
-    assert not apply_option_edits(pkt, tp)
+    assert not apply_option_edits(pkt, tp, no_counts())
     assert serialize(pkt) == data
 
 
@@ -209,7 +215,7 @@ def test_add_option_appends_before_padding():
     _, tp = program_of("mmb add tcp-syn add tcp-opt-mss 1460")
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN,
                                       options=ref.make_options((3, b"\x07"))))
-    assert apply_option_edits(pkt, tp)
+    assert apply_option_edits(pkt, tp, no_counts())
     kinds = [v.kind for v in parse_tcp_options(pkt) if v.kind != 1]
     assert kinds == [3, 2]
 
@@ -218,7 +224,7 @@ def test_add_without_room_is_skipped():
     _, tp = program_of("mmb add tcp-syn add tcp-opt 66 0x" + "ab" * 39)
     data = ref.tcp_packet(flags=ref.SYN)
     pkt = parse_packet(data)
-    counters = {}
+    counters = no_counts()
     assert not apply_option_edits(pkt, tp, counters)
     assert serialize(pkt) == data
     assert counters["opt_add_skipped"] == 1
@@ -240,7 +246,7 @@ def test_option_edits_random_reparse_closure():
                       for v in parse_tcp_options(pkt) if v.kind != 1]
         except Exception:
             continue
-        changed = apply_option_edits(pkt, tp)
+        changed = apply_option_edits(pkt, tp, no_counts())
         after = [(v.kind, bytes(pkt.data[v.value_offset:
                                          v.value_offset + v.length - 2]))
                  for v in parse_tcp_options(pkt) if v.kind != 1]
@@ -274,8 +280,8 @@ def test_dynamic_forward_and_reverse_roundtrip():
                                           flags=ref.SYN))
         entry = conn.insert(syn, rule, float(i))
         assert entry is not None
-        apply_static(syn, tp)
-        apply_dynamic(syn, entry, "fwd")
+        apply_static(syn, tp, no_counts())
+        translate_session(syn, entry, "fwd", ())
         fix_checksums(syn)
         t5 = syn.five_tuple()
         assert t5[0] == 0xC8000001 and 1024 <= t5[2] <= 65535
@@ -284,7 +290,7 @@ def test_dynamic_forward_and_reverse_roundtrip():
                                             flags=ref.SYN | ref.ACK))
         e2, d2 = conn.lookup(reply, float(i))
         assert e2 is entry and d2 == "rev"
-        apply_dynamic(reply, e2, d2)
+        translate_session(reply, e2, d2, ())
         fix_checksums(reply)
         r5 = reply.five_tuple()
         if r5 != (server, client, 80, sport, 6):
@@ -293,11 +299,77 @@ def test_dynamic_forward_and_reverse_roundtrip():
     assert failures == 0
 
 
+def _snat_flow(engine):
+    """A SYN and a data packet of one client flow, then the server's two
+    answers to the translated tuple; returns every emitted packet."""
+    client = (0x0A000005, 0xC6336401, 40000, 80)
+    fwd = []
+    engine.run_stream(iter([(ref.tcp_packet(*client, flags=ref.SYN), 0, 0),
+                            (ref.tcp_packet(*client, payload=b"GET"), 0, 0)]),
+                      fwd)
+    post = (ref.ref_read(fwd[0], "ip-saddr"), ref.ref_read(fwd[0], "tcp-sport"))
+    server = (client[1], post[0], client[3], post[1])
+    rev = []
+    engine.run_stream(iter([(ref.tcp_packet(*server, flags=ref.SYN | ref.ACK), 0, 0),
+                            (ref.tcp_packet(*server, payload=b"OK"), 0, 0)]),
+                      rev)
+    return fwd + rev
+
+
+def test_session_writer_is_the_one_tuple_writer(monkeypatch):
+    """Every packet of a two-way SNAT flow, the SYN whose rule's program
+    also runs included, has its addresses and ports written by
+    translate_session exactly once, and never field by field."""
+    import midbox.rewrite as rw
+    from midbox.pipeline import Engine
+    from midbox.rules import TUPLE_FIELDS
+    from midbox.rulegen import SNAT_RULE
+    calls = []
+    fields = []
+    writer, field_writer = rw.translate_session, rw.write_field
+
+    def counted(pkt, entry, direction, *args):
+        calls.append(direction)
+        return writer(pkt, entry, direction, *args)
+
+    def recorded(pkt, fd, value):
+        fields.append(fd.name)
+        return field_writer(pkt, fd, value)
+
+    monkeypatch.setattr(rw, "translate_session", counted)
+    monkeypatch.setattr(rw, "write_field", recorded)
+    engine = Engine()
+    engine.add_commands([SNAT_RULE])
+    out = _snat_flow(engine)
+    assert len(out) == 4
+    assert calls == ["fwd", "fwd", "rev", "rev"]
+    assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert [ref.ref_read(p, "ip-daddr") for p in out[2:]] == [0x0A000005] * 2
+    assert [ref.ref_read(p, "tcp-dport") for p in out[2:]] == [40000] * 2
+    assert all(ref.verify_packet_checksums(p) for p in out)
+    assert not set(fields) & TUPLE_FIELDS
+
+
+def test_program_write_to_an_unbound_tuple_field_stays():
+    """A port redirect beside SNAT: the redirect rule's dport write on the
+    SYN is not undone by the connection translation, which binds the
+    source address and port only."""
+    from midbox.pipeline import Engine
+    from midbox.rulegen import SNAT_RULE
+    engine = Engine()
+    engine.add_commands([SNAT_RULE, "mmb add tcp-syn tcp-dport 80 mod tcp-dport 8080"])
+    syn, data = _snat_flow(engine)[:2]
+    assert ref.ref_read(syn, "tcp-dport") == 8080
+    assert ref.ref_read(data, "tcp-dport") == 80
+    assert ref.ref_read(syn, "ip-saddr") == ref.ref_read(data, "ip-saddr") == 0xC8000001
+    assert ref.verify_packet_checksums(syn)
+
+
 def test_missing_binding_counted():
     r, tp = program_of("mmb add-stateful ip-proto tcp tcp-syn shuffle tcp-sport")
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN))
-    counters = {}
-    rewrite_packet(pkt, [tp], entry=None, direction=None, counters=counters)
+    counters = no_counts()
+    rewrite_packet(pkt, [tp], None, None, counters)
     assert counters["missing_binding"] == 1
 
 
