@@ -4,19 +4,23 @@ Fast-path matches compile into per-mask tables: the packet window is AND-ed
 with the table mask and the result looked up by hash; a hit means
 (packet & mask) XOR key == 0 for that entry's key. Whatever cannot live in a
 mask (complex conditions, negated matches, TCP options, payload bytes)
-remains as a per-rule residue evaluated only on mask survivors, or as a
-linear slow path for rules with no mask at all.
+remains as a per-rule residue, evaluated on mask survivors or, for rules
+with no mask at all, on every packet.
 
 A rule's equalities and set-flag checks fold (`fields.fold`) into one mask
-and one key over an 80-byte window read as one integer: the IPv4 header at
-byte 0 and the transport header at byte 20, so packets with IP options take
-the linear path. A table is (shift, mask): the window is shifted right by
-the mask's trailing zero bits, rounded down to a multiple of 128, and the
-mask and keys are stored shifted the same way.
+and one key over a 40-byte window read as one integer
+(`PacketBuffer.window`): the first 20 bytes of the IPv4 header, then the
+first 20 bytes of the transport header wherever IP options put it. A table
+is (shift, mask): the window is shifted right by the mask's trailing zero
+bits, rounded down to a multiple of 128, and the mask and keys are stored
+shifted the same way.
 
-Tables are probed a vector at a time (`match_tables`): each table runs over
-every packet of the vector, and tables that share a shift share one shifted
-copy of each packet's window.
+Every packet probes every table, fragments and IP options included: each
+transport field implies a protocol, and the rule's protocol gate rejects
+fragments and other protocols before any residue. Tables are probed a
+vector at a time (`match_tables`): each table runs over every packet of the
+vector, and tables that share a shift share one shifted copy of each
+packet's window.
 """
 
 from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
@@ -26,10 +30,9 @@ from .rewrite import compile_targets
 from .rules import (EQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
                     _match_is_foldable)
 
-WINDOW = 80
 # where fold's header integers sit in the window: the IPv4 header at byte
 # 0, the transport header right after it
-_AT = {L3: 8 * (WINDOW - HDR), L4: 8 * (WINDOW - 2 * HDR)}
+_AT = {L3: 8 * HDR, L4: 0}
 
 # verdict kinds
 DROP = "drop"
@@ -86,6 +89,8 @@ def _fold_matches(rule):
     folded into a table shift and a mask and key shifted by it (mask 0 when
     nothing folds), and the matches left over.
 
+    The only foldable matches that set no mask bit are /0 prefixes, which
+    always hold, so a maskless rule's residue is all it has to check.
     `never` marks a rule whose folded equalities contradict each other; it
     can match nothing and is excluded from table and slow paths alike.
     """
@@ -123,11 +128,10 @@ class CompiledRule:
     tuples, program.
 
     `residue` holds the matches the mask could not fold and is checked on
-    packets that hit the rule's table entry; `full` holds every match and
-    is checked on maskless rules (mask 0) and on packets outside the table
-    path."""
+    packets that hit the rule's table entry, or on every packet for a
+    maskless rule (mask 0)."""
 
-    __slots__ = ("rule", "shift", "mask", "key", "proto", "residue", "full",
+    __slots__ = ("rule", "shift", "mask", "key", "proto", "residue",
                  "program", "drop", "never")
 
     def __init__(self, rule):
@@ -135,16 +139,14 @@ class CompiledRule:
         self.shift, self.mask, self.key, residue, self.never = _fold_matches(rule)
         self.proto = rule.proto_req
         self.residue = _options_last(residue)
-        self.full = _options_last(rule.matches)
         self.drop = any(t.kind == T_DROP for t in rule.targets)
         self.program = compile_targets(rule)
 
-    def matches(self, pkt, exprs):
-        """The protocol gate, then every expression of `exprs` (`residue`
-        or `full`)."""
+    def matches(self, pkt):
+        """The protocol gate, then every expression of `residue`."""
         if self.proto is not None and (pkt.ip_proto != self.proto or pkt.is_fragment):
             return False
-        for m in exprs:
+        for m in self.residue:
             if not eval_match(pkt, m):
                 return False
         return True
@@ -181,8 +183,7 @@ class RuleSetSnapshot:
     entry and compiled rule the change does not touch, and the old one is
     never mutated, so a vector still running on it keeps its view."""
 
-    __slots__ = ("tables", "slow", "by_id", "ordered", "version", "index",
-                 "_groups")
+    __slots__ = ("tables", "slow", "by_id", "version", "index", "_groups")
 
     def __init__(self, rules, version=0):
         self.version = version
@@ -190,12 +191,10 @@ class RuleSetSnapshot:
         self.tables = []
         self.slow = []
         self.by_id = {}
-        self.ordered = []
         self.index = {}  # table key -> ClassifierTable
         for rule in rules:
             cr = CompiledRule(rule)
             self.by_id[rule.id] = cr
-            self.ordered.append(cr)
             if cr.never:
                 continue
             if not cr.mask:
@@ -214,7 +213,6 @@ class RuleSetSnapshot:
         cr = CompiledRule(rule)
         snap = self._derive(version)
         snap.by_id[rule.id] = cr
-        snap.ordered = self.ordered + [cr]
         if cr.never:
             return snap
         if not cr.mask:
@@ -233,7 +231,6 @@ class RuleSetSnapshot:
         cr = self.by_id[rule_id]
         snap = self._derive(version)
         del snap.by_id[rule_id]
-        snap.ordered = [c for c in self.ordered if c is not cr]
         if cr.never:
             return snap
         if not cr.mask:
@@ -258,7 +255,6 @@ class RuleSetSnapshot:
         snap.tables = list(self.tables)
         snap.slow = self.slow
         snap.by_id = dict(self.by_id)
-        snap.ordered = self.ordered
         snap.index = dict(self.index)
         return snap
 
@@ -310,45 +306,31 @@ class Verdict:
         return f"Verdict({self.kind}, rules={list(self.rule_ids)})"
 
 
-def probes_tables(pkt):
-    """True when classify probes the mask tables for this packet. Packets
-    with IPv4 options or fragments do not have the layout the masks were
-    compiled for and take the linear path instead."""
-    return pkt.ihl == 5 and not pkt.is_fragment
-
-
 def match_tables(pkts, snap):
-    """(hits, probed) for a packet vector: the rules each packet matched
-    through the mask tables, residues included.
-
-    hits[i] is None when pkts[i] is off the table path (`probes_tables`),
-    () when it probed and nothing hit, else a list in probe order. probed
-    counts the packets that probed. Each table runs over the whole vector,
-    and each window is shifted once per group of tables sharing a shift."""
-    hits = [None] * len(pkts)
-    idx = [i for i, p in enumerate(pkts) if probes_tables(p)]
-    for i in idx:
-        hits[i] = ()
-    if not idx or not snap.tables:
-        return hits, len(idx)
-    wins = [pkts[i].window80() for i in idx]
+    """The rules each packet of a vector matched through the mask tables,
+    residues included: hits[i] is () when nothing hit pkts[i], else a list
+    in probe order. Each table runs over the whole vector, and each window
+    is shifted once per group of tables sharing a shift."""
+    hits = [()] * len(pkts)
+    if not snap.tables:
+        return hits
+    wins = [p.window() for p in pkts]
     for shift, tables in snap.groups():
         xs = [w >> shift for w in wins]
         for t in tables:
             get, mask = t.entries.get, t.mask
-            for j, x in enumerate(xs):
+            for i, x in enumerate(xs):
                 e = get(x & mask)
                 if e is None:
                     continue
-                i = idx[j]
                 p = pkts[i]
                 for cr in e:
-                    if cr.matches(p, cr.residue):
+                    if cr.matches(p):
                         if hits[i]:
                             hits[i].append(cr)
                         else:
                             hits[i] = [cr]
-    return hits, len(idx)
+    return hits
 
 
 _MISS = Verdict(MISS)
@@ -358,23 +340,19 @@ def classify(pkt, snap, conn=None, now=0.0, hits=None):
     """Drop/miss/match verdict for one packet.
 
     `hits` is the packet's entry of `match_tables` over its vector; without
-    it the packet's tables are probed here. Then come the maskless rules
-    (or, off the table path, every rule), then the connection table. A
-    tracked reverse/forward packet yields MATCH even without a rule hit; any
-    matched drop rule dominates everything else. A new flow whose stateful
-    rule finds no free shuffle value, or translates and finds the
-    connection table full, is dropped.
+    it the packet's tables are probed here. Then come the maskless rules,
+    then the connection table. A tracked reverse/forward packet yields
+    MATCH even without a rule hit; any matched drop rule dominates
+    everything else. A new flow whose stateful rule finds no free shuffle
+    value, or translates and finds the connection table full, is dropped.
     """
     if hits is None:
-        hits = match_tables((pkt,), snap)[0][0]
-    if hits is None:
-        matched = [cr for cr in snap.ordered if cr.matches(pkt, cr.full)]
-    else:
-        matched = hits
-        if snap.slow:
-            slow = [cr for cr in snap.slow if cr.matches(pkt, cr.full)]
-            if slow:
-                matched = [*hits, *slow]
+        hits = match_tables((pkt,), snap)[0]
+    matched = hits
+    if snap.slow:
+        slow = [cr for cr in snap.slow if cr.matches(pkt)]
+        if slow:
+            matched = [*hits, *slow]
 
     entry = direction = None
     if conn is not None:

@@ -7,7 +7,7 @@ and rewrite stages never hardcode wire offsets.
 """
 
 from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
-from .fields import L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from .fields import HDR, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 RAW_IP = 101  # pcap LINKTYPE_RAW
 ETHERNET = 1  # pcap LINKTYPE_EN10MB
@@ -29,8 +29,6 @@ class _Absent:
 
 
 ABSENT = _Absent()
-
-_ZEROS80 = bytes(80)
 
 
 def checksum16(data):
@@ -82,7 +80,7 @@ class PacketBuffer:
         "is_fragment",
         "trace_id",
         "ts",
-        "_win80",
+        "_win",
         "_opts",
         "_opts_bad",
     )
@@ -98,7 +96,7 @@ class PacketBuffer:
         self.is_fragment = is_fragment
         self.trace_id = trace_id
         self.ts = ts
-        self._win80 = None
+        self._win = None
         self._opts = None
         self._opts_bad = False
 
@@ -133,21 +131,24 @@ class PacketBuffer:
             return self.l4_offset + 8
         return self.l4_offset
 
-    def window80(self):
-        """The first 80 bytes from the L3 anchor as one big-endian integer,
-        zero-extended when the packet is shorter."""
-        w = self._win80
+    def window(self):
+        """The first HDR bytes of the IPv4 header, then the first HDR bytes
+        at the L4 offset, as one big-endian integer of 2 * HDR bytes; bytes
+        past the end of the packet read as zero."""
+        w = self._win
         if w is None:
-            raw = bytes(self.data[self.l3_offset:self.l3_offset + 80])
-            if len(raw) < 80:
-                raw += _ZEROS80[len(raw):]
-            w = int.from_bytes(raw, "big")
-            self._win80 = w
+            d, l3, l4 = self.data, self.l3_offset, self.l4_offset
+            if l4 == l3 + HDR:
+                raw = d[l3:l3 + 2 * HDR]
+            else:
+                raw = d[l3:l3 + HDR] + d[l4:l4 + HDR]
+            w = int.from_bytes(raw, "big") << 8 * (2 * HDR - len(raw))
+            self._win = w
         return w
 
     def invalidate(self):
         """Drop cached derived views after a mutation."""
-        self._win80 = None
+        self._win = None
         self._opts = None
         self._opts_bad = False
 

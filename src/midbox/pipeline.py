@@ -27,10 +27,12 @@ DISP_REWRITTEN = "rewritten"
 NODE_NAMES = ("input", "classify", "rewrite", "drop", "output")
 
 # every counter a RunReport carries, zero when it never fired.
-# conn_full_drops: new flows the full connection table could not track
-# (those of translating rules are dropped and also counted in
-# verdict_drops, the others pass untracked); out_of_ports: new flows
-# dropped because a shuffle pool was empty (also counted in verdict_drops).
+# table_probes: tables times classified packets (every packet, IP options
+# and fragments included, probes every mask table); conn_full_drops: new
+# flows the full connection table could not track (those of translating
+# rules are dropped and also counted in verdict_drops, the others pass
+# untracked); out_of_ports: new flows dropped because a shuffle pool was
+# empty (also counted in verdict_drops).
 COUNTERS = ("table_probes", "verdict_drops", "parse_error_drops",
             "bypass_non_ip", "malformed_options", "rewrite_skipped",
             "opt_add_skipped", "missing_binding", "conn_full_drops",
@@ -271,12 +273,12 @@ class Engine:
         t0 = time.perf_counter_ns()
         conn = self.conn
         full_drops, out_of_ports = conn.full_drops, conn.out_of_ports
-        hits, probed = match_tables(pkts, snap)
+        hits = match_tables(pkts, snap)
         verdicts = [classify(p, snap, conn, now, h) for p, h in zip(pkts, hits)]
         conn.purge(now)
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
-        counters["table_probes"] += len(snap.tables) * probed
+        counters["table_probes"] += len(snap.tables) * len(pkts)
         counters["conn_full_drops"] += conn.full_drops - full_drops
         counters["out_of_ports"] += conn.out_of_ports - out_of_ports
 

@@ -272,12 +272,14 @@ def rewrite_packet(pkt, programs, entry, direction, counters):
     Same-length header writes (static mask/key spans, checked field writes,
     flags, bindings) patch the TCP/UDP checksum incrementally
     (update_checksums), so a checksum that arrived wrong stays wrong.
-    Option edits, payload writes, writes to ip-len or ip-proto, and UDP
-    packets without a checksum recompute both checksums in full
+    Option edits, payload writes, writes to ip-proto, and UDP packets
+    without a checksum recompute both checksums in full
     (fix_checksums), which also repairs one that arrived wrong. A packet
     whose TCP option area is malformed counts once in `malformed_options`.
     A packet with bindings counts as changed even when it already carried
     their values, and has its checksums normalised as if they had moved.
+    No rule writes ip-len (`validate_rule` rejects it): the total length is
+    the engine's, set only by option edits.
     """
     malformed = pkt._opts_bad
     extra = entry.extra if entry is not None else ()

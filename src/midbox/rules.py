@@ -353,6 +353,8 @@ def validate_rule(rule):
     for t in rule.targets:
         if t.kind == ADD_OPT and t.field.opt_kind in (0, 1):
             raise SemanticError("cannot add padding option kinds")
+        if t.kind in (MOD, SHUFFLE) and t.field.name == "ip-len":
+            raise SemanticError("ip-len is set by the engine and cannot be written")
 
     transport, explicit = _implied_protos(rule)
     if len(transport) > 1 or (transport and explicit and explicit != transport):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle
 import refbuild as ref
 from midbox import Engine, classify, parse_command, parse_packet
-from midbox.classifier import RuleSetSnapshot, match_tables, probes_tables
+from midbox.classifier import RuleSetSnapshot, match_tables
 from midbox.pipeline import DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
 from midbox.rulegen import mask_limit_rules
 from midbox.rules import LEQ
@@ -36,18 +36,18 @@ def drops(data, line):
 
 def test_compile_tcp_dport_80():
     cr = compiled("mmb add tcp-dport 80 drop")
-    assert cr.shift == 8 * (80 - 32)  # the window's second 16 bytes
-    assert cr.mask.to_bytes(16, "big") == bytes(6) + b"\xff\xff" + bytes(8)
-    assert cr.key.to_bytes(16, "big") == bytes(6) + b"\x00\x50" + bytes(8)
+    assert cr.shift == 8 * (40 - 24)  # the window's first 24 bytes
+    assert cr.mask.to_bytes(16, "big") == bytes(14) + b"\xff\xff"
+    assert cr.key.to_bytes(16, "big") == bytes(14) + b"\x00\x50"
     # the implied protocol check is the rule's protocol gate
     assert cr.proto == 6 and cr.residue == ()
 
 
 def test_compile_saddr_prefix():
     cr = compiled("mmb add ip-saddr 10.0.0.0/24 drop")
-    assert cr.shift == 8 * (80 - 16)  # the window's first 16 bytes
-    assert cr.mask.to_bytes(16, "big") == bytes(12) + b"\xff\xff\xff\x00"
-    assert cr.key.to_bytes(16, "big") == bytes(12) + b"\x0a\x00\x00\x00"
+    assert cr.shift == 8 * (40 - 24)  # the window's first 24 bytes
+    assert cr.mask.to_bytes(24, "big") == bytes(12) + b"\xff\xff\xff\x00" + bytes(8)
+    assert cr.key.to_bytes(24, "big") == bytes(12) + b"\x0a\x00\x00\x00" + bytes(8)
     assert cr.proto is None and cr.residue == ()
 
 
@@ -64,8 +64,8 @@ def test_mask_key_invariants():
              "mmb add tcp-win 512 drop"]
     for line in lines:
         cr = compiled(line)
-        assert cr.shift % 128 == 0 and 0 <= cr.shift < 640
-        assert 0 < cr.mask.bit_length() <= 640 - cr.shift  # inside the window
+        assert cr.shift % 128 == 0 and 0 <= cr.shift < 320
+        assert 0 < cr.mask.bit_length() <= 320 - cr.shift  # inside the window
         assert cr.key & cr.mask == cr.key
         assert cr.mask & ((1 << 128) - 1)  # last active chunk non-zero
 
@@ -74,14 +74,32 @@ def test_mask_key_invariants():
 
 def _mask_bytes(cr):
     """(mask, key) of a compiled rule as bytes over the window's first
-    80 - shift/8 bytes."""
-    n = 80 - cr.shift // 8
+    40 - shift/8 bytes."""
+    n = 40 - cr.shift // 8
     return cr.mask.to_bytes(n, "big"), cr.key.to_bytes(n, "big")
+
+
+def _window(data):
+    """The 40-byte window of a raw packet: the first 20 bytes of its IPv4
+    header, then the first 20 bytes after the header, zero-padded."""
+    ihl = data[0] & 0x0F
+    window = bytes(data[:20] + data[4 * ihl:4 * ihl + 20])
+    return window + bytes(40 - len(window))
+
+
+def _is_fragment(data):
+    return bool(((data[6] << 8) | data[7]) & 0x3FFF)
+
+
+def _window_read(data, name):
+    """ref_read of `name` off the bytes the window holds; for a fragment
+    that is its first payload bytes, read as if they were a header."""
+    return ref.ref_read(data[:6] + bytes(2) + data[8:], name)
 
 
 def _byte_loop_match(data, cr):
     """Naive per-byte AND/XOR evaluation over the active window."""
-    window = bytes(data[:80]) + bytes(max(0, 80 - len(data)))
+    window = _window(data)
     mask, key = _mask_bytes(cr)
     acc = 0
     for i in range(len(mask)):
@@ -107,19 +125,19 @@ L4_FOLDABLE = {
 
 def _folded_drop_rule(rng, data, from_packet):
     """A drop rule of 1-4 distinct fixed-field equalities and flag checks,
-    all of which fold into a mask. Each value is read off `data` when
-    `from_packet` holds, else drawn at random; transport fields follow the
-    packet's protocol (or a random one)."""
+    all of which fold into a mask. Each value is read off the window of
+    `data` when `from_packet` holds, else drawn at random; transport fields
+    follow the packet's protocol (or a random one)."""
     proto = data[9] if from_packet else rng.choice(list(L4_FOLDABLE))
     pool = IP_FOLDABLE + L4_FOLDABLE.get(proto, [])
     parts = []
     for name, width in rng.sample(pool, rng.randint(1, 4)):
         if width == 0:  # flag presence
-            if not from_packet or ref.ref_read(data, name):
+            if not from_packet or _window_read(data, name):
                 parts.append(name)
             continue
         if from_packet:
-            value = ref.ref_read(data, name)
+            value = _window_read(data, name)
         elif name == "ip-proto":
             value = proto  # any other value would contradict the transport fields
         else:
@@ -143,7 +161,7 @@ def test_match_chunks_identity():
     line = (f"mmb add ip-saddr {_quad(ref.ref_read(data, 'ip-saddr'))} "
             f"ip-daddr {_quad(ref.ref_read(data, 'ip-daddr'))} "
             + " ".join(parts) + " drop")
-    assert compiled(line).shift == 8 * (80 - 48)  # tcp-win ends at byte 36
+    assert compiled(line).shift == 0  # tcp-win ends at window byte 36
     assert drops(data, line)
 
 
@@ -157,11 +175,11 @@ def test_match_chunks_vs_byte_loop_oracle():
     rng = random.Random(11)
     outcomes = set()
     for _ in range(2000):
-        data = ref.random_valid_packet(rng, allow_frag=False,
-                                       allow_ipopts=False)
+        data = ref.random_valid_packet(rng, allow_frag=True, allow_ipopts=True)
         line = _folded_drop_rule(rng, data, rng.random() < 0.5)
         cr = compiled(line)
-        gate = cr.proto is None or cr.proto == data[9]
+        gate = cr.proto is None or (cr.proto == data[9]
+                                    and not _is_fragment(data))
         want = not cr.never and gate and _byte_loop_match(data, cr)
         assert drops(data, line) == want, (line, data.hex())
         outcomes.add(want)
@@ -172,13 +190,12 @@ def test_match_implies_masked_equality():
     rng = random.Random(12)
     hits = 0
     for _ in range(500):
-        data = ref.random_valid_packet(rng, allow_frag=False,
-                                       allow_ipopts=False)
+        data = ref.random_valid_packet(rng, allow_frag=True, allow_ipopts=True)
         line = _folded_drop_rule(rng, data, True)
         if drops(data, line):
             hits += 1
             mask, key = _mask_bytes(compiled(line))
-            seg = (bytes(data) + bytes(96))[:len(mask)]
+            seg = _window(data)[:len(mask)]
             assert bytes(a & b for a, b in zip(seg, mask)) == key
     assert hits > 400
 
@@ -378,7 +395,7 @@ def vector_cases(draw):
 
 
 def _ids(hits):
-    return [None if h is None else [cr.rule.id for cr in h] for h in hits]
+    return [[cr.rule.id for cr in h] for h in hits]
 
 
 @settings(max_examples=300)
@@ -388,10 +405,8 @@ def test_vector_probe_equals_per_packet_probe(case):
     rules, snap = make_snapshot(lines)
     assume(len({t.shift for t in snap.tables}) >= 2)
     pkts = [parse_packet(b) for b in blobs]
-    hits, probed = match_tables(pkts, snap)
-    assert probed == sum(map(probes_tables, pkts))
-    assert [h is None for h in hits] == [not probes_tables(p) for p in pkts]
-    assert _ids(hits) == [_ids(match_tables([p], snap)[0])[0] for p in pkts]
+    hits = match_tables(pkts, snap)
+    assert _ids(hits) == [_ids(match_tables([p], snap))[0] for p in pkts]
     alone = [classify(p, snap) for p in pkts]
     in_vector = [classify(p, snap, None, 0.0, h) for p, h in zip(pkts, hits)]
     assert [(v.kind, v.rule_ids) for v in in_vector] == \

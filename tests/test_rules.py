@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midbox import (CommandError, SemanticError, TypeMismatch, UnknownField,
-                    format_command, parse_command)
+from midbox import (CommandError, Engine, SemanticError, TypeMismatch,
+                    UnknownField, format_command, parse_command)
 from midbox.errors import CommandSyntaxError
 from midbox.rules import ADD_OPT, EQ, MOD, PRESENT, SHUFFLE, STRIP_EXCEPT
 
@@ -99,6 +99,17 @@ def test_protocol_conflict_rejected():
         parse_command("mmb add tcp-dport 80 udp-sport 53 drop")
     with pytest.raises(SemanticError):
         parse_command("mmb add ip-proto udp tcp-dport 80 drop")
+
+
+def test_ip_len_write_rejected():
+    # the total length is the engine's: `mod ip-len 30` on a 70-byte SYN
+    # would send 70 bytes whose header says 30
+    engine = Engine()
+    for line in ("mmb add tcp-syn mod ip-len 30",
+                 "mmb add-stateful tcp-syn shuffle ip-len"):
+        assert engine.execute_line(line).startswith("error: ")
+    assert engine.rules == {}
+    assert engine.execute_line("mmb add ip-len 30 drop") == "added rule 1"
 
 
 def test_strip_needs_option_field():

@@ -25,15 +25,14 @@ PACKETS = [parse_packet(oracle.random_pool_packet(_rng)) for _ in range(60)]
 
 
 def structure(snap):
-    """({table key: {entry key: [rule ids]}}, slow ids, ordered ids, by_id
-    keys); also checks that the table index matches the table list."""
+    """({table key: {entry key: [rule ids]}}, slow ids, by_id keys); also
+    checks that the table index matches the table list."""
     tables = {(t.shift, t.mask): t for t in snap.tables}
     assert len(tables) == len(snap.tables)
     assert snap.index == tables
     return ({tkey: {k: [cr.rule.id for cr in e] for k, e in t.entries.items()}
              for tkey, t in tables.items()},
             [cr.rule.id for cr in snap.slow],
-            [cr.rule.id for cr in snap.ordered],
             list(snap.by_id))
 
 
@@ -41,7 +40,7 @@ def verdicts(snap):
     """Verdicts of PACKETS one at a time; classifying them as one vector
     must agree, so a snapshot's table grouping is its own."""
     out = [(v.kind, v.rule_ids) for v in (classify(p, snap) for p in PACKETS)]
-    hits, _ = match_tables(PACKETS, snap)
+    hits = match_tables(PACKETS, snap)
     assert [(v.kind, v.rule_ids) for v in
             (classify(p, snap, hits=h) for p, h in zip(PACKETS, hits))] == out
     return out
