@@ -1,11 +1,14 @@
 """Bidirectional 5-tuple connection table.
 
-Entries are keyed by the normalized tuple (lexicographically smaller
-endpoint first) so both directions of a flow hash to the same entry. Flows
-whose stateful rule translates tuple fields are additionally indexed under
-the translated tuple, which is what returning packets carry. Expiry is lazy:
-stale entries die on lookup or during the budgeted sweep run between packet
-vectors; there are no timers.
+A flow's key is one integer taken from the packet's probe window
+(PacketBuffer.window, which the classifier has already built): window bytes
+12-23 are saddr|daddr|sport|dport at every IHL, and that 96-bit quad gives
+two endpoints addr<<16 | port, of which the smaller goes first, then the
+larger, then the protocol. So both directions of a flow hash to the same
+entry. Flows whose stateful rule translates tuple fields are additionally
+indexed under the translated tuple's key, which is what returning packets
+carry. Expiry is lazy: stale entries die on lookup or during the budgeted
+sweep run between packet vectors; there are no timers.
 """
 
 import random
@@ -41,6 +44,11 @@ ACK = 0x10
 TUPLE_POS = {"ip-saddr": 0, "ip-daddr": 1,
              "tcp-sport": 2, "udp-sport": 2,
              "tcp-dport": 3, "udp-dport": 3}
+# where each position sits in the quad saddr<<64 | daddr<<32 | sport<<16 | dport
+_SHIFT = (64, 32, 16, 0)
+# the quad is window bytes 12-23, which end 128 bits above the window's end
+_QUAD = (1 << 96) - 1
+_ADDR = 0xFFFFFFFF << 16
 
 
 @dataclass
@@ -58,53 +66,56 @@ class DynamicBinding(NamedTuple):
     rewritten: int
 
 
-def _translates(rule):
-    """True when a stateful rule rewrites its flows' tuples: it shuffles a
-    field or mods a tuple field, so a flow it cannot track would leave
-    half-translated."""
-    return any(t.kind == SHUFFLE or (t.kind == MOD and t.field is not None
-                                     and t.field.name in TUPLE_FIELDS)
-               for t in rule.targets)
+def quad_key(q, proto):
+    """Direction-independent key of the flow whose packet carries the quad
+    q = saddr<<64 | daddr<<32 | sport<<16 | dport: the smaller endpoint
+    addr<<16 | port first, then the larger one, then the protocol."""
+    a = (q >> 48) & _ADDR | (q >> 16) & 0xFFFF
+    b = (q >> 16) & _ADDR | q & 0xFFFF
+    if a <= b:
+        return a << 56 | b << 8 | proto
+    return b << 56 | a << 8 | proto
 
 
 def normalize(t5):
-    """Direction-independent key: smaller (addr, port) endpoint first."""
-    a = (t5[0], t5[2])
-    b = (t5[1], t5[3])
-    if a <= b:
-        return (a, b, t5[4])
-    return (b, a, t5[4])
+    """The key of a (saddr, daddr, sport, dport, proto) tuple."""
+    return quad_key(t5[0] << 64 | t5[1] << 32 | t5[2] << 16 | t5[3], t5[4])
+
+
+def _five(q, proto):
+    return (q >> 64, q >> 32 & 0xFFFFFFFF, q >> 16 & 0xFFFF, q & 0xFFFF, proto)
 
 
 class ConnEntry:
-    """One tracked flow. fwd_pre is its client tuple and fwd_post that tuple
-    with the bindings of tuple fields applied; `extra` holds the bindings
-    of fields outside the tuple, and `bindings` all of them, so the pools
-    get their values back."""
+    """One tracked flow. pre_q is the quad of its client's packets and
+    post_q that quad with the bindings of tuple fields applied, keyed by
+    `key` and `trans_key`; fwd_pre and fwd_post are the same two as 5-tuples.
+    `extra` holds the bindings of fields outside the tuple, and `bindings`
+    all of them, so the pools get their values back."""
 
-    __slots__ = ("key", "trans_key", "fwd_pre", "fwd_post",
+    __slots__ = ("key", "trans_key", "pre_q", "post_q", "fwd_pre", "fwd_post",
                  "proto", "state", "fin_dir", "created",
                  "last_seen", "rule_id", "bindings", "extra", "pkts",
                  "octets")
 
-    def __init__(self, t5, bindings, rule_id, now):
-        trans = list(t5)
-        for b in bindings:
-            if b.field.name in TUPLE_POS:
-                trans[TUPLE_POS[b.field.name]] = b.rewritten
-        self.key = normalize(t5)
-        self.fwd_pre = t5
-        self.fwd_post = tuple(trans)
-        self.trans_key = normalize(self.fwd_post)
-        self.proto = t5[4]
-        self.state = NEW if t5[4] == PROTO_TCP else ACTIVE
+    def __init__(self, key, q, post_q, proto, bindings, extra, rule_id, now):
+        self.key = key
+        self.pre_q = q
+        self.fwd_pre = _five(q, proto)
+        if post_q == q:
+            self.post_q, self.trans_key, self.fwd_post = q, key, self.fwd_pre
+        else:
+            self.post_q = post_q
+            self.trans_key = quad_key(post_q, proto)
+            self.fwd_post = _five(post_q, proto)
+        self.proto = proto
+        self.state = NEW if proto == PROTO_TCP else ACTIVE
         self.fin_dir = None
         self.created = now
         self.last_seen = now
         self.rule_id = rule_id
         self.bindings = bindings
-        # the shared () when every binding is in the tuple (SNAT)
-        self.extra = tuple(b for b in bindings if b.field.name not in TUPLE_POS)
+        self.extra = extra  # the shared () when every binding is in the tuple
         self.pkts = [0, 0]
         self.octets = [0, 0]
 
@@ -151,6 +162,7 @@ class ConnTable:
         self._entries = {}
         self._alias = {}
         self._allocs = {}
+        self._plans = {}  # rule id -> what insert binds, see _plan
         self._deleted = set()  # ids of rules deleted since the last reclaim
         self._scan = []
         self._scan_i = 0
@@ -174,21 +186,20 @@ class ConnTable:
         the per-direction counters."""
         if not self._entries:
             return None, None
-        if pkt.is_fragment or pkt.ip_proto not in (PROTO_TCP, PROTO_UDP):
+        proto = pkt.ip_proto
+        if pkt.is_fragment or proto not in (PROTO_TCP, PROTO_UDP):
             return None, None
-        t5 = pkt.five_tuple()
-        k = normalize(t5)
-        e = self._entries.get(k)
-        if e is None:
-            e = self._alias.get(k)
+        q = pkt.window() >> 128 & _QUAD
+        k = quad_key(q, proto)
+        e = self._entries.get(k) or self._alias.get(k)
         if e is None:
             return None, None
         if now - e.last_seen > self.timeout_for(e):
             self.remove(e)
             return None, None
-        # a key hit means t5 is fwd_pre or its reverse, an alias hit
-        # fwd_post or its reverse
-        direction = FWD if t5 == e.fwd_pre or t5 == e.fwd_post else REV
+        # a key hit means q is pre_q or its reverse, an alias hit post_q or
+        # its reverse
+        direction = FWD if q == e.pre_q or q == e.post_q else REV
         if now > e.last_seen:
             e.last_seen = now
         i = 0 if direction == FWD else 1
@@ -205,47 +216,87 @@ class ConnTable:
         returns TABLE_FULL for a rule that translates (the packet is then
         dropped, not sent out half-translated) and None otherwise (the
         packet is processed statelessly). OUT_OF_PORTS, tracking nothing,
-        means a shuffle target has no free value left (the packet is then
-        dropped)."""
-        if pkt.is_fragment or pkt.ip_proto not in (PROTO_TCP, PROTO_UDP):
+        means no free translation is left: a shuffle target has no free
+        value, or the translated tuple is already another live flow's (its
+        replies could not tell the two apart). The packet is then dropped."""
+        proto = pkt.ip_proto
+        if pkt.is_fragment or proto not in (PROTO_TCP, PROTO_UDP):
             return None
-        t5 = pkt.five_tuple()
-        k = normalize(t5)
+        q = pkt.window() >> 128 & _QUAD
+        k = quad_key(q, proto)
         existing = self._entries.get(k) or self._alias.get(k)
         if existing is not None:
             return existing
+        plan = self._plans.get(rule.id)
+        if plan is None:
+            plan = self._plans[rule.id] = self._plan(rule)
         if len(self._entries) >= self.capacity:
             if self._deleted:
                 self._reclaim()
             if len(self._entries) >= self.capacity:
                 self.full_drops += 1
-                return TABLE_FULL if _translates(rule) else None
+                return TABLE_FULL if plan else None
 
         bindings = []
-        for t in rule.targets:
-            if t.kind == SHUFFLE:
-                orig = read_field(pkt, t.field)
+        extra = ()
+        post = q
+        for fd, shift, width, alloc, value in plan:
+            if shift is None:
+                orig = read_field(pkt, fd)
                 if orig is ABSENT:
                     continue
-                v = self._alloc_for(rule.id, t.field).allocate()
-                if v is None:
+            elif fd.proto is not None and fd.proto != proto:
+                continue
+            else:
+                orig = q >> shift & width
+            if alloc is not None:
+                value = alloc.allocate()
+                if value is None:
                     self._release(rule.id, bindings)
                     self.out_of_ports += 1
                     return OUT_OF_PORTS
-                bindings.append(DynamicBinding(t.field, orig, v))
-            elif t.kind == MOD and t.field is not None and t.field.name in TUPLE_FIELDS:
-                orig = read_field(pkt, t.field)
-                if orig is ABSENT:
-                    continue
-                bindings.append(DynamicBinding(t.field, orig, t.value))
+            b = DynamicBinding(fd, orig, value)
+            bindings.append(b)
+            if shift is None:
+                extra += (b,)
+            else:
+                post = post & ~(width << shift) | value << shift
 
-        entry = ConnEntry(t5, bindings, rule.id, now)
+        entry = ConnEntry(k, q, post, proto, bindings, extra, rule.id, now)
+        tk = entry.trans_key
+        if tk != k:
+            other = self._entries.get(tk) or self._alias.get(tk)
+            if other is not None and (other.rule_id in self._deleted
+                                      or now - other.last_seen > self.timeout_for(other)):
+                self.remove(other)
+                other = None
+            if other is not None:
+                self._release(rule.id, bindings)
+                self.out_of_ports += 1
+                return OUT_OF_PORTS
+            self._alias[tk] = entry
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
-        self._entries[entry.key] = entry
-        if entry.trans_key != entry.key:
-            self._alias[entry.trans_key] = entry
+        self._entries[k] = entry
         return entry
+
+    def _plan(self, rule):
+        """What insert binds for a new flow of `rule`, in target order: one
+        (field, shift, width mask, pool, value) per shuffle target and per
+        mod of a tuple field. A tuple field's shift places it in the quad
+        (None for a field outside it); a shuffle draws its value from the
+        pool, a mod has it given. Empty when the rule translates nothing."""
+        plan = []
+        for t in rule.targets:
+            fd = t.field
+            if t.kind == SHUFFLE or (t.kind == MOD and fd is not None
+                                     and fd.name in TUPLE_FIELDS):
+                pos = TUPLE_POS.get(fd.name)
+                plan.append((fd, None if pos is None else _SHIFT[pos],
+                             (1 << fd.width) - 1,
+                             self._alloc_for(rule.id, fd) if t.kind == SHUFFLE else None,
+                             t.value))
+        return tuple(plan)
 
     def update_state(self, entry, flags, direction, now=None):
         """Simplified TCP machine: RST closes; a first FIN enters FIN_WAIT;
@@ -305,9 +356,11 @@ class ConnTable:
 
     def forget_rule(self, rule):
         """Release a deleted rule: drop its shuffle pools now, and remove its
-        connections when a lookup finds them, when they expire, or when an
-        insert finds the table full (`_reclaim`), whichever comes first.
-        Releasing their values then finds no pool."""
+        connections when a lookup finds them, when they expire, when a new
+        flow's translation needs their tuple, or when an insert finds the
+        table full (`_reclaim`), whichever comes first. Releasing their
+        values then finds no pool."""
+        self._plans.pop(rule.id, None)
         for t in rule.targets:
             if t.kind == SHUFFLE:
                 self._allocs.pop((rule.id, t.field.name), None)

@@ -4,8 +4,11 @@ bindings."""
 import itertools
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 import refbuild as ref
-from midbox import parse_command, parse_packet
+from midbox import ETHERNET, RAW_IP, parse_command, parse_packet
 from midbox.conntrack import (ACK, CLOSED, ESTABLISHED, FIN, FIN_WAIT, FWD,
                               NEW, OUT_OF_PORTS, REV, RST, SYN, ConnTable,
                               TimeoutPolicy, normalize)
@@ -28,6 +31,31 @@ def test_normalized_key_is_direction_independent():
               rng.randrange(1 << 16), rng.randrange(1 << 16), 6)
         rev = (t5[1], t5[0], t5[3], t5[2], t5[4])
         assert normalize(t5) == normalize(rev)
+
+
+@given(st.sampled_from([ref.TCP, ref.UDP]), st.sampled_from([RAW_IP, ETHERNET]),
+       st.integers(5, 9), st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 65535), st.integers(0, 65535), st.binary(max_size=12))
+def test_window_key_is_the_normalized_tuple(proto, link, ihl, sa, da, sp, dp, payload):
+    """The key insert takes from the probe window is normalize(five_tuple())
+    at every IHL and link type, and lookups of the packet and of its reverse
+    find the entry."""
+    build = ref.tcp_packet if proto == ref.TCP else ref.udp_packet
+    prefix = b"\xaa" * 12 + b"\x08\x00" if link == ETHERNET else b""
+
+    def packet(sa, da, sp, dp):
+        return parse_packet(prefix + build(saddr=sa, daddr=da, sport=sp, dport=dp,
+                                           payload=payload, ihl=ihl,
+                                           ip_options=b"\x01" * (4 * (ihl - 5))),
+                            link)
+
+    fwd, rev = packet(sa, da, sp, dp), packet(da, sa, dp, sp)
+    conn = ConnTable()
+    e = conn.insert(fwd, tracking_rule(), 0.0)
+    assert e.key == normalize(fwd.five_tuple()) == normalize(rev.five_tuple())
+    assert e.fwd_pre == fwd.five_tuple()
+    assert conn.lookup(fwd, 1.0) == (e, FWD)
+    assert conn.lookup(rev, 1.0) == (e, FWD if (sa, sp) == (da, dp) else REV)
 
 
 def test_lookup_empty_table():

@@ -4,10 +4,11 @@ The model keys its entries by the normalised 5-tuple, ((addr, port),
 (addr, port), proto) with the smaller endpoint first, and holds the same
 policy as ConnTable: lazy expiry, the budgeted purge sweep, capacity with
 reclaim of deleted rules' connections, per-rule shuffle pools as sets, and
-the alias under which a translated flow's replies arrive. It cannot predict
-the seeded port picks, so it takes the engine's pick and checks that it lies
-in the pool's range and is not in use.
+the alias under which a translated flow's replies arrive. Its pools draw
+the table's seeded sequence, so it predicts every shuffled value.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import refbuild as ref
 from midbox import parse_command, parse_packet
 from midbox.conntrack import (ACK, CLOSED, ESTABLISHED, FIN, FIN_WAIT, FWD,
                               NEW, OUT_OF_PORTS, REV, RST, SYN, TABLE_FULL,
-                              ConnEntry, ConnTable, TimeoutPolicy, normalize)
+                              ConnTable, TimeoutPolicy, normalize)
 from midbox.rules import MOD, SHUFFLE, TUPLE_FIELDS
 
 TIMEOUTS = TimeoutPolicy(tcp_new=3.0, tcp_established=20.0, tcp_fin_wait=2.0,
@@ -40,6 +41,7 @@ CLIENTS = (0x0A000001, 0x0A000002, 0xC8000001)  # 10.0.0.1, 10.0.0.2, 200.0.0.1
 SERVERS = (0xC6336401, 0xC6336402)  # 198.51.100.1, .2
 CLIENT_PORTS = (1024, 1025, 1026, 5000)
 SERVER_PORTS = (80, 1024)
+TTL = 64  # of every packet
 FLAGS = (SYN, SYN | ACK, ACK, FIN | ACK, RST)
 POS = {"ip-saddr": 0, "ip-daddr": 1, "tcp-sport": 2, "udp-sport": 2,
        "tcp-dport": 3, "udp-dport": 3}
@@ -59,25 +61,27 @@ def _present(fd, proto):
 
 
 class _Entry:
-    def __init__(self, eng, pre, post, rule_id, proto, now, octets):
-        self.eng = eng
+    def __init__(self, pre, post, rule_id, now, octets):
+        self.eng = None  # the table's entry
         self.pre = pre
         self.post = post
         self.key = _norm(pre)
         self.trans_key = _norm(post)
         self.rule_id = rule_id
-        self.state = NEW if proto == ref.TCP else "ACTIVE"
+        self.state = NEW if pre[4] == ref.TCP else "ACTIVE"
         self.fin_dir = None
         self.last_seen = now
+        self.bindings = []  # (field name, original, rewritten)
         self.taken = []  # (pool key, value)
         self.pkts = [1, 0]
         self.octets = [octets, 0]
 
 
 class Model:
-    def __init__(self, capacity, shuffle_range):
+    def __init__(self, capacity, seed, shuffle_range):
         self.capacity = capacity
         self.shuffle_range = shuffle_range
+        self.seed = seed
         self.entries = {}
         self.alias = {}
         self.pools = {}
@@ -102,7 +106,7 @@ class Model:
     def release(self, taken):
         for pool_key, v in taken:
             if pool_key in self.pools:
-                self.pools[pool_key].discard(v)
+                self.pools[pool_key][1].discard(v)
 
     def lookup(self, t5, now, octets):
         if not self.entries:
@@ -136,15 +140,27 @@ class Model:
         elif s == NEW and flags & ACK and not flags & SYN:
             e.state = ESTABLISHED
 
-    def _pool(self, rule_id, fd):
-        lo, hi = self.shuffle_range
-        top = (1 << fd.width) - 1
-        lo, hi = (0, top) if lo > top else (lo, min(hi, top))
-        return self.pools.setdefault((rule_id, fd.name), set()), lo, hi
+    def allocate(self, rule_id, fd):
+        """The pool's next value: a seeded draw, then a linear re-probe past
+        the values in use, which is the sequence that fixes NAT ports and so
+        output bytes."""
+        key = (rule_id, fd.name)
+        if key not in self.pools:
+            lo, hi = self.shuffle_range
+            top = (1 << fd.width) - 1
+            lo, hi = (0, top) if lo > top else (lo, min(hi, top))
+            rng = random.Random(f"{self.seed}:{rule_id}:{fd.name}")
+            self.pools[key] = (rng, set(), lo, hi)
+        rng, used, lo, hi = self.pools[key]
+        if len(used) > hi - lo:
+            return None
+        v = rng.randint(lo, hi)
+        while v in used:
+            v = lo if v >= hi else v + 1
+        used.add(v)
+        return v
 
-    def insert(self, t5, rule, now, octets, got):
-        """The model's outcome of a new flow; `got` is the table's, whose
-        port picks the model adopts once it has checked them."""
+    def insert(self, t5, rule, now, octets):
         k = _norm(t5)
         existing = self.entries.get(k) or self.alias.get(k)
         if existing is not None:
@@ -162,40 +178,44 @@ class Model:
                     for t in rule.targets)
                 return TABLE_FULL if translates else None
         post = list(t5)
+        bindings = []
         taken = []
-        n = 0  # bindings so far
         for t in rule.targets:
             fd = t.field
-            if t.kind == SHUFFLE and _present(fd, t5[4]):
-                pool, lo, hi = self._pool(rule.id, fd)
-                if len(pool) > hi - lo:
+            if not _present(fd, t5[4]):
+                continue
+            if t.kind == SHUFFLE:
+                value = self.allocate(rule.id, fd)
+                if value is None:
                     self.release(taken)
                     self.out_of_ports += 1
                     return OUT_OF_PORTS
-                assert isinstance(got, ConnEntry), got
-                b = got.bindings[n]
-                assert b.field.name == fd.name
-                assert lo <= b.rewritten <= hi and b.rewritten not in pool
-                pool.add(b.rewritten)
-                taken.append(((rule.id, fd.name), b.rewritten))
-                value = b.rewritten
-            elif (t.kind == MOD and fd.name in TUPLE_FIELDS
-                  and _present(fd, t5[4])):
+                taken.append(((rule.id, fd.name), value))
+            elif t.kind == MOD and fd.name in TUPLE_FIELDS:
                 value = t.value
             else:
                 continue
-            assert isinstance(got, ConnEntry), got
+            orig = t5[POS[fd.name]] if fd.name in POS else TTL
+            bindings.append((fd.name, orig, value))
             if fd.name in POS:
-                assert got.bindings[n].original == t5[POS[fd.name]]
                 post[POS[fd.name]] = value
-            n += 1
-        assert isinstance(got, ConnEntry), got
-        assert len(got.bindings) == n
-        e = _Entry(got, t5, tuple(post), rule.id, t5[4], now, octets)
+        e = _Entry(t5, tuple(post), rule.id, now, octets)
+        e.bindings = bindings
         e.taken = taken
-        self.entries[e.key] = e
-        if e.trans_key != e.key:
+        # a translation onto a tuple a live flow owns would send that
+        # flow's replies to this one
+        if e.trans_key != k:
+            other = self.entries.get(e.trans_key) or self.alias.get(e.trans_key)
+            if other is not None and (other.rule_id in self.deleted or
+                                      now - other.last_seen > self.timeout(other)):
+                self.remove(other)
+                other = None
+            if other is not None:
+                self.release(taken)
+                self.out_of_ports += 1
+                return OUT_OF_PORTS
             self.alias[e.trans_key] = e
+        self.entries[k] = e
         return e
 
     def forget_rule(self, rule):
@@ -285,7 +305,7 @@ def _check(conn, model):
 def test_conn_table_agrees_with_model(capacity, ports, seed, steps):
     shuffle_range = (1024, 1024 + ports - 1)
     conn = ConnTable(TIMEOUTS, capacity, seed, shuffle_range)
-    model = Model(capacity, shuffle_range)
+    model = Model(capacity, seed, shuffle_range)
     live = []
     next_id = 1
 
@@ -330,8 +350,14 @@ def test_conn_table_agrees_with_model(capacity, ports, seed, steps):
                 # as classify does: a packet no entry tracks makes a new flow
                 rule = live[(op[2] if op[0] == "insert" else spec[8]) % len(live)]
                 got = conn.insert(pkt, rule, now)
-                want = model.insert(t5, rule, now, octets, got)
-                assert got is (want.eng if isinstance(want, _Entry) else want)
+                want = model.insert(t5, rule, now, octets)
                 if isinstance(want, _Entry):
+                    if want.eng is None:
+                        want.eng = got
+                    assert got is want.eng
                     assert got.fwd_pre == want.pre and got.fwd_post == want.post
+                    assert [(b.field.name, b.original, b.rewritten)
+                            for b in got.bindings] == want.bindings
+                else:
+                    assert got is want
         _check(conn, model)

@@ -288,6 +288,57 @@ def test_exhausted_port_pool_drops_and_counts_new_flow():
     assert len(engine.conn) == 2
 
 
+def test_flow_opened_and_answered_within_one_vector():
+    """A SYN, the client's next packet and the server's reply in one vector:
+    the second lookup sees the first packet's insert, so all three are
+    translated, as when each packet is a vector of its own."""
+    syn = ref.tcp_packet(saddr=0x0A000001, sport=5000, dport=80, flags=ref.SYN)
+    ack = ref.tcp_packet(saddr=0x0A000001, sport=5000, dport=80, flags=ref.ACK)
+    probe = []
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE])
+    engine.run_stream(as_source([syn]), probe)
+    port = ref.ref_read(probe[0], "tcp-sport")
+    reply = ref.tcp_packet(saddr=0x0A000002, daddr=0xC8000001, sport=80,
+                           dport=port, flags=ref.SYN | ref.ACK)
+    outs = []
+    for V in (1, 2, 256):
+        engine = fresh_engine(vector_size=V)
+        engine.add_commands([SNAT_RULE])
+        out = []
+        report = engine.run_stream(as_source([syn, ack, reply]), out)
+        assert report.rewritten == 3 and len(engine.conn) == 1
+        (e,) = engine.conn.entries()
+        assert e.pkts == [2, 1]
+        outs.append(out)
+    out = outs[0]
+    assert outs[1] == outs[2] == out
+    assert [ref.ref_read(o, "ip-saddr") for o in out[:2]] == [0xC8000001] * 2
+    assert [ref.ref_read(o, "tcp-sport") for o in out[:2]] == [port] * 2
+    assert ref.ref_read(out[2], "ip-daddr") == 0x0A000001
+    assert ref.ref_read(out[2], "tcp-dport") == 5000
+    assert all(ref.verify_packet_checksums(o) for o in out)
+
+
+def test_new_flow_onto_a_live_translated_tuple_is_dropped():
+    # without a port shuffle both clients translate to 200.0.0.1:1234; the
+    # second would take over the first one's replies
+    engine = fresh_engine()
+    engine.add_commands(["mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp "
+                         "mod ip-saddr 200.0.0.1"])
+    syns = [ref.tcp_packet(saddr=saddr, daddr=0xC6336401, sport=1234, dport=80,
+                           flags=ref.SYN) for saddr in (0x0A000001, 0x0A000002)]
+    synack = ref.tcp_packet(saddr=0xC6336401, daddr=0xC8000001, sport=80,
+                            dport=1234, flags=ref.SYN | ref.ACK)
+    out = []
+    report = engine.run_stream(as_source(syns + [synack]), out)
+    assert len(out) == 2 and len(engine.conn) == 1
+    assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert ref.ref_read(out[1], "ip-daddr") == 0x0A000001  # the first client
+    assert report.dropped == report.counters["verdict_drops"] == 1
+    assert report.counters["out_of_ports"] == 1
+
+
 @pytest.mark.parametrize("field,width", [("ip-ttl", 8), ("ip-dscp", 6)])
 def test_shuffle_of_field_narrower_than_range_draws_its_whole_space(field, width):
     # the default shuffle range starts at 1024, above both fields' maximum
