@@ -3,9 +3,10 @@
 The model keys its entries by the normalised 5-tuple, ((addr, port),
 (addr, port), proto) with the smaller endpoint first, and holds the same
 policy as ConnTable: lazy expiry, the budgeted purge sweep, capacity with
-reclaim of deleted rules' connections, per-rule shuffle pools as sets, and
-the alias under which a translated flow's replies arrive. Its pools draw
-the table's seeded sequence, so it predicts every shuffled value.
+reclaim of deleted rules' connections, per-rule shuffle pools as sets, the
+alias under which a translated flow's replies arrive, and the drop of a new
+flow whose translation is a live flow's tuple. Its pools draw the table's
+seeded sequence, so it predicts every shuffled value.
 """
 
 import random
@@ -297,6 +298,7 @@ def _check(conn, model):
     assert len(conn._alias) == len(model.alias)
     for e in model.alias.values():
         assert conn._alias.get(normalize(e.post)) is e.eng
+    assert not conn._entries.keys() & conn._alias.keys()  # one owner per key
 
 
 @given(capacity=st.integers(1, 4), ports=st.integers(1, 4),
