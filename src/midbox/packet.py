@@ -4,6 +4,11 @@ PacketBuffer holds the raw bytes of one packet (optionally prefixed by an
 Ethernet header that is carried through untouched) plus the parsed header
 offsets. All field reads/writes go through FieldDescriptors so the matching
 and rewrite stages never hardcode wire offsets.
+
+Input is zero-copy: a packet keeps the bytes it was parsed from until its
+first write (PacketBuffer.writable), and parse_packet reads an IHL-5
+packet's 40-byte probe window once, for the header checksum and the
+classifier both.
 """
 
 from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
@@ -68,6 +73,10 @@ class PacketBuffer:
     `data` covers the link prefix (if any) plus exactly the IPv4 datagram;
     any capture/Ethernet trailer past the IP total length is kept aside and
     re-attached verbatim on serialization.
+
+    `data` is the input `bytes` until the first write, and writable() is
+    the only way to write: it swaps in a `bytearray` once. A writer that
+    skips it raises TypeError instead of writing into bytes the caller holds.
     """
 
     __slots__ = (
@@ -146,6 +155,14 @@ class PacketBuffer:
             self._win = w
         return w
 
+    def writable(self):
+        """`data` as a bytearray, made from the input bytes on the first call;
+        every write into the packet goes through the buffer it returns."""
+        d = self.data
+        if type(d) is not bytearray:
+            d = self.data = bytearray(d)
+        return d
+
     def invalidate(self):
         """Drop cached derived views after a mutation."""
         self._win = None
@@ -167,7 +184,10 @@ class PacketBuffer:
         return (saddr, daddr, sport, dport, self.ip_proto)
 
     def to_bytes(self):
-        return bytes(self.data) + self.trailer
+        d = self.data
+        if type(d) is bytes and not self.trailer:
+            return d  # never written: the input object itself
+        return bytes(d) + self.trailer
 
     def __repr__(self):
         return (f"PacketBuffer(id={self.trace_id}, proto={self.l4_kind}, "
@@ -206,15 +226,25 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
     total_len = (data[l3 + 2] << 8) | data[l3 + 3]
     if total_len < hdr_len:
         raise TruncatedPacket("total length below header length")
-    if len(data) < l3 + total_len:
+    end = l3 + total_len
+    if len(data) < end:
         raise TruncatedPacket("packet shorter than IPv4 total length")
-    if len(data) < l3 + hdr_len:
-        raise TruncatedPacket("packet shorter than IPv4 header length")
-    if checksum16(data[l3:l3 + hdr_len]) != 0:
+    win = None
+    if ihl == 5:
+        # the probe window, read once. The header is its top 160 bits and,
+        # by checksum16's argument, valid iff that integer is a nonzero
+        # multiple of 0xFFFF; its version nibble 4 makes it nonzero.
+        raw = data[l3:l3 + 2 * HDR] if total_len >= 2 * HDR else data[l3:end]
+        win = int.from_bytes(raw, "big") << 8 * (2 * HDR - len(raw))
+        if (win >> 8 * HDR) % 0xFFFF:
+            raise BadChecksum("IPv4 header checksum")
+    elif checksum16(data[l3:l3 + hdr_len]) != 0:
         raise BadChecksum("IPv4 header checksum")
 
-    buf = bytearray(data[:l3 + total_len])
-    trailer = bytes(data[l3 + total_len:])
+    if type(data) is bytes and len(data) == end:
+        buf, trailer = data, b""
+    else:
+        buf, trailer = bytes(data[:end]), bytes(data[end:])
     proto = data[l3 + 9]
     l4 = l3 + hdr_len
 
@@ -238,7 +268,9 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
             if l4_len < 8:
                 raise TruncatedPacket("short ICMP header")
 
-    return PacketBuffer(buf, l3, l4, ihl, proto, is_fragment, trailer, trace_id, ts)
+    pkt = PacketBuffer(buf, l3, l4, ihl, proto, is_fragment, trailer, trace_id, ts)
+    pkt._win = win
+    return pkt
 
 
 def serialize(pkt):
@@ -339,7 +371,7 @@ def write_field(pkt, fd, value):
             return False
         if start + len(value) > len(d):
             return False
-        d[start:start + len(value)] = value
+        pkt.writable()[start:start + len(value)] = value
         pkt.invalidate()
         return True
     base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
@@ -350,7 +382,7 @@ def write_field(pkt, fd, value):
     mask = ((1 << fd.width) - 1) << fd.shift
     old = int.from_bytes(d[start:stop], "big")
     new = (old & ~mask) | ((value << fd.shift) & mask)
-    d[start:stop] = new.to_bytes(fd.span_bytes, "big")
+    pkt.writable()[start:stop] = new.to_bytes(fd.span_bytes, "big")
     pkt.invalidate()
     return True
 
@@ -389,7 +421,7 @@ def fix_checksums(pkt):
     Recomputing from scratch makes both checksums valid whatever they held
     before, so a transport checksum that arrived wrong comes out right.
     """
-    d = pkt.data
+    d = pkt.writable()
     l3 = pkt.l3_offset
     hdr_len = 4 * pkt.ihl
     d[l3 + 10:l3 + 12] = b"\x00\x00"
@@ -431,7 +463,7 @@ def update_checksums(pkt, before):
     field, protocol) or the UDP checksum is 0 ("not in use"); the caller
     then recomputes with fix_checksums.
     """
-    d = pkt.data
+    d = pkt.writable()
     l3 = pkt.l3_offset
     n = len(before)
     old = int.from_bytes(before, "big")

@@ -385,7 +385,7 @@ class Engine:
                         stats["input"].observe(n, time.perf_counter_ns() - t0)
                         counters["bypass_non_ip"] += 1
                         flush()
-                        output([PacketBuffer(bytearray(data), 0, 0, 0, 0,
+                        output([PacketBuffer(bytes(data), 0, 0, 0, 0,
                                              trace_id=packets_in - 1,
                                              ts=ts_sec + ts_usec / 1e6)])
                         n = 0

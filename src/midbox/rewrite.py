@@ -122,6 +122,7 @@ def apply_static(pkt, tp, counters):
         old = int.from_bytes(d[lo:hi], "big")
         new = (old & keep) | key
         if new != old:
+            d = pkt.writable()
             d[lo:hi] = new.to_bytes(hi - lo, "big")
             pkt.invalidate()
             modified = True
@@ -201,6 +202,7 @@ def apply_option_edits(pkt, tp, counters):
     old_doff = pkt.tcp_data_offset
     old_end = l4 + 4 * old_doff
     new_doff = 5 + len(area) // 4
+    d = pkt.writable()
     d[l4 + 20:old_end] = area
     d[l4 + 12] = (new_doff << 4) | (d[l4 + 12] & 0x0F)
     delta = len(area) - (old_end - l4 - 20)
@@ -230,7 +232,7 @@ def translate_session(pkt, entry, direction, programs):
     step leave it) moves by the address part alone. A UDP packet without a
     checksum gets both recomputed by fix_checksums.
     """
-    d = pkt.data
+    d = pkt.writable()
     l3 = pkt.l3_offset
     l4 = pkt.l4_offset
     if direction == FWD:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import refbuild as ref
 from midbox import (ABSENT, BadChecksum, MalformedOption, NotIPv4,
@@ -10,7 +12,9 @@ from midbox import (ABSENT, BadChecksum, MalformedOption, NotIPv4,
                     parse_tcp_options, read_field, serialize,
                     verify_checksums, write_field)
 from midbox.fields import REGISTRY
-from midbox.packet import ETHERNET, checksum16
+from midbox.packet import ETHERNET, RAW_IP, checksum16
+
+ETH_IPV4 = b"\xaa" * 6 + b"\xbb" * 6 + b"\x08\x00"
 
 
 def test_min_ipv4_tcp_without_transport_header_is_truncated():
@@ -188,3 +192,113 @@ def test_five_tuple_ports_zero_for_icmp():
     pkt = parse_packet(ref.icmp_packet())
     t5 = pkt.five_tuple()
     assert t5[2] == 0 and t5[3] == 0 and t5[4] == ref.ICMP
+
+
+# --- zero-copy input: a packet keeps its input bytes until its first write
+
+def test_untouched_packet_returns_its_input_object():
+    data = ref.tcp_packet(payload=b"abc")
+    pkt = parse_packet(data)
+    assert pkt.data is data
+    assert pkt.to_bytes() is data
+
+
+def test_ethernet_frame_with_padding_trailer_comes_back_identical():
+    frame = ETH_IPV4 + ref.udp_packet(payload=b"x")
+    frame += bytes(60 - len(frame))  # Ethernet minimum-frame padding
+    pkt = parse_packet(frame, ETHERNET)
+    assert pkt.trailer == bytes(60 - 14 - pkt.total_length)
+    assert pkt.to_bytes() == frame
+    fix_checksums(pkt)  # a write keeps the trailer too
+    assert pkt.to_bytes() == frame
+
+
+def test_bytearray_input_is_copied_not_aliased():
+    buf = bytearray(ref.tcp_packet(dport=80))
+    want = bytes(buf)
+    pkt = parse_packet(buf)
+    win = pkt.window()
+    buf[:] = bytes(len(buf))
+    assert pkt.to_bytes() == want
+    assert read_field(pkt, REGISTRY["tcp-dport"]) == 80
+    pkt.invalidate()
+    assert pkt.window() == win
+
+
+def test_fresh_packet_data_is_read_only():
+    pkt = parse_packet(ref.tcp_packet())
+    with pytest.raises(TypeError):
+        pkt.data[0] = 0
+
+
+def test_writes_go_through_writable():
+    data = ref.tcp_packet(payload=b"xyz")
+    pkt = parse_packet(data)
+    buf = pkt.writable()
+    assert isinstance(buf, bytearray) and pkt.data is buf
+    assert pkt.writable() is buf
+    write_field(pkt, REGISTRY["ip-saddr"], 0xC8000001)
+    fix_checksums(pkt)
+    out = pkt.to_bytes()
+    assert type(out) is bytes and out == bytes(buf) and out != data
+    assert ref.ref_read(out, "ip-saddr") == 0xC8000001
+    assert ref.verify_packet_checksums(out)
+    assert data == ref.tcp_packet(payload=b"xyz")  # the input is untouched
+
+
+# --- the one-read header check: IHL-5 headers of 20-60 byte datagrams, so
+# windows shorter than 40 bytes are covered
+
+def _ihl5_packet(fields, total_len, body, mode, bit):
+    """A version-4, IHL-5 header (TOS then bytes 4-19 from `fields`) over
+    `body` cut to total_len - 20 bytes. `mode` keeps the checksum field as
+    drawn, recomputes it, or recomputes it and flips `bit` of the header
+    outside the version/IHL and total length bytes."""
+    hdr = bytearray(20)
+    hdr[0] = 0x45
+    hdr[1] = fields[0]
+    hdr[2:4] = total_len.to_bytes(2, "big")
+    hdr[4:20] = fields[1:]
+    if mode != "as-is":
+        hdr[10:12] = bytes(2)
+        hdr[10:12] = checksum16(hdr).to_bytes(2, "big")
+    if mode == "flipped":
+        at = (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)[bit // 8]
+        hdr[at] ^= 1 << bit % 8
+    return bytes(hdr) + body[:total_len - 20]
+
+
+@given(fields=st.binary(min_size=17, max_size=17),
+       total_len=st.integers(20, 60),
+       body=st.binary(min_size=40, max_size=40),
+       mode=st.sampled_from(["as-is", "recomputed", "flipped"]),
+       bit=st.integers(0, 17 * 8 - 1),
+       trailer=st.binary(max_size=8),
+       link=st.sampled_from([RAW_IP, ETHERNET]))
+@settings(max_examples=500)
+@example(fields=bytes(17), total_len=20, body=bytes(40), mode="as-is", bit=0,
+         trailer=b"", link=RAW_IP)
+@example(fields=bytes(17), total_len=20, body=bytes(40), mode="recomputed",
+         bit=0, trailer=b"", link=RAW_IP)
+@example(fields=bytes(17), total_len=39, body=bytes(40), mode="flipped",
+         bit=75, trailer=b"\x01", link=ETHERNET)
+def test_one_read_header_check_and_cached_window(fields, total_len, body, mode,
+                                                 bit, trailer, link):
+    ip = _ihl5_packet(fields, total_len, body, mode, bit)
+    data = (ETH_IPV4 if link == ETHERNET else b"") + ip + trailer
+    bad = checksum16(ip[:20]) != 0
+    try:
+        pkt = parse_packet(data, link)
+    except BadChecksum:
+        assert bad
+        return
+    except TruncatedPacket:  # a TCP/UDP/ICMP header that does not fit
+        assert not bad
+        return
+    assert not bad
+    want = int.from_bytes((ip + bytes(40))[:40], "big")
+    assert pkt._win == want
+    assert pkt.window() == want
+    pkt.invalidate()
+    assert pkt.window() == want
+    assert pkt.to_bytes() == data
