@@ -21,10 +21,15 @@ fragments and other protocols before any residue. Tables are probed a
 vector at a time (`match_tables`): each table runs over every packet of the
 vector, and tables that share a shift share one shifted copy of each
 packet's window.
+
+The rest of the classify node runs over the vector too (`classify_vector`):
+the maskless rules, then the connection stage, which keys every TCP/UDP
+packet from the same windows, resolves the keys, and then walks the packets
+in order. `classify` is its one-packet case.
 """
 
-from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
-from .fields import FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_TCP, fold
+from .conntrack import FWD, OUT_OF_PORTS, QUAD, REV, TABLE_FULL, quad_key
+from .fields import FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_TCP, PROTO_UDP, fold
 from .packet import ABSENT, read_field
 from .rewrite import compile_targets
 from .rules import (EQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
@@ -123,16 +128,24 @@ def _options_last(exprs):
     return tuple(cheap + opts)
 
 
+def _program(rule, session=False):
+    tp = compile_targets(rule, session)
+    return None if tp.is_empty else tp
+
+
 class CompiledRule:
     """One rule prepared for execution: table shift, mask and key, match
-    tuples, program.
+    tuples, programs.
 
     `residue` holds the matches the mask could not fold and is checked on
     packets that hit the rule's table entry, or on every packet for a
-    maskless rule (mask 0)."""
+    maskless rule (mask 0). `program` is the rule's rewrite program and
+    `own_program` the one for the forward packets of its own connections
+    (compile_targets with `session`); each is None when it writes
+    nothing."""
 
     __slots__ = ("rule", "shift", "mask", "key", "proto", "residue",
-                 "program", "drop", "never")
+                 "program", "own_program", "drop", "never")
 
     def __init__(self, rule):
         self.rule = rule
@@ -140,7 +153,8 @@ class CompiledRule:
         self.proto = rule.proto_req
         self.residue = _options_last(residue)
         self.drop = any(t.kind == T_DROP for t in rule.targets)
-        self.program = compile_targets(rule)
+        self.program = _program(rule)
+        self.own_program = _program(rule, True) if rule.stateful else self.program
 
     def matches(self, pkt):
         """The protocol gate, then every expression of `residue`."""
@@ -337,52 +351,145 @@ _MISS = Verdict(MISS)
 
 
 def classify(pkt, snap, conn=None, now=0.0, hits=None):
-    """Drop/miss/match verdict for one packet.
-
-    `hits` is the packet's entry of `match_tables` over its vector; without
-    it the packet's tables are probed here. Then come the maskless rules,
-    then the connection table. A tracked reverse/forward packet yields
-    MATCH even without a rule hit; any matched drop rule dominates
-    everything else. A new flow whose stateful rule finds no free shuffle
-    value, or translates and finds the connection table full, is dropped.
-    """
+    """Drop/miss/match verdict for one packet: classify_vector over a
+    vector of one. `hits` is the packet's entry of `match_tables` over its
+    vector; without it the packet's tables are probed here."""
     if hits is None:
         hits = match_tables((pkt,), snap)[0]
-    matched = hits
-    if snap.slow:
-        slow = [cr for cr in snap.slow if cr.matches(pkt)]
+    r = classify_vector((pkt,), snap, conn, now, (hits,))[0]
+    if r is None:
+        return _MISS
+    kind, crs, entry, direction = r
+    return Verdict(kind, tuple(cr.rule.id for cr in crs), entry, direction)
+
+
+def classify_vector(pkts, snap, conn, now, hits):
+    """The classify node over a vector: each packet's rules (its `hits`
+    from match_tables, then the maskless rules) and its connection.
+
+    Returns one result per packet: None for a miss, else (kind, rules,
+    entry, direction) with kind DROP or MATCH and the matched compiled
+    rules in id order. A tracked reverse/forward packet yields MATCH even
+    without a rule hit; any matched drop rule dominates everything else,
+    and a dropped packet opens no connection. A new flow whose stateful
+    rule finds no free shuffle value, or translates and finds the
+    connection table full, is dropped.
+
+    While the connection table is empty, only the rules decide; the
+    connection stage (`_connection_stage`) starts at the first packet that
+    opens a flow.
+    """
+    if conn is not None and conn._entries:
+        return _connection_stage(pkts, snap, conn, now, hits)
+    slow = snap.slow
+    res = [None] * len(pkts)
+    for i, h in enumerate(hits):
         if slow:
-            matched = [*hits, *slow]
+            h = _with_slow(pkts[i], h, slow)
+        if h:
+            res[i] = _by_rules(pkts[i], h, None, None, conn, now)
+            if conn is not None and conn._entries:
+                res[i + 1:] = _connection_stage(pkts[i + 1:], snap, conn, now,
+                                                hits[i + 1:])
+                break
+    return res
 
-    entry = direction = None
-    if conn is not None:
-        entry, direction = conn.lookup(pkt, now)
-        if entry is not None and entry.rule_id not in snap.by_id:
-            # its rule was deleted; ids are never reused
-            conn.remove(entry)
-            entry = direction = None
-        if entry is not None and pkt.ip_proto == PROTO_TCP and not pkt.is_fragment:
-            conn.update_state(entry, pkt.tcp_flags, direction, now)
 
-    if matched:
-        drop = False
-        stateful_rule = None
-        for cr in matched:
-            cr.rule.hits += 1
-            if cr.drop:
-                drop = True
-            # the lowest-id stateful rule owns a new connection, whatever
-            # the order tables were probed in
-            if cr.rule.stateful and (stateful_rule is None
-                                     or cr.rule.id < stateful_rule.id):
-                stateful_rule = cr.rule
-        ids = tuple(sorted(cr.rule.id for cr in matched))
-        if stateful_rule is not None and entry is None and conn is not None:
-            entry = conn.insert(pkt, stateful_rule, now)
-            if entry is OUT_OF_PORTS or entry is TABLE_FULL:
-                return Verdict(DROP, ids)
-            direction = FWD if entry is not None else None
-        return Verdict(DROP if drop else MATCH, ids, entry, direction)
-    if entry is not None:
-        return Verdict(MATCH, (), entry, direction)
-    return _MISS
+def _with_slow(pkt, hits, slow):
+    """`hits` followed by the maskless rules `pkt` matches."""
+    matched = [cr for cr in slow if cr.matches(pkt)]
+    return [*hits, *matched] if matched else hits
+
+
+def _rule_id(cr):
+    return cr.rule.id
+
+
+def _by_rules(pkt, matched, entry, direction, conn, now):
+    """The result of a packet that matched rules: counts their hits, then
+    a drop rule drops it; otherwise the lowest-id stateful rule, whatever
+    the order tables were probed in, opens a connection for an untracked
+    packet."""
+    drop = False
+    owner = None
+    for cr in matched:
+        rule = cr.rule
+        rule.hits += 1
+        if cr.drop:
+            drop = True
+        if rule.stateful and (owner is None or rule.id < owner.id):
+            owner = rule
+    if len(matched) > 1:
+        matched = sorted(matched, key=_rule_id)
+    if drop:
+        return DROP, matched, entry, direction
+    if owner is not None and entry is None and conn is not None:
+        entry = conn.insert(pkt, owner, now)
+        if entry is OUT_OF_PORTS or entry is TABLE_FULL:
+            return DROP, matched, None, None
+        direction = FWD if entry is not None else None
+    return MATCH, matched, entry, direction
+
+
+def _connection_stage(pkts, snap, conn, now, hits):
+    """classify_vector with the connection table, in three passes: every
+    TCP/UDP non-fragment packet's quad and key from its probe window, then
+    each key resolved to its entry, then each packet in order. The last
+    pass applies expiry and drops the connections of deleted rules, counts
+    and refreshes each hit and moves its TCP state, then runs the rules. A
+    packet after an insert or a removal in the same vector is resolved
+    again, so it sees the flow an earlier packet opened."""
+    quads = []
+    keys = []
+    for p in pkts:
+        proto = p.ip_proto
+        if p.is_fragment or (proto != PROTO_TCP and proto != PROTO_UDP):
+            quads.append(None)
+            keys.append(None)
+        else:
+            q = p.window() >> 128 & QUAD
+            quads.append(q)
+            keys.append(quad_key(q, proto))
+    get = conn._entries.get
+    alias = conn._alias.get
+    found = [get(k) or alias(k) for k in keys]
+
+    slow = snap.slow
+    live = snap.by_id
+    timeout = conn._timeout
+    update_state = conn.update_state
+    res = [None] * len(pkts)
+    changes = conn.changes
+    for i, p in enumerate(pkts):
+        e = found[i]
+        if conn.changes != changes:
+            k = keys[i]
+            e = get(k) or alias(k)
+        d = None
+        if e is not None:
+            if now - e.last_seen > timeout[e.state] or e.rule_id not in live:
+                # expired, or its rule was deleted (ids are never reused)
+                conn.remove(e)
+                e = None
+            else:
+                # a key hit means q is pre_q or its reverse, an alias hit
+                # post_q or its reverse
+                q = quads[i]
+                if q == e.pre_q or q == e.post_q:
+                    d, j = FWD, 0
+                else:
+                    d, j = REV, 1
+                if now > e.last_seen:
+                    e.last_seen = now
+                e.pkts[j] += 1
+                e.octets[j] += len(p.data) - p.l3_offset
+                if p.ip_proto == PROTO_TCP:
+                    update_state(e, p.tcp_flags, d, now)
+        h = hits[i]
+        if slow:
+            h = _with_slow(p, h, slow)
+        if h:
+            res[i] = _by_rules(p, h, e, d, conn, now)
+        elif e is not None:
+            res[i] = MATCH, (), e, d
+    return res

@@ -1,4 +1,4 @@
-"""Bidirectional 5-tuple connection table.
+"""Bidirectional connection table, holding each flow as quads.
 
 A flow's key is one integer taken from the packet's probe window
 (PacketBuffer.window, which the classifier has already built): window bytes
@@ -7,8 +7,11 @@ two endpoints addr<<16 | port, of which the smaller goes first, then the
 larger, then the protocol. So both directions of a flow hash to the same
 entry. Flows whose stateful rule translates tuple fields are additionally
 indexed under the translated tuple's key, which is what returning packets
-carry. Expiry is lazy: stale entries die on lookup or during the budgeted
-sweep run between packet vectors; there are no timers.
+carry. An entry keeps the two quads (what its client sends, and what that
+leaves as) and nothing else of the tuple: the session writer, the reverse
+direction and the release of shuffled ports all work from them. Expiry is
+lazy: stale entries die on lookup or during the budgeted sweep run before
+each packet vector; there are no timers.
 """
 
 import random
@@ -40,14 +43,12 @@ SYN = 0x02
 RST = 0x04
 ACK = 0x10
 
-# where a tuple field sits in (saddr, daddr, sport, dport)
-TUPLE_POS = {"ip-saddr": 0, "ip-daddr": 1,
-             "tcp-sport": 2, "udp-sport": 2,
-             "tcp-dport": 3, "udp-dport": 3}
-# where each position sits in the quad saddr<<64 | daddr<<32 | sport<<16 | dport
-_SHIFT = (64, 32, 16, 0)
+# where each tuple field sits in the quad saddr<<64 | daddr<<32 | sport<<16 | dport
+QUAD_SHIFT = {"ip-saddr": 64, "ip-daddr": 32,
+              "tcp-sport": 16, "udp-sport": 16,
+              "tcp-dport": 0, "udp-dport": 0}
 # the quad is window bytes 12-23, which end 128 bits above the window's end
-_QUAD = (1 << 96) - 1
+QUAD = (1 << 96) - 1
 _ADDR = 0xFFFFFFFF << 16
 
 
@@ -61,6 +62,7 @@ class TimeoutPolicy:
 
 
 class DynamicBinding(NamedTuple):
+    """A drawn value of a field outside the tuple, and what it replaced."""
     field: object
     original: int
     rewritten: int
@@ -77,52 +79,66 @@ def quad_key(q, proto):
     return b << 56 | a << 8 | proto
 
 
-def normalize(t5):
-    """The key of a (saddr, daddr, sport, dport, proto) tuple."""
-    return quad_key(t5[0] << 64 | t5[1] << 32 | t5[2] << 16 | t5[3], t5[4])
+def mirror(q):
+    """The quad of the other direction: addresses swapped, ports swapped."""
+    return ((q >> 32 & 0xFFFFFFFF) << 64 | (q >> 64) << 32
+            | (q & 0xFFFF) << 16 | q >> 16 & 0xFFFF)
 
 
-def _five(q, proto):
-    return (q >> 64, q >> 32 & 0xFFFFFFFF, q >> 16 & 0xFFFF, q & 0xFFFF, proto)
+class Plan:
+    """What insert binds for a new flow of one rule and protocol, worked out
+    once. `steps` holds one (field, shift, width mask, pool, value) per
+    shuffle target and per mod of a tuple field the protocol carries, in
+    target order: a tuple field's shift places it in the quad (None for a
+    field outside it), a shuffle draws its value from the pool and a mod has
+    it given. Only the last write to a tuple position is kept. `bound` is
+    the quad mask of the positions the steps write, `mirror` the same mask
+    for reverse packets; `translates` says whether the rule binds anything
+    for any protocol."""
+
+    __slots__ = ("steps", "bound", "mirror", "translates")
+
+    def __init__(self, steps, translates):
+        self.steps = steps
+        self.bound = 0
+        for _, shift, width, _, _ in steps:
+            if shift is not None:
+                self.bound |= width << shift
+        self.mirror = mirror(self.bound)
+        self.translates = translates
 
 
 class ConnEntry:
-    """One tracked flow. pre_q is the quad of its client's packets and
-    post_q that quad with the bindings of tuple fields applied, keyed by
-    `key` and `trans_key`; fwd_pre and fwd_post are the same two as 5-tuples.
-    `extra` holds the bindings of fields outside the tuple, and `bindings`
-    all of them, so the pools get their values back."""
+    """One tracked flow, held as quads: pre_q is the quad of its client's
+    packets and post_q the quad they leave with, keyed by `key` and
+    `trans_key`. `plan` is its rule's Plan, or None when the flow binds
+    nothing; `extra` holds the bindings of fields outside the tuple."""
 
-    __slots__ = ("key", "trans_key", "pre_q", "post_q", "fwd_pre", "fwd_post",
-                 "proto", "state", "fin_dir", "created",
-                 "last_seen", "rule_id", "bindings", "extra", "pkts",
-                 "octets")
+    __slots__ = ("key", "trans_key", "pre_q", "post_q", "proto", "state",
+                 "fin_dir", "created", "last_seen", "rule_id", "plan",
+                 "extra", "pkts", "octets")
 
-    def __init__(self, key, q, post_q, proto, bindings, extra, rule_id, now):
+    def __init__(self, key, q, post_q, proto, plan, extra, rule_id, now):
         self.key = key
         self.pre_q = q
-        self.fwd_pre = _five(q, proto)
-        if post_q == q:
-            self.post_q, self.trans_key, self.fwd_post = q, key, self.fwd_pre
-        else:
-            self.post_q = post_q
-            self.trans_key = quad_key(post_q, proto)
-            self.fwd_post = _five(post_q, proto)
+        self.post_q = post_q
+        self.trans_key = key if post_q == q else quad_key(post_q, proto)
         self.proto = proto
         self.state = NEW if proto == PROTO_TCP else ACTIVE
         self.fin_dir = None
         self.created = now
         self.last_seen = now
         self.rule_id = rule_id
-        self.bindings = bindings
+        self.plan = plan
         self.extra = extra  # the shared () when every binding is in the tuple
         self.pkts = [0, 0]
         self.octets = [0, 0]
 
     def describe(self, now):
-        sa, da, sp, dp, proto = self.fwd_pre
-        name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(proto, str(proto))
-        return (f"{name} {quad(sa)}:{sp} -> {quad(da)}:{dp} "
+        q = self.pre_q
+        name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(self.proto, str(self.proto))
+        return (f"{name} {quad(q >> 64)}:{q >> 16 & 0xFFFF} -> "
+                f"{quad(q >> 32 & 0xFFFFFFFF)}:{q & 0xFFFF} "
                 f"state={self.state} age={now - self.created:.1f}s "
                 f"pkts={self.pkts[0]}/{self.pkts[1]} "
                 f"bytes={self.octets[0]}/{self.octets[1]} rule={self.rule_id}")
@@ -151,7 +167,10 @@ class _ShuffleAlloc:
 
 
 class ConnTable:
-    """The engine's connection table."""
+    """The engine's connection table.
+
+    `changes` counts inserts and removals, so a caller holding entries it
+    resolved earlier knows when to resolve them again."""
 
     def __init__(self, timeouts=None, capacity=2 ** 20, shuffle_seed=0,
                  shuffle_range=(1024, 65535)):
@@ -162,10 +181,11 @@ class ConnTable:
         self._entries = {}
         self._alias = {}
         self._allocs = {}
-        self._plans = {}  # rule id -> what insert binds, see _plan
+        self._plans = {}  # (rule id, protocol) -> Plan
         self._deleted = set()  # ids of rules deleted since the last reclaim
         self._scan = []
         self._scan_i = 0
+        self.changes = 0
         self.full_drops = 0
         self.out_of_ports = 0
         t = self.timeouts
@@ -183,13 +203,14 @@ class ConnTable:
     def lookup(self, pkt, now):
         """(entry, direction) for a tracked packet, else (None, None).
         Expired entries are removed on the spot; hits refresh last_seen and
-        the per-direction counters."""
+        the per-direction counters. The connection stage
+        (classifier.classify_vector) does the same for a whole vector."""
         if not self._entries:
             return None, None
         proto = pkt.ip_proto
         if pkt.is_fragment or proto not in (PROTO_TCP, PROTO_UDP):
             return None, None
-        q = pkt.window() >> 128 & _QUAD
+        q = pkt.window() >> 128 & QUAD
         k = quad_key(q, proto)
         e = self._entries.get(k) or self._alias.get(k)
         if e is None:
@@ -222,47 +243,42 @@ class ConnTable:
         proto = pkt.ip_proto
         if pkt.is_fragment or proto not in (PROTO_TCP, PROTO_UDP):
             return None
-        q = pkt.window() >> 128 & _QUAD
+        q = pkt.window() >> 128 & QUAD
         k = quad_key(q, proto)
         existing = self._entries.get(k) or self._alias.get(k)
         if existing is not None:
             return existing
-        plan = self._plans.get(rule.id)
+        plan = self._plans.get((rule.id, proto))
         if plan is None:
-            plan = self._plans[rule.id] = self._plan(rule)
+            plan = self._plans[rule.id, proto] = self._plan(rule, proto)
         if len(self._entries) >= self.capacity:
             if self._deleted:
                 self._reclaim()
             if len(self._entries) >= self.capacity:
                 self.full_drops += 1
-                return TABLE_FULL if plan else None
+                return TABLE_FULL if plan.translates else None
 
-        bindings = []
         extra = ()
         post = q
-        for fd, shift, width, alloc, value in plan:
+        steps = plan.steps
+        for n, (fd, shift, width, alloc, value) in enumerate(steps):
             if shift is None:
                 orig = read_field(pkt, fd)
                 if orig is ABSENT:
                     continue
-            elif fd.proto is not None and fd.proto != proto:
-                continue
-            else:
-                orig = q >> shift & width
             if alloc is not None:
                 value = alloc.allocate()
                 if value is None:
-                    self._release(rule.id, bindings)
+                    self._release(rule.id, steps[:n], post, extra)
                     self.out_of_ports += 1
                     return OUT_OF_PORTS
-            b = DynamicBinding(fd, orig, value)
-            bindings.append(b)
             if shift is None:
-                extra += (b,)
+                extra += (DynamicBinding(fd, orig, value),)
             else:
                 post = post & ~(width << shift) | value << shift
 
-        entry = ConnEntry(k, q, post, proto, bindings, extra, rule.id, now)
+        entry = ConnEntry(k, q, post, proto, plan if plan.bound or extra else None,
+                          extra, rule.id, now)
         tk = entry.trans_key
         if tk != k:
             other = self._entries.get(tk) or self._alias.get(tk)
@@ -271,32 +287,34 @@ class ConnTable:
                 self.remove(other)
                 other = None
             if other is not None:
-                self._release(rule.id, bindings)
+                self._release(rule.id, steps, post, extra)
                 self.out_of_ports += 1
                 return OUT_OF_PORTS
             self._alias[tk] = entry
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[k] = entry
+        self.changes += 1
         return entry
 
-    def _plan(self, rule):
-        """What insert binds for a new flow of `rule`, in target order: one
-        (field, shift, width mask, pool, value) per shuffle target and per
-        mod of a tuple field. A tuple field's shift places it in the quad
-        (None for a field outside it); a shuffle draws its value from the
-        pool, a mod has it given. Empty when the rule translates nothing."""
-        plan = []
-        for t in rule.targets:
+    def _plan(self, rule, proto):
+        """The Plan of `rule` for flows of protocol `proto`."""
+        writes = [t for t in rule.targets
+                  if t.kind == SHUFFLE or (t.kind == MOD and t.field is not None
+                                           and t.field.name in TUPLE_FIELDS)]
+        steps = []
+        for t in writes:
             fd = t.field
-            if t.kind == SHUFFLE or (t.kind == MOD and fd is not None
-                                     and fd.name in TUPLE_FIELDS):
-                pos = TUPLE_POS.get(fd.name)
-                plan.append((fd, None if pos is None else _SHIFT[pos],
-                             (1 << fd.width) - 1,
-                             self._alloc_for(rule.id, fd) if t.kind == SHUFFLE else None,
-                             t.value))
-        return tuple(plan)
+            if fd.proto is not None and fd.proto != proto:
+                continue
+            shift = QUAD_SHIFT.get(fd.name)
+            if shift is not None:
+                steps = [s for s in steps if s[1] != shift]
+            steps.append((fd, shift, t.kind, t.value))
+        return Plan(tuple((fd, shift, (1 << fd.width) - 1,
+                           self._alloc_for(rule.id, fd) if kind == SHUFFLE else None,
+                           value)
+                          for fd, shift, kind, value in steps), bool(writes))
 
     def update_state(self, entry, flags, direction, now=None):
         """Simplified TCP machine: RST closes; a first FIN enters FIN_WAIT;
@@ -355,12 +373,13 @@ class ConnTable:
         return alloc
 
     def forget_rule(self, rule):
-        """Release a deleted rule: drop its shuffle pools now, and remove its
-        connections when a lookup finds them, when they expire, when a new
-        flow's translation needs their tuple, or when an insert finds the
-        table full (`_reclaim`), whichever comes first. Releasing their
-        values then finds no pool."""
-        self._plans.pop(rule.id, None)
+        """Release a deleted rule: drop its plans and shuffle pools now, and
+        remove its connections when a lookup finds them, when they expire,
+        when a new flow's translation needs their tuple, or when an insert
+        finds the table full (`_reclaim`), whichever comes first. Releasing
+        their values then finds no pool."""
+        self._plans.pop((rule.id, PROTO_TCP), None)
+        self._plans.pop((rule.id, PROTO_UDP), None)
         for t in rule.targets:
             if t.kind == SHUFFLE:
                 self._allocs.pop((rule.id, t.field.name), None)
@@ -380,14 +399,24 @@ class ConnTable:
         # a later flow may have taken over the translated key
         if entry.trans_key != entry.key and self._alias.get(entry.trans_key) is entry:
             del self._alias[entry.trans_key]
-        self._release(entry.rule_id, entry.bindings)
+        if entry.plan is not None:
+            self._release(entry.rule_id, entry.plan.steps, entry.post_q, entry.extra)
+        self.changes += 1
 
-    def _release(self, rule_id, bindings):
-        """Return the shuffled values of `bindings` to their pools."""
-        for b in bindings:
-            alloc = self._allocs.get((rule_id, b.field.name))
-            if alloc is not None:
-                alloc.release(b.rewritten)
+    def _release(self, rule_id, steps, post, extra):
+        """Return the values `steps` drew to their pools: a tuple field's
+        from the translated quad `post`, any other field's from its binding
+        in `extra`."""
+        allocs = self._allocs
+        for fd, shift, width, alloc, _ in steps:
+            if alloc is not None and shift is not None:
+                pool = allocs.get((rule_id, fd.name))
+                if pool is not None:
+                    pool.release(post >> shift & width)
+        for b in extra:
+            pool = allocs.get((rule_id, b.field.name))
+            if pool is not None:
+                pool.release(b.rewritten)
 
     def entries(self):
         return list(self._entries.values())

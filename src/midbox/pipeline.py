@@ -11,9 +11,12 @@ vector.
 import time
 from dataclasses import dataclass, field
 
-from .classifier import (DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify,
-                         match_tables)
-from .conntrack import ConnTable, TimeoutPolicy
+from . import rewrite
+# classify is not called here, but stays a name of this module, where
+# tracers look up the engine's entry points
+from .classifier import (DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify,  # noqa: F401
+                         classify_vector, match_tables)
+from .conntrack import FWD, ConnTable, TimeoutPolicy
 from .errors import CommandError, MidboxError, NoSuchRule, NotIPv4, PacketError
 from .packet import ETHERNET, RAW_IP, PacketBuffer, parse_packet
 from .rewrite import rewrite_packet
@@ -273,22 +276,39 @@ class Engine:
         t0 = time.perf_counter_ns()
         conn = self.conn
         full_drops, out_of_ports = conn.full_drops, conn.out_of_ports
-        hits = match_tables(pkts, snap)
-        verdicts = [classify(p, snap, conn, now, h) for p, h in zip(pkts, hits)]
+        # the sweep runs at the vector's time before its packets, so a flow
+        # that expired before the vector is gone for all of them, whatever
+        # the vector size
         conn.purge(now)
+        results = classify_vector(pkts, snap, conn, now, match_tables(pkts, snap))
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
         counters["table_probes"] += len(snap.tables) * len(pkts)
         counters["conn_full_drops"] += conn.full_drops - full_drops
         counters["out_of_ports"] += conn.out_of_ports - out_of_ports
 
-        to_rewrite = [(p, v) for p, v in zip(pkts, verdicts) if v.kind == V_MATCH]
+        to_rewrite = [(p, r) for p, r in zip(pkts, results)
+                      if r is not None and r[0] is V_MATCH]
         t2 = time.perf_counter_ns()
-        by_id = snap.by_id
-        for p, v in to_rewrite:
-            programs = [by_id[rid].program for rid in v.rule_ids
-                        if not by_id[rid].program.is_empty]
-            rewrite_packet(p, programs, v.entry, v.direction, counters)
+        # a tracked packet that no rule matched goes straight to the
+        # session writer, unless its flow binds fields outside the tuple
+        # or its options were found malformed
+        translate_session = rewrite.translate_session
+        for p, (_, crs, entry, direction) in to_rewrite:
+            if crs:
+                # the forward packets of a rule's own flow take the rule's
+                # program without the bindings the session writer makes
+                own = entry.rule_id if entry is not None and direction == FWD else None
+                programs = []
+                for cr in crs:
+                    tp = cr.own_program if cr.rule.id == own else cr.program
+                    if tp is not None:
+                        programs.append(tp)
+                rewrite_packet(p, programs, entry, direction, counters)
+            elif entry.extra or p._opts_bad:
+                rewrite_packet(p, (), entry, direction, counters)
+            elif entry.plan is not None:
+                translate_session(p, entry, direction, ())
         t3 = time.perf_counter_ns()
         if to_rewrite:
             stats["rewrite"].observe(len(to_rewrite), t3 - t2)
@@ -298,14 +318,14 @@ class Engine:
         t4 = time.perf_counter_ns()
         out = []
         ndrop = 0
-        for p, v in zip(pkts, verdicts):
-            if v.kind == V_DROP:
+        for p, r in zip(pkts, results):
+            if r is None:
+                out.append((p, DISP_FORWARD))
+            elif r[0] is V_DROP:
                 out.append((p, DISP_DROP))
                 ndrop += 1
-            elif v.kind == V_MATCH:
-                out.append((p, DISP_REWRITTEN))
             else:
-                out.append((p, DISP_FORWARD))
+                out.append((p, DISP_REWRITTEN))
         if ndrop:
             stats["drop"].observe(ndrop, time.perf_counter_ns() - t4)
             counters["verdict_drops"] += ndrop

@@ -13,17 +13,17 @@ tracked packet's addresses and ports are written by translate_session alone.
 
 import struct
 
-from .conntrack import FWD, TUPLE_POS
+from .conntrack import FWD, QUAD, mirror
 from .errors import MalformedOption
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, fold
 from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
-from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT
+from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
-# wire layouts of translate_session: the IPv4 header checksum and the
-# addresses after it, the ports, a transport checksum
-_CSUM_ADDRS = struct.Struct("!HII")
-_PORTS = struct.Struct("!HH")
+# wire layouts of translate_session: the two addresses, the two ports, a
+# checksum
+_ADDRS = struct.Struct("!Q")
+_PORTS = struct.Struct("!I")
 _CSUM = struct.Struct("!H")
 
 
@@ -63,9 +63,15 @@ class TargetProgram:
                 and not self.dynamic)
 
 
-def compile_targets(rule):
+def compile_targets(rule, session=False):
     """Build the rewrite program for a validated rule. Drop rules compile to
-    an empty program (the drop happens during classification)."""
+    an empty program (the drop happens during classification).
+
+    With `session`, the program is the one for the forward packets of the
+    rule's own connections: it leaves out the shuffles and the mods of
+    tuple fields the rule's protocol guarantees, since those are the
+    connection's bindings, which the session writer and `entry.extra`
+    write."""
     tp = TargetProgram()
     folded = {}  # base -> [bits, val] over fold's header integer
 
@@ -84,6 +90,8 @@ def compile_targets(rule):
             if not guaranteed:
                 tp.cond_fields.append((fd, t.value))
                 continue
+            if session and fd.name in TUPLE_FIELDS:
+                continue
             base, bits, val = fold(fd, t.value)
             acc = folded.setdefault(base, [0, 0])
             acc[0] |= bits
@@ -94,7 +102,7 @@ def compile_targets(rule):
             tp.opt_strip_except = t.opt_kinds
         elif t.kind == ADD_OPT:
             tp.opt_adds.append((t.field.opt_kind, _encode_opt_value(t.value)))
-        elif t.kind == SHUFFLE:
+        elif t.kind == SHUFFLE and not session:
             tp.dynamic.append(t.field)
 
     spans = []
@@ -216,48 +224,48 @@ def apply_option_edits(pkt, tp, counters):
 
 def translate_session(pkt, entry, direction, programs):
     """The connection translation of a tracked TCP or UDP packet, the one
-    writer of its addresses and ports. Forward packets leave with fwd_post,
-    reverse packets with fwd_pre swapped, written at the packet's own
-    offsets, so any IHL works (fragments never have an entry). After
+    writer of its addresses and ports. Forward packets leave with the quad
+    post_q, reverse packets with the mirror of pre_q: its upper 64 bits are
+    written as the addresses at l3+12 and its lower 32 as the ports at the
+    L4 offset, so any IHL works (fragments never have an entry). After
     `programs` ran, a tuple field that no binding covers keeps what they
-    wrote there.
+    wrote there: the new quad is the packet's own outside the plan's bound
+    mask.
 
-    Both checksums move by the RFC 1624 difference between the tuple the
-    packet carries and the one it leaves with (0 for a packet already
-    carrying its post-image). A 32-bit address is congruent to the sum of
-    its two words modulo 0xFFFF, so this is the word difference
-    update_checksums finds: a UDP result of 0 is stored as 0xFFFF, a
-    transport checksum that arrived wrong stays wrong by the same amount,
-    and the IPv4 header checksum (valid, as parse_packet and the checksum
-    step leave it) moves by the address part alone. A UDP packet without a
-    checksum gets both recomputed by fix_checksums.
+    Both checksums move by the RFC 1624 difference between the quad the
+    packet carries (read from its probe window) and the one it leaves with
+    (0 for a packet already carrying its post-image). A quad, like any
+    big-endian integer, is congruent to the sum of its 16-bit words modulo
+    0xFFFF, so the transport delta is old - new and the IPv4 header delta
+    (old >> 32) - (new >> 32), the addresses alone. This is the word
+    difference update_checksums finds: a UDP result of 0 is stored as
+    0xFFFF, a transport checksum that arrived wrong stays wrong by the same
+    amount, and the IPv4 header checksum (valid, as parse_packet and the
+    checksum step leave it) stays valid. A UDP packet without a checksum
+    gets both recomputed by fix_checksums.
     """
+    old = pkt.window() >> 128 & QUAD
+    plan = entry.plan
+    if direction == FWD:
+        new, bound = entry.post_q, plan.bound
+    else:
+        new, bound = mirror(entry.pre_q), plan.mirror
+    if programs:
+        new = old & ~bound | new & bound
     d = pkt.writable()
     l3 = pkt.l3_offset
     l4 = pkt.l4_offset
-    if direction == FWD:
-        sa, da, sp, dp, _ = entry.fwd_post
-    else:
-        da, sa, dp, sp, _ = entry.fwd_pre
-    ip, old_sa, old_da = _CSUM_ADDRS.unpack_from(d, l3 + 10)
-    old_sp, old_dp = _PORTS.unpack_from(d, l4)
-    if programs:
-        # the positions in (saddr, daddr, sport, dport) that bindings write
-        bound = {TUPLE_POS.get(b.field.name) for b in entry.bindings}
-        if direction != FWD:
-            bound = {p ^ 1 for p in bound if p is not None}  # the mirror
-        new, cur = (sa, da, sp, dp), (old_sa, old_da, old_sp, old_dp)
-        sa, da, sp, dp = [new[i] if i in bound else cur[i] for i in range(4)]
-    addr_delta = old_sa + old_da - sa - da
-    _CSUM_ADDRS.pack_into(d, l3 + 10, (ip + addr_delta) % 0xFFFF, sa, da)
-    _PORTS.pack_into(d, l4, sp, dp)
+    (ip,) = _CSUM.unpack_from(d, l3 + 10)
+    _CSUM.pack_into(d, l3 + 10, (ip + (old >> 32) - (new >> 32)) % 0xFFFF)
+    _ADDRS.pack_into(d, l3 + 12, new >> 32)
+    _PORTS.pack_into(d, l4, new & 0xFFFFFFFF)
     udp = pkt.ip_proto != PROTO_TCP
     at = l4 + 6 if udp else l4 + 16
     (hc,) = _CSUM.unpack_from(d, at)
     if udp and hc == 0:
         fix_checksums(pkt)
         return
-    hc = (hc + addr_delta + old_sp + old_dp - sp - dp) % 0xFFFF
+    hc = (hc + old - new) % 0xFFFF
     if hc == 0 and udp:
         hc = 0xFFFF
     _CSUM.pack_into(d, at, hc)
@@ -305,7 +313,7 @@ def rewrite_packet(pkt, programs, entry, direction, counters):
             fix_checksums(pkt)
     if malformed:
         counters["malformed_options"] += 1
-    if entry is not None and entry.bindings:
+    if entry is not None and entry.plan is not None:
         translate_session(pkt, entry, direction, programs)
         modified = True
     return modified

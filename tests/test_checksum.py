@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refbuild as ref
+from flows import tuple_of
 from midbox import (Engine, EngineConfig, parse_packet, verify_checksums,
                     write_field)
 from midbox.fields import FIXED, FLAG, REGISTRY
@@ -294,8 +295,8 @@ def test_connection_rewrites_match_reference(case):
     out = []
     engine.run_stream(iter([(first, 0, 0)]), out)
     (entry,) = engine.conn.entries()
-    assert entry.fwd_pre[:4] == CLIENT
-    post = entry.fwd_post[:4]
+    assert tuple_of(entry.pre_q) == CLIENT
+    post = tuple_of(entry.post_q)
     present = ("ip-", "tcp-" if proto == ref.TCP else "udp-")
     for name in TUPLE_FIELD_NAMES:
         pos = TUPLE_POS[name]
@@ -308,8 +309,8 @@ def test_connection_rewrites_match_reference(case):
         else:
             assert post[pos] == CLIENT[pos]
     ttl_bound = "shuffle ip-ttl" in targets
-    ttl_fwd = entry.bindings[-1].rewritten if ttl_bound else None
-    bound = bool(entry.bindings)
+    ttl_fwd = entry.extra[-1].rewritten if ttl_bound else None
+    bound = entry.plan is not None
     assert len(entry.extra) == ttl_bound
     assert out == [_expected(proto, CLIENT, ttl0, post, ttl_fwd or ttl0,
                              FIRST_IDENT, b"", ihl, csum, bound)]

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import refbuild as ref
+from flows import normalize, quad_of, tuple_of
 from midbox import ETHERNET, RAW_IP, parse_command, parse_packet
 from midbox.conntrack import (ACK, CLOSED, ESTABLISHED, FIN, FIN_WAIT, FWD,
                               NEW, OUT_OF_PORTS, REV, RST, SYN, ConnTable,
-                              TimeoutPolicy, normalize)
+                              TimeoutPolicy)
 
 
 def tracking_rule(line="mmb add-stateful ip-saddr 10.0.0.0/8 mod ip-ttl 63"):
@@ -53,7 +54,7 @@ def test_window_key_is_the_normalized_tuple(proto, link, ihl, sa, da, sp, dp, pa
     conn = ConnTable()
     e = conn.insert(fwd, tracking_rule(), 0.0)
     assert e.key == normalize(fwd.five_tuple()) == normalize(rev.five_tuple())
-    assert e.fwd_pre == fwd.five_tuple()
+    assert e.pre_q == quad_of(fwd.five_tuple()) and e.proto == proto
     assert conn.lookup(fwd, 1.0) == (e, FWD)
     assert conn.lookup(rev, 1.0) == (e, FWD if (sa, sp) == (da, dp) else REV)
 
@@ -234,14 +235,15 @@ def test_snat_bindings_and_translated_key():
     syn = tcp_pkt(saddr=0x0A000005, daddr=0xC6336401, sport=4321, dport=80,
                   flags=ref.SYN)
     e = conn.insert(syn, rule, 0.0)
-    by_field = {b.field.name: b for b in e.bindings}
-    assert by_field["ip-saddr"].original == 0x0A000005
-    assert by_field["ip-saddr"].rewritten == 0xC8000001
-    sport_b = by_field["tcp-sport"]
-    assert sport_b.original == 4321 and 1024 <= sport_b.rewritten <= 65535
+    assert tuple_of(e.pre_q) == (0x0A000005, 0xC6336401, 4321, 80)
+    saddr, daddr, sport, dport = tuple_of(e.post_q)
+    assert (saddr, daddr, dport) == (0xC8000001, 0xC6336401, 80)
+    assert 1024 <= sport <= 65535
+    # the address and the source port are bound, nothing outside the tuple
+    assert e.plan.bound == quad_of((0xFFFFFFFF, 0, 0xFFFF, 0)) and e.extra == ()
     # the reverse packet carries the translated tuple
     back = tcp_pkt(saddr=0xC6336401, daddr=0xC8000001, sport=80,
-                   dport=sport_b.rewritten, flags=ref.SYN | ref.ACK)
+                   dport=sport, flags=ref.SYN | ref.ACK)
     e2, d2 = conn.lookup(back, 1.0)
     assert e2 is e and d2 == REV
 
@@ -257,7 +259,7 @@ def test_shuffle_values_unique_and_released():
         pkt = tcp_pkt(saddr=0x0A000001 + i, daddr=0x0A800001, sport=2000 + i,
                       dport=80, flags=ref.SYN)
         entries.append(conn.insert(pkt, rule, 0.0))
-    ports = [e.bindings[0].rewritten for e in entries]
+    ports = [tuple_of(e.post_q)[2] for e in entries]
     assert len(set(ports)) == len(ports) == 300
     conn.remove(entries[0])
     pkt = tcp_pkt(saddr=0x0A00F001, daddr=0x0A800001, sport=9999, dport=80,
@@ -273,7 +275,9 @@ def test_out_of_ports_tracks_nothing_and_returns_taken_values():
                          "shuffle tcp-sport shuffle ip-ttl")
     for i in range(6):
         e = conn.insert(tcp_pkt(saddr=0x0A000001 + i, flags=ref.SYN), rule, 0.0)
-        assert len(e.bindings) == 2
+        # one binding in the tuple (the port), one outside it (the TTL)
+        assert e.plan.bound == quad_of((0, 0, 0xFFFF, 0))
+        assert [b.field.name for b in e.extra] == ["ip-ttl"]
     assert conn.insert(tcp_pkt(saddr=0x0A0000FF, flags=ref.SYN), rule,
                        0.0) is OUT_OF_PORTS
     assert conn.out_of_ports == 1

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refbuild as ref
+from flows import normalize, quad_of, tuple_of
 from midbox import parse_command, parse_packet
 from midbox.conntrack import (ACK, CLOSED, ESTABLISHED, FIN, FIN_WAIT, FWD,
                               NEW, OUT_OF_PORTS, REV, RST, SYN, TABLE_FULL,
-                              ConnTable, TimeoutPolicy, normalize)
+                              ConnTable, TimeoutPolicy)
 from midbox.rules import MOD, SHUFFLE, TUPLE_FIELDS
 
 TIMEOUTS = TimeoutPolicy(tcp_new=3.0, tcp_established=20.0, tcp_fin_wait=2.0,
@@ -46,6 +47,7 @@ TTL = 64  # of every packet
 FLAGS = (SYN, SYN | ACK, ACK, FIN | ACK, RST)
 POS = {"ip-saddr": 0, "ip-daddr": 1, "tcp-sport": 2, "udp-sport": 2,
        "tcp-dport": 3, "udp-dport": 3}
+WIDTHS = (0xFFFFFFFF, 0xFFFFFFFF, 0xFFFF, 0xFFFF)  # of each position
 
 
 def _norm(t5):
@@ -357,9 +359,21 @@ def test_conn_table_agrees_with_model(capacity, ports, seed, steps):
                     if want.eng is None:
                         want.eng = got
                     assert got is want.eng
-                    assert got.fwd_pre == want.pre and got.fwd_post == want.post
+                    assert got.proto == want.pre[4]
+                    assert tuple_of(got.pre_q) == want.pre[:4]
+                    assert tuple_of(got.post_q) == want.post[:4]
+                    # the bindings: tuple ones as the plan's bound mask,
+                    # the others in extra
+                    bound = 0
+                    for name, _, _ in want.bindings:
+                        if name in POS:
+                            bound |= quad_of([w if i == POS[name] else 0
+                                              for i, w in enumerate(WIDTHS)])
+                    assert (got.plan is not None) == bool(want.bindings)
+                    assert (got.plan.bound if got.plan else 0) == bound
                     assert [(b.field.name, b.original, b.rewritten)
-                            for b in got.bindings] == want.bindings
+                            for b in got.extra] == [b for b in want.bindings
+                                                    if b[0] not in POS]
                 else:
                     assert got is want
         _check(conn, model)

@@ -488,3 +488,182 @@ def test_run_stream_is_total_and_independent_of_vector_size(inputs):
                         report.rewritten, report.counters))
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+# ------------------------------------------ a dropped packet opens no flow
+
+DROP_SERVER = 0xC6336409  # 198.51.100.9
+DROP_RULE = "mmb add ip-daddr 198.51.100.9 drop"
+
+
+def _snat_syn(sport, daddr=DROP_SERVER):
+    return ref.tcp_packet(saddr=0x0A000001, daddr=daddr, sport=sport, dport=80,
+                          flags=ref.SYN)
+
+
+def _first_shuffled_port():
+    """The port the SNAT rule's pool draws first, seen on an engine whose
+    rule 1 is the same rule and which drops nothing."""
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE])
+    out = []
+    engine.run_stream(as_source([_snat_syn(5000, daddr=0xC6336401)]), out)
+    return ref.ref_read(out[0], "tcp-sport")
+
+
+def test_dropped_syn_opens_no_connection():
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE, DROP_RULE])
+    report = engine.run_stream(as_source([_snat_syn(5000)]))
+    assert report.dropped == report.counters["verdict_drops"] == 1
+    assert len(engine.conn) == 0
+    assert engine.list_connections_text() == "no connections"
+
+
+def test_reply_to_a_dropped_syn_is_not_translated():
+    port = _first_shuffled_port()
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE, DROP_RULE])
+    reply = ref.tcp_packet(saddr=DROP_SERVER, daddr=0xC8000001, sport=80,
+                           dport=port, flags=ref.SYN | ref.ACK)
+    out = []
+    report = engine.run_stream(as_source([_snat_syn(5000), reply]), out)
+    assert out == [reply]
+    assert report.rewritten == 0
+
+
+def test_dropped_syns_do_not_fill_the_table():
+    engine = fresh_engine(conn_capacity=4)
+    engine.add_commands([SNAT_RULE, DROP_RULE])
+    dropped = [_snat_syn(5000 + i) for i in range(4)]
+    legit = _snat_syn(6000, daddr=0xC6336401)
+    out = []
+    report = engine.run_stream(as_source(dropped + [legit]), out)
+    assert report.dropped == 4 and report.counters["conn_full_drops"] == 0
+    assert len(out) == 1 and ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert len(engine.conn) == 1
+
+
+# ------------------------------ the connection stage at any vector size
+
+STAGE_RULES = (
+    SNAT_RULE,
+    # TCP and UDP SNAT
+    "mmb add-stateful ip-saddr 10.0.0.0/24 shuffle udp-sport "
+    "shuffle tcp-sport mod ip-saddr 200.0.0.1",
+    # DNAT
+    "mmb add-stateful ip-daddr 198.51.100.0/24 ip-proto tcp tcp-dport 80 "
+    "mod ip-daddr 10.1.0.5 mod tcp-dport 8080",
+    # a maskless catch-all that translates nothing
+    "mmb add-stateful ip-saddr 0.0.0.0/0 mod ip-ttl 63",
+    # a drop overlapping the SNAT match
+    "mmb add ip-saddr 10.0.0.2 drop",
+)
+STAGE_TIMEOUTS = dict(tcp_new=3.0, tcp_established=20.0, tcp_fin_wait=2.0,
+                      tcp_closed=1.0, udp=5.0)
+STAGE_CLIENTS = (0x0A000001, 0x0A000002)
+STAGE_SERVERS = (0xC6336401, 0xC6336402)
+STAGE_PORTS = (1024, 5000)
+STAGE_FLAGS = (ref.SYN, ref.SYN | ref.ACK, ref.ACK, ref.FIN | ref.ACK, ref.RST)
+
+# a packet: a client's (fwd) or a server's (rev) packet of a flow, or a
+# reply to one of the engine's earlier outputs ("answer": of this batch,
+# so for vectors above 1 usually one of this vector; "reply": of any)
+stage_packets = st.tuples(
+    st.sampled_from(["fwd", "fwd", "rev", "answer", "reply"]),
+    st.sampled_from([ref.TCP, ref.UDP]),
+    st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+    st.sampled_from(STAGE_FLAGS), st.sampled_from([5, 6]), st.booleans(),
+    st.integers(0, 63))
+stage_ops = st.one_of(
+    st.tuples(st.just("batch"), st.lists(stage_packets, min_size=1, max_size=12)),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 2.5, 3.5, 6.0, 25.0])),
+    st.tuples(st.just("del"), st.integers(0, 4)))
+
+
+def _stage_packet(proto, t4, flags, ihl, udp_zero):
+    """A refbuild packet; a UDP one carries no checksum when `udp_zero`."""
+    opts = dict(ihl=ihl, ip_options=b"\x01" * 4 * (ihl - 5))
+    if proto == ref.TCP:
+        return ref.tcp_packet(*t4, flags=flags, **opts)
+    data = ref.udp_packet(*t4, payload=b"stage", **opts)
+    if udp_zero:
+        at = 4 * ihl + 6
+        data = data[:at] + b"\x00\x00" + data[at + 2:]
+    return data
+
+
+def _reversed(data, flags, ihl, udp_zero):
+    """A packet answering `data`: its tuple reversed, same protocol."""
+    l3 = 4 * (data[0] & 0x0F)
+    t4 = (int.from_bytes(data[16:20], "big"), int.from_bytes(data[12:16], "big"),
+          int.from_bytes(data[l3 + 2:l3 + 4], "big"),
+          int.from_bytes(data[l3:l3 + 2], "big"))
+    return _stage_packet(data[9], t4, flags, ihl, udp_zero)
+
+
+def _conn_state(engine):
+    return sorted((e.pre_q, e.post_q, e.proto, e.state, e.pkts, e.octets)
+                  for e in engine.conn.entries())
+
+
+@given(rules=st.lists(st.integers(0, len(STAGE_RULES) - 1), min_size=1,
+                      max_size=4, unique=True),
+       capacity=st.integers(1, 4), ports=st.sampled_from([2, 3, 64]),
+       ops=st.lists(stage_ops, min_size=1, max_size=12))
+@settings(max_examples=300)
+def test_connection_stage_is_independent_of_vector_size(rules, capacity, ports,
+                                                        ops):
+    """The same batches through run_vector in vectors of 1, 7 and 256, with
+    clock jumps and rule deletions between them: identical output bytes,
+    dispositions, counters and connection tables. The inputs are built on
+    the vector-of-1 engine, so replies carry what it emitted, and replayed
+    on the others."""
+    from midbox.conntrack import TimeoutPolicy
+    engines = {}
+    for V in (1, 7, 256):
+        engines[V] = fresh_engine(conn_capacity=capacity,
+                                  shuffle_range=(1024, 1023 + ports),
+                                  timeouts=TimeoutPolicy(**STAGE_TIMEOUTS))
+        engines[V].add_commands([STAGE_RULES[i] for i in rules])
+    emitted = []  # every packet the vector-of-1 engine forwarded
+    now = 0.0
+    for op in ops:
+        if op[0] == "advance":
+            now += op[1]
+            continue
+        if op[0] == "del":
+            ids = sorted(engines[1].rules)
+            if ids:
+                line = f"mmb del {ids[op[1] % len(ids)]}"
+                for engine in engines.values():
+                    assert engine.execute_line(line).startswith("deleted")
+            continue
+        inputs, results = [], {V: [] for V in engines}
+        batch_out = []
+        for kind, proto, ci, si, pi, flags, ihl, udp_zero, n in op[1]:
+            t4 = (STAGE_CLIENTS[ci], STAGE_SERVERS[si], STAGE_PORTS[pi], 80)
+            pool = batch_out if kind == "answer" else emitted
+            if kind in ("answer", "reply") and pool:
+                data = _reversed(pool[n % len(pool)], flags, ihl, udp_zero)
+            elif kind == "rev":
+                data = _stage_packet(proto, (t4[1], t4[0], t4[3], t4[2]),
+                                     flags, ihl, udp_zero)
+            else:
+                data = _stage_packet(proto, t4, flags, ihl, udp_zero)
+            inputs.append(data)
+            ((pkt, disp),) = engines[1].run_vector([parse_packet(data)], now=now)
+            results[1].append((disp, pkt.to_bytes()))
+            if disp != DISP_DROP:
+                batch_out.append(pkt.to_bytes())
+        emitted.extend(batch_out)
+        for V in (7, 256):
+            for i in range(0, len(inputs), V):
+                chunk = [parse_packet(d) for d in inputs[i:i + V]]
+                results[V].extend((disp, pkt.to_bytes())
+                                  for pkt, disp in engines[V].run_vector(chunk, now=now))
+        assert results[7] == results[1]
+        assert results[256] == results[1]
+        for V in (7, 256):
+            assert engines[V].counters == engines[1].counters
+            assert _conn_state(engines[V]) == _conn_state(engines[1])
