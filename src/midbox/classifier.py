@@ -5,7 +5,9 @@ with the table mask and the result looked up by hash; a hit means
 (packet & mask) XOR key == 0 for that entry's key. Whatever cannot live in a
 mask (complex conditions, negated matches, TCP options, payload bytes)
 remains as a per-rule residue, evaluated on mask survivors or, for rules
-with no mask at all, on every packet.
+with no mask at all, on every packet. The residue and the rule's protocol
+gate are compiled once, when the rule is, into one predicate
+(`CompiledRule.test`, built from `compile_match`).
 
 A rule's equalities and set-flag checks fold (`fields.fold`) into one mask
 and one key over a 40-byte window read as one integer
@@ -28,12 +30,15 @@ packet from the same windows, resolves the keys, and then walks the packets
 in order. `classify` is its one-packet case.
 """
 
+from operator import eq, ge, gt, is_not, le, lt, ne
+
 from .conntrack import FWD, OUT_OF_PORTS, QUAD, REV, TABLE_FULL, quad_key
-from .fields import FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_TCP, PROTO_UDP, fold
-from .packet import ABSENT, read_field
+from .fields import (FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP,
+                     PROTO_UDP, fold, prefix_mask)
+from .packet import options_map
 from .rewrite import compile_targets
-from .rules import (EQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
-                    _match_is_foldable)
+from .rules import (EQ, GEQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
+                    _match_is_foldable, tuple_writes)
 
 # where fold's header integers sit in the window: the IPv4 header at byte
 # 0, the transport header right after it
@@ -45,48 +50,94 @@ MISS = "miss"
 MATCH = "match"
 
 
-def eval_match(pkt, m):
-    """Evaluate one match expression against a packet.
+def _span(fd, op, val, mask):
+    """pkt -> op(bits, val) for a FIXED or FLAG field, `bits` being the
+    field's value AND `mask`; False where read_field gives ABSENT (another
+    protocol, a fragment, or a span past the packet's end)."""
+    proto, l4, off, n, shift = (fd.proto, fd.base == L4, fd.offset,
+                                fd.span_bytes, fd.shift)
+
+    def test(p):
+        if proto is not None and (p.ip_proto != proto or p.is_fragment):
+            return False
+        d = p.data
+        i = (p.l4_offset if l4 else p.l3_offset) + off
+        return i + n <= len(d) and op(
+            int.from_bytes(d[i:i + n], "big") >> shift & mask, val)
+    return test
+
+
+def _option(fd, op, val):
+    """pkt -> op(payload, val) for a TCP option, its payload read as an
+    integer when `val` is one; False when the option is absent. The cached
+    option map is empty for anything but an unfragmented, well-formed TCP
+    packet, which is the field's protocol check."""
+    k = fd.opt_kind
+    if type(val) is int:
+        def test(p):
+            o = p._opts
+            b = (options_map(p) if o is None else o).get(k)
+            return b is not None and op(int.from_bytes(b, "big"), val)
+    else:
+        def test(p):
+            o = p._opts
+            b = (options_map(p) if o is None else o).get(k)
+            return b is not None and op(b, val)
+    return test
+
+
+def _payload(fd, op, val, n):
+    """pkt -> op(payload[:n], val) for a payload field; False on another
+    protocol or a fragment."""
+    proto, udp = fd.proto, fd.payload_base == "udp"
+
+    def test(p):
+        if proto is not None and (p.ip_proto != proto or p.is_fragment):
+            return False
+        i = p.l4_offset + 8 if udp else p.payload_offset
+        return op(p.data[i:i + n], val)
+    return test
+
+
+_ORDER = {EQ: eq, NEQ: ne, LT: lt, GT: gt, LEQ: le, GEQ: ge}
+_NEGATED = {eq: ne, ne: eq, lt: ge, gt: le, le: gt, ge: lt}
+
+
+def compile_match(m):
+    """One match expression as a predicate pkt -> bool, with every choice
+    that depends only on the expression made here, once: the field's kind
+    and protocol, the condition, the value's type and the negation.
 
     An ABSENT field satisfies only a negated presence check; every other
-    condition fails on ABSENT regardless of negation.
+    condition fails on ABSENT regardless of negation. So presence is a
+    comparison that holds whenever the field can be read (a set bit for a
+    flag, a first byte for a payload), and its negation is `not` of it,
+    while a negated comparison is the opposite comparison.
     """
-    v = read_field(pkt, m.field)
-    if v is ABSENT:
-        return m.negated and m.cond == PRESENT
-    c = m.cond
-    if c == PRESENT:
-        if m.field.kind == FLAG:
-            ok = v == 1
-        elif m.field.kind == PAYLOAD:
-            ok = len(v) > 0
+    fd, kind, val = m.field, m.field.kind, m.value
+    if m.cond == PRESENT:
+        if kind == OPT:
+            test = _option(fd, is_not, None)  # present: payload is not None
+        elif kind == PAYLOAD:
+            test = _payload(fd, ne, b"", 1)  # present: it has a first byte
         else:
-            ok = True
+            one = int(kind == FLAG)  # a flag's bit is set; a span is readable
+            test = _span(fd, eq, one, one)
+        return (lambda p: not test(p)) if m.negated else test
+    if type(val) is tuple or isinstance(val, (bytes, bytearray)):
+        op = eq if m.cond == EQ else ne
     else:
-        val = m.value
-        if type(val) is tuple:  # (addr, prefix_len)
-            addr, plen = val
-            same = plen == 0 or ((v ^ addr) >> (32 - plen)) == 0
-            ok = same if c == EQ else not same
-        elif isinstance(val, (bytes, bytearray)):
-            got = v[:len(val)] if m.field.kind == PAYLOAD else v
-            ok = (got == val) if c == EQ else (got != val)
-        else:
-            if isinstance(v, (bytes, bytearray)):
-                v = int.from_bytes(v, "big")  # option payload as integer
-            if c == EQ:
-                ok = v == val
-            elif c == NEQ:
-                ok = v != val
-            elif c == LT:
-                ok = v < val
-            elif c == GT:
-                ok = v > val
-            elif c == LEQ:
-                ok = v <= val
-            else:
-                ok = v >= val
-    return ok != m.negated
+        op = _ORDER[m.cond]
+    if m.negated:
+        op = _NEGATED[op]
+    if kind == OPT:
+        return _option(fd, op, val)
+    if kind == PAYLOAD:
+        return _payload(fd, op, val, len(val))
+    if type(val) is tuple:  # (addr, prefix_len): compare the prefix bits
+        mask = prefix_mask(val[1])
+        return _span(fd, op, val[0] & mask, mask)
+    return _span(fd, op, val, (1 << fd.width) - 1)
 
 
 def _fold_matches(rule):
@@ -133,37 +184,72 @@ def _program(rule, session=False):
     return None if tp.is_empty else tp
 
 
+def _gate(proto):
+    def gate(p):
+        return p.ip_proto == proto and not p.is_fragment
+    return gate
+
+
+def _anything(p):
+    return True
+
+
+# one gate per protocol, shared by every rule that needs it; it is the whole
+# test of a rule with a protocol and no residue
+_GATES = {proto: _gate(proto) for proto in (PROTO_ICMP, PROTO_TCP, PROTO_UDP)}
+
+
+def _implies(m, proto):
+    """True when match `m` fails on every protocol but `proto` and on
+    fragments by itself: a match on one of its fields, unless a negated
+    presence check, which absence satisfies."""
+    return m.field.proto == proto and not (m.negated and m.cond == PRESENT)
+
+
+def _rule_test(proto, residue):
+    """pkt -> bool for a rule: its protocol gate, then `residue` in order.
+    A rule whose one residue match implies its protocol is that match's
+    predicate alone."""
+    if not residue:
+        return _anything if proto is None else _GATES[proto]
+    if len(residue) == 1 and (proto is None or _implies(residue[0], proto)):
+        return compile_match(residue[0])
+    tests = [compile_match(m) for m in residue]
+    if proto is not None:
+        tests.insert(0, _GATES[proto])
+    tests = tuple(tests)
+
+    def test(p):
+        for t in tests:
+            if not t(p):
+                return False
+        return True
+    return test
+
+
 class CompiledRule:
     """One rule prepared for execution: table shift, mask and key, match
-    tuples, programs.
+    test, programs.
 
-    `residue` holds the matches the mask could not fold and is checked on
-    packets that hit the rule's table entry, or on every packet for a
+    `residue` holds the matches the mask could not fold, and `test` is the
+    rule's protocol gate and residue compiled into one predicate; it runs
+    on packets that hit the rule's table entry, or on every packet for a
     maskless rule (mask 0). `program` is the rule's rewrite program and
     `own_program` the one for the forward packets of its own connections
     (compile_targets with `session`); each is None when it writes
     nothing."""
 
-    __slots__ = ("rule", "shift", "mask", "key", "proto", "residue",
+    __slots__ = ("rule", "shift", "mask", "key", "residue", "test",
                  "program", "own_program", "drop", "never")
 
     def __init__(self, rule):
         self.rule = rule
         self.shift, self.mask, self.key, residue, self.never = _fold_matches(rule)
-        self.proto = rule.proto_req
         self.residue = _options_last(residue)
+        self.test = _rule_test(rule.proto_req, self.residue)
         self.drop = any(t.kind == T_DROP for t in rule.targets)
         self.program = _program(rule)
         self.own_program = _program(rule, True) if rule.stateful else self.program
-
-    def matches(self, pkt):
-        """The protocol gate, then every expression of `residue`."""
-        if self.proto is not None and (pkt.ip_proto != self.proto or pkt.is_fragment):
-            return False
-        for m in self.residue:
-            if not eval_match(pkt, m):
-                return False
-        return True
 
 
 class ClassifierTable:
@@ -339,7 +425,7 @@ def match_tables(pkts, snap):
                     continue
                 p = pkts[i]
                 for cr in e:
-                    if cr.matches(p):
+                    if cr.test(p):
                         if hits[i]:
                             hits[i].append(cr)
                         else:
@@ -397,7 +483,7 @@ def classify_vector(pkts, snap, conn, now, hits):
 
 def _with_slow(pkt, hits, slow):
     """`hits` followed by the maskless rules `pkt` matches."""
-    matched = [cr for cr in slow if cr.matches(pkt)]
+    matched = [cr for cr in slow if cr.test(pkt)]
     return [*hits, *matched] if matched else hits
 
 
@@ -405,11 +491,23 @@ def _rule_id(cr):
     return cr.rule.id
 
 
+def _owner(a, b):
+    """Of two stateful rules a packet matched, the one to own its
+    connection: one that translates the tuple before one that does not,
+    then the lower id. Otherwise a rule that only tracks would take a flow
+    that another rule's address rewrite then sends out unshuffled and
+    leaves its replies untranslated."""
+    ta, tb = bool(tuple_writes(a)), bool(tuple_writes(b))
+    if ta != tb:
+        return a if ta else b
+    return a if a.id < b.id else b
+
+
 def _by_rules(pkt, matched, entry, direction, conn, now):
     """The result of a packet that matched rules: counts their hits, then
-    a drop rule drops it; otherwise the lowest-id stateful rule, whatever
-    the order tables were probed in, opens a connection for an untracked
-    packet."""
+    a drop rule drops it; otherwise the stateful rule `_owner` picks,
+    whatever the order tables were probed in, opens a connection for an
+    untracked packet."""
     drop = False
     owner = None
     for cr in matched:
@@ -417,8 +515,8 @@ def _by_rules(pkt, matched, entry, direction, conn, now):
         rule.hits += 1
         if cr.drop:
             drop = True
-        if rule.stateful and (owner is None or rule.id < owner.id):
-            owner = rule
+        if rule.stateful:
+            owner = rule if owner is None else _owner(owner, rule)
     if len(matched) > 1:
         matched = sorted(matched, key=_rule_id)
     if drop:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .fields import PROTO_TCP, PROTO_UDP
 from .packet import ABSENT, read_field
-from .rules import MOD, SHUFFLE, TUPLE_FIELDS, quad
+from .rules import SHUFFLE, quad, tuple_writes
 
 FWD = "fwd"
 REV = "rev"
@@ -299,9 +299,7 @@ class ConnTable:
 
     def _plan(self, rule, proto):
         """The Plan of `rule` for flows of protocol `proto`."""
-        writes = [t for t in rule.targets
-                  if t.kind == SHUFFLE or (t.kind == MOD and t.field is not None
-                                           and t.field.name in TUPLE_FIELDS)]
+        writes = tuple_writes(rule)
         steps = []
         for t in writes:
             fd = t.field

@@ -307,7 +307,7 @@ def parse_tcp_options(pkt):
     return out
 
 
-def _options_map(pkt):
+def options_map(pkt):
     """kind -> payload bytes for the packet's TCP options (cached).
 
     A malformed option area yields an empty map and sets pkt._opts_bad.
@@ -340,7 +340,7 @@ def read_field(pkt, fd):
     kind = fd.kind
     d = pkt.data
     if kind == OPT:
-        v = _options_map(pkt).get(fd.opt_kind)
+        v = options_map(pkt).get(fd.opt_kind)
         return ABSENT if v is None else v
     if kind == PAYLOAD:
         if fd.payload_base == "udp":

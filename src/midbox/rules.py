@@ -343,6 +343,13 @@ def _match_is_foldable(m):
     return False
 
 
+def tuple_writes(rule):
+    """The targets of `rule` that translate the connection tuple: its
+    shuffles and its mods of TUPLE_FIELDS."""
+    return [t for t in rule.targets
+            if t.kind == SHUFFLE or (t.kind == MOD and t.field.name in TUPLE_FIELDS)]
+
+
 def validate_rule(rule):
     """Semantic validation; computes fast_path_eligible and proto_req."""
     kinds = [t.kind for t in rule.targets]

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 import refbuild as ref
-from midbox import Engine, classify, parse_command, parse_packet
-from midbox.classifier import RuleSetSnapshot, match_tables
+from midbox import (CommandError, Engine, PacketBuffer, classify, parse_command,
+                    parse_packet)
+from midbox.classifier import RuleSetSnapshot, compile_match, match_tables
+from midbox.fields import FIXED, FLAG, REGISTRY, tcp_option_field
 from midbox.pipeline import DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
 from midbox.rulegen import mask_limit_rules
 from midbox.rules import LEQ
@@ -40,7 +42,9 @@ def test_compile_tcp_dport_80():
     assert cr.mask.to_bytes(16, "big") == bytes(14) + b"\xff\xff"
     assert cr.key.to_bytes(16, "big") == bytes(14) + b"\x00\x50"
     # the implied protocol check is the rule's protocol gate
-    assert cr.proto == 6 and cr.residue == ()
+    assert cr.residue == ()
+    assert cr.test(parse_packet(ref.tcp_packet(dport=443)))
+    assert not cr.test(parse_packet(ref.udp_packet(dport=80)))
 
 
 def test_compile_saddr_prefix():
@@ -48,7 +52,8 @@ def test_compile_saddr_prefix():
     assert cr.shift == 8 * (40 - 24)  # the window's first 24 bytes
     assert cr.mask.to_bytes(24, "big") == bytes(12) + b"\xff\xff\xff\x00" + bytes(8)
     assert cr.key.to_bytes(24, "big") == bytes(12) + b"\x0a\x00\x00\x00" + bytes(8)
-    assert cr.proto is None and cr.residue == ()
+    assert cr.residue == ()
+    assert cr.test(parse_packet(ref.udp_packet(saddr=0x0B000001)))
 
 
 def test_compile_complex_is_residue_only():
@@ -178,8 +183,8 @@ def test_match_chunks_vs_byte_loop_oracle():
         data = ref.random_valid_packet(rng, allow_frag=True, allow_ipopts=True)
         line = _folded_drop_rule(rng, data, rng.random() < 0.5)
         cr = compiled(line)
-        gate = cr.proto is None or (cr.proto == data[9]
-                                    and not _is_fragment(data))
+        proto = cr.rule.proto_req
+        gate = proto is None or (proto == data[9] and not _is_fragment(data))
         want = not cr.never and gate and _byte_loop_match(data, cr)
         assert drops(data, line) == want, (line, data.hex())
         outcomes.add(want)
@@ -237,6 +242,127 @@ def test_match_options_random_vs_reference_walk():
             opts = ref.ref_walk_options(data)
             want = opts is not None and any(k == kind for k, _ in opts)
             assert got == want
+
+
+def test_rules_without_a_residue_share_their_gate():
+    # a rule whose matches all fold keeps no closure of its own, which holds
+    # a 10K-rule table's memory to one shared gate per protocol
+    a = compiled("mmb add tcp-dport 80 drop")
+    b = compiled("mmb add ip-saddr 10.0.0.1 ip-proto tcp tcp-sport 5 drop")
+    assert a.residue == b.residue == ()
+    assert a.test is b.test
+    assert compiled("mmb add ip-ttl 3 drop").test is \
+        compiled("mmb add ip-saddr 10.0.0.0/8 drop").test
+
+
+# the parser's comparison operators; presence has none
+CONDS = ("==", "!=", "<", ">", "<=", ">=")
+# every registry field, plus option kinds the language has no name for
+DIFF_FIELDS = list(REGISTRY.values()) + [tcp_option_field(k) for k in (6, 99)]
+
+
+def _tokens(fd, v):
+    """Value tokens near the value `v` a packet carries in field `fd`."""
+    if fd.is_addr:
+        out = [f"{_quad(v)}/{plen}" for plen in (0, 8, 23, 32)]
+        return out + [_quad(v ^ 1), str(v), _quad(min(v + 1, (1 << 32) - 1))]
+    if isinstance(v, bytes):
+        n = int.from_bytes(v, "big")
+        out = [str(n), str(n + 1), str(max(n - 1, 0))]
+        if v:
+            out += ["0x" + v.hex(), "0x" + v[:1].hex(), "0x" + (v + b"\0").hex()]
+        return out
+    return [str(v), str(v + 1), str(max(v - 1, 0))]
+
+
+def _diff_matches(samples):
+    """Every match expression the parser accepts on the fields of
+    DIFF_FIELDS, plain and negated: presence, and each condition with each
+    value token taken from the first three samples that carry the field,
+    the bounds of the field and a few literals; lines the parser rejects
+    are skipped."""
+    matches = []
+    for fd in DIFF_FIELDS:
+        name = fd.name
+        toks = {"0", "1", "0x00", "0xff", "tcp", "udp", "icmp"}
+        if fd.width:
+            toks.add(str((1 << fd.width) - 1))
+        values = [oracle._View(data).read(fd) for data in samples]
+        for v in [v for v in values if v is not None][:3]:
+            toks.update(_tokens(fd, v))
+        texts = [name] + [f"{name} {c} {t}" for c in CONDS for t in sorted(toks)]
+        for text in texts:
+            for neg in ("", "! "):
+                try:
+                    rule = parse_command(f"mmb add {neg}{text} drop").rule
+                except CommandError:
+                    continue
+                matches.extend(rule.matches)
+    return matches
+
+
+class _Cut(oracle._View):
+    """The oracle's view of a packet whose bytes stop at `end`: a bit span
+    past the end is absent."""
+
+    def __init__(self, data, end):
+        super().__init__(data)
+        self.end = end
+
+    def read(self, fd):
+        if fd.kind == FLAG:
+            stop = self.l4 + 14
+        else:
+            base, off, _, _, n = oracle.FIXED_LAYOUT[fd.name]
+            stop = (self.l3 if base == "l3" else self.l4) + off + n
+        return None if stop > self.end else super().read(fd)
+
+
+def _cut(data, end):
+    """A PacketBuffer holding `data`'s first `end` bytes under `data`'s
+    header offsets, as no parse would build it: every bit span past `end`
+    must read as absent."""
+    full = parse_packet(data)
+    return PacketBuffer(data[:end], full.l3_offset, full.l4_offset, full.ihl,
+                        full.ip_proto, full.is_fragment)
+
+
+def test_compiled_matches_agree_with_oracle():
+    """compile_match against the oracle's independent `_eval`, on every
+    match the parser accepts and on packets across the protocol space:
+    IP options, fragments, odd protocols, malformed option areas, and
+    packets cut short inside the fields they are matched on."""
+    rng = random.Random(31)
+    opts = ref.make_options((2, (1460).to_bytes(2, "big")), (4, b""),
+                            (6, b"\0\0\0\x07"), (99, b"\x80"))
+    tcp = ref.tcp_packet(flags=ref.SYN | ref.ACK, options=opts, payload=b"\xff")
+    udp = ref.udp_packet(sport=53, payload=b"\x01\x02q")
+    icmp = ref.icmp_packet(icmp_type=3, code=1)
+    packets = [tcp, udp, icmp, ref.udp_packet(), ref.icmp_packet(),
+               ref.tcp_packet(options=bytes([2, 40]) + bytes(18)),  # overrun
+               ref.tcp_packet(options=bytes([1, 1, 1, 8])),  # no length byte
+               ref.tcp_packet(options=bytes([2, 4, 5, 180, 3, 1, 0, 0]))]  # length 1
+    packets += [ref.random_valid_packet(rng) for _ in range(150)]
+    matches = _diff_matches(packets)
+    assert {m.cond for m in matches} == {"present", *CONDS}
+    assert {m.field.name for m in matches} == {fd.name for fd in DIFF_FIELDS}
+    tests = [(m, compile_match(m)) for m in matches]
+    outcomes = set()
+    for data in packets:
+        pkt, view = parse_packet(data), oracle._View(data)
+        for m, test in tests:
+            want = oracle._eval(view, m)
+            assert test(pkt) is want, (str(m), data.hex())
+            outcomes.add((m.field.kind, m.negated, want))
+    assert len(outcomes) == 4 * 2 * 2
+
+    spans = [(m, t) for m, t in tests if m.field.kind in (FIXED, FLAG)]
+    for data in (tcp, udp, icmp):
+        l4 = 4 * (data[0] & 0x0F)
+        for end in (3, 9, 14, 17, l4, l4 + 1, l4 + 3, l4 + 5, l4 + 9, l4 + 14):
+            pkt, view = _cut(data, end), _Cut(data, end)
+            for m, test in spans:
+                assert test(pkt) is oracle._eval(view, m), (str(m), end)
 
 
 # ---------------------------------------------------------------- verdicts

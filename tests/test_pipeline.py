@@ -107,6 +107,32 @@ def test_lowest_id_stateful_rule_owns_new_connection():
     assert engine.list_connections_text().endswith("rule=1")
 
 
+def test_translating_stateful_rule_owns_the_connection_over_a_lower_id():
+    # rule 1 only tracks (a TTL rewrite); rule 2 translates. The flow is
+    # rule 2's, so its SYN leaves shuffled and the reply comes back
+    engine = fresh_engine()
+    engine.add_commands(["mmb add-stateful ip-saddr 10.0.0.0/8 mod ip-ttl 63",
+                         SNAT_RULE])
+    syn = ref.tcp_packet(saddr=0x0A000001, daddr=0xC6336401, sport=5000,
+                         dport=80, flags=ref.SYN)
+    out = []
+    report = engine.run_stream(as_source([syn]), out)
+    assert report.counters["missing_binding"] == 0
+    assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert ref.ref_read(out[0], "ip-ttl") == 63
+    port = ref.ref_read(out[0], "tcp-sport")
+    assert port != 5000 and port >= engine.config.shuffle_range[0]
+    assert engine.list_connections_text().endswith("rule=2")
+    reply = ref.tcp_packet(saddr=0xC6336401, daddr=0xC8000001, sport=80,
+                           dport=port, flags=ref.SYN | ref.ACK)
+    back = []
+    report = engine.run_stream(as_source([reply]), back)
+    assert ref.ref_read(back[0], "ip-daddr") == 0x0A000001
+    assert ref.ref_read(back[0], "tcp-dport") == 5000
+    assert ref.verify_packet_checksums(back[0])
+    assert report.counters["missing_binding"] == 0
+
+
 def test_failed_bulk_load_installs_nothing():
     engine = fresh_engine()
     with pytest.raises(CommandError):
