@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fields import PROTO_TCP, PROTO_UDP
+from .fields import PROTO_TCP, PROTO_UDP, byte_span, fold
 from .packet import ABSENT, read_field
 from .rules import SHUFFLE, quad, tuple_writes
 
@@ -62,10 +62,13 @@ class TimeoutPolicy:
 
 
 class DynamicBinding(NamedTuple):
-    """A drawn value of a field outside the tuple, and what it replaced."""
+    """A drawn value of a field outside the tuple, what it replaced, and
+    the byte spans (fields.byte_span) that write each into a packet."""
     field: object
     original: int
     rewritten: int
+    fwd: tuple
+    rev: tuple
 
 
 def quad_key(q, proto):
@@ -273,7 +276,8 @@ class ConnTable:
                     self.out_of_ports += 1
                     return OUT_OF_PORTS
             if shift is None:
-                extra += (DynamicBinding(fd, orig, value),)
+                extra += (DynamicBinding(fd, orig, value, byte_span(*fold(fd, value)),
+                                         byte_span(*fold(fd, orig))),)
             else:
                 post = post & ~(width << shift) | value << shift
 

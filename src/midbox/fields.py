@@ -4,7 +4,8 @@ Every field the rule language can name maps to a FieldDescriptor telling the
 engine how to locate it in a packet: a fixed bit span relative to the L3 or L4
 header (a TCP flag is a 1-bit span of the flags byte), a TCP option (by kind),
 or the L3/UDP payload. `fold` is the one place a field and a value become
-mask bits; the classifier and the static rewrite both build on it.
+mask bits; the classifier and the static rewrite both build on it, the
+rewrite through `byte_span`.
 """
 
 from dataclasses import dataclass
@@ -164,3 +165,13 @@ def fold(fd, value):
         return fd.base, bits << at, (addr & bits) << at
     bits = ((1 << fd.width) - 1) << fd.shift
     return fd.base, bits << at, ((value << fd.shift) & bits) << at
+
+
+def byte_span(base, bits, val):
+    """(base, lo, hi, keep, key): fold's `bits` and `val` cut to header bytes
+    lo..hi-1, the first to the last one holding a written bit."""
+    lo = HDR - (bits.bit_length() + 7) // 8
+    cut = ((bits & -bits).bit_length() - 1) // 8  # bytes after the span
+    hi = HDR - cut
+    keep = ((1 << 8 * (hi - lo)) - 1) & ~(bits >> 8 * cut)
+    return base, lo, hi, keep, val >> 8 * cut

@@ -11,6 +11,8 @@ packet's 40-byte probe window once, for the header checksum and the
 classifier both.
 """
 
+import struct
+
 from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
@@ -18,6 +20,9 @@ RAW_IP = 101  # pcap LINKTYPE_RAW
 ETHERNET = 1  # pcap LINKTYPE_EN10MB
 
 ETHERTYPE_IPV4 = 0x0800
+
+# a checksum's wire layout
+_WORD = struct.Struct("!H")
 
 TCP_OPT_EOL = 0
 TCP_OPT_NOP = 1
@@ -439,65 +444,32 @@ def fix_checksums(pkt):
     return pkt
 
 
-# IPv4 header bytes 0-9 that decide the packet's structure or its
-# pseudo-header: version/IHL, total length, fragment field and protocol.
-_STRUCTURE_BYTES = int.from_bytes(bytes.fromhex("ff00ffff0000ffff00ff"), "big")
-
-
-def update_checksums(pkt, before):
-    """Bring both checksums up to date after same-length header writes.
-
-    `before` is bytes(pkt.data[l3:l4 + 20]), taken before the writes. The
-    TCP/UDP checksum is patched by the RFC 1624 update HC' = ~(~HC + ~m + m'),
-    where m and m' are the pseudo-header addresses and the transport header
-    (checksum field left out) before and after, so the cost does not grow
-    with the payload. The result
-    is normalised to the value a full recompute gives (0 stands for 0xFFFF
-    only in UDP), so when the incoming checksum was valid the bytes equal
-    those of fix_checksums. An incoming checksum that was wrong stays wrong
-    by the same amount, as in Linux and VPP NAT. The IPv4 header checksum
-    is recomputed over the header as it now stands.
-
-    Returns False and changes nothing when the writes touched the
-    structure bytes of the IPv4 header (version/IHL, total length, fragment
-    field, protocol) or the UDP checksum is 0 ("not in use"); the caller
-    then recomputes with fix_checksums.
+def patch_checksums(pkt, ip_delta, l4_delta):
+    """Move the IPv4 header checksum by `ip_delta` and the TCP/UDP one (no
+    fragment has one) by `l4_delta`: RFC 1624 deltas, old - new of the
+    words same-length header writes changed, HC' = HC + m - m' modulo
+    0xFFFF, at a cost that does not grow with the payload. Results take the
+    form a full recompute gives (0 stands for 0xFFFF only in UDP), so a
+    checksum that arrived valid leaves as fix_checksums would make it, and
+    one that arrived wrong stays wrong by the same amount, as in Linux and
+    VPP NAT. Returns False and changes nothing for a UDP packet with
+    checksum 0 ("not in use"); the caller then runs fix_checksums.
     """
     d = pkt.writable()
-    l3 = pkt.l3_offset
-    n = len(before)
-    old = int.from_bytes(before, "big")
-    new = int.from_bytes(d[l3:l3 + n], "big")
-    if n & 1:  # a short packet: make its odd last byte a word's high half
-        old <<= 8
-        new <<= 8
-        n += 1
-    # Read as integers, both spans are congruent modulo 0xFFFF to their word
-    # sums (see checksum16), and so is any word-aligned part of them. Bytes
-    # 0-11 are the IPv4 header fields outside the pseudo-header; the rest is
-    # the pseudo-header addresses, the IPv4 options and the transport header
-    # (for UDP, some payload). Options, payload and checksum fields are not
-    # written here, so they cancel out of old - new.
-    k = 8 * n - 96
-    old_top = old >> k
-    new_top = new >> k
-    if (old_top ^ new_top) >> 16 & _STRUCTURE_BYTES:
-        return False
-    hdr_len = 4 * pkt.ihl
-    csum_at = _transport_csum_at(pkt, pkt.total_length - hdr_len)
-    if csum_at is not None:
-        hc = (d[csum_at] << 8) | d[csum_at + 1]
-        udp = pkt.ip_proto == PROTO_UDP
-        if udp and hc == 0:
+    proto = pkt.ip_proto
+    if not pkt.is_fragment and (proto == PROTO_TCP or proto == PROTO_UDP):
+        at = pkt.l4_offset + (16 if proto == PROTO_TCP else 6)
+        (hc,) = _WORD.unpack_from(d, at)
+        if proto == PROTO_TCP:
+            hc = (hc + l4_delta) % 0xFFFF
+        elif hc:
+            hc = (hc + l4_delta) % 0xFFFF or 0xFFFF
+        else:
             return False
-        hc = (hc + (old - old_top) - (new - new_top)) % 0xFFFF
-        if hc == 0 and udp:
-            hc = 0xFFFF
-        d[csum_at:csum_at + 2] = hc.to_bytes(2, "big")
-    # header as an integer == stored checksum + sum without it (mod 0xFFFF),
-    # and the new checksum is minus the sum without it
-    ip = ((d[l3 + 10] << 8) | d[l3 + 11]) - (new >> (8 * (n - hdr_len)))
-    d[l3 + 10:l3 + 12] = (ip % 0xFFFF).to_bytes(2, "big")
+        _WORD.pack_into(d, at, hc)
+    at = pkt.l3_offset + 10
+    (hc,) = _WORD.unpack_from(d, at)
+    _WORD.pack_into(d, at, (hc + ip_delta) % 0xFFFF)
     pkt.invalidate()
     return True
 

@@ -1,30 +1,31 @@
 """Target application: static mask/key rewrite, TCP option edits, and the
 connection translation of tracked packets.
 
-Static rewrites compile (`fields.fold`) to a keep-mask and a key over the
-affected byte span of each header, at most one span for the IPv4 header and
-one for the transport header, so the hot path is (packet & mask) | key at
-the packet's own header offsets, whatever its IHL. Fields the match does
-not guarantee to exist (e.g. a tcp-* target on a rule that can match UDP)
-fall back to checked per-field writes. Option strips/adds rebuild the
-option area and keep the data offset and IP total length coherent. A
-tracked packet's addresses and ports are written by translate_session alone.
+Fixed-field rewrites compile (`fields.fold`, `fields.byte_span`) to a
+keep-mask and a key over the affected byte span of a header, at most one
+span for the IPv4 header and one for the transport header, so the hot path
+is (packet & mask) | key at the packet's own header offsets, whatever its
+IHL. Fields the match does not guarantee to exist (e.g. a tcp-* target on a
+rule that can match UDP) get a span of their own, written only on packets
+of their protocol. Each span write returns its RFC 1624 checksum deltas,
+which packet.patch_checksums applies once per packet. Option strips/adds
+rebuild the option area and keep the data offset and IP total length
+coherent. A tracked packet's addresses and ports are written by
+translate_session alone.
 """
 
 import struct
 
 from .conntrack import FWD, QUAD, mirror
 from .errors import MalformedOption
-from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, fold
-from .packet import fix_checksums, parse_tcp_options, update_checksums, write_field
+from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, byte_span, fold
+from .packet import fix_checksums, parse_tcp_options, patch_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
-# wire layouts of translate_session: the two addresses, the two ports, a
-# checksum
+# wire layouts of translate_session: the two addresses, the two ports
 _ADDRS = struct.Struct("!Q")
 _PORTS = struct.Struct("!I")
-_CSUM = struct.Struct("!H")
 
 
 def _encode_opt_value(value):
@@ -39,17 +40,18 @@ class TargetProgram:
     """Compiled targets of one rule."""
 
     __slots__ = ("spans", "cond_fields", "payload_mods", "opt_strip",
-                 "opt_strip_except", "opt_adds", "opt_mods", "dynamic")
+                 "opt_strip_except", "opt_adds", "opt_mods", "dynamic", "full")
 
     def __init__(self):
         self.spans = ()           # (base, lo, hi, keep mask, key), one per base
-        self.cond_fields = []     # (fd, value) needing per-packet checks
+        self.cond_fields = []     # (protocol, span) written on that protocol only
         self.payload_mods = []    # (fd, bytes)
         self.opt_strip = frozenset()
         self.opt_strip_except = None  # frozenset whitelist, or None
         self.opt_adds = []        # (kind, payload bytes)
         self.opt_mods = []        # (kind, value)
         self.dynamic = []         # fds of shuffle targets
+        self.full = False         # writes ip-proto or a payload: checksums in full
 
     @property
     def has_option_edits(self):
@@ -83,12 +85,14 @@ def compile_targets(rule, session=False):
                 continue
             if fd.kind == PAYLOAD:
                 tp.payload_mods.append((fd, bytes(t.value)))
+                tp.full = True
                 continue
+            tp.full = tp.full or fd.name == "ip-proto"
             # guaranteed-present fields fold into the mask/key; others get
             # checked writes so a mismatched packet passes untouched
             guaranteed = fd.proto is None or fd.proto == rule.proto_req
             if not guaranteed:
-                tp.cond_fields.append((fd, t.value))
+                tp.cond_fields.append((fd.proto, byte_span(*fold(fd, t.value))))
                 continue
             if session and fd.name in TUPLE_FIELDS:
                 continue
@@ -105,46 +109,65 @@ def compile_targets(rule, session=False):
         elif t.kind == SHUFFLE and not session:
             tp.dynamic.append(t.field)
 
-    spans = []
-    for base, (bits, val) in folded.items():
-        # the bytes from the first to the last one holding a written bit
-        lo = HDR - (bits.bit_length() + 7) // 8
-        cut = ((bits & -bits).bit_length() - 1) // 8  # bytes after the span
-        hi = HDR - cut
-        keep = ((1 << 8 * (hi - lo)) - 1) & ~(bits >> 8 * cut)
-        spans.append((base, lo, hi, keep, val >> 8 * cut))
-    tp.spans = tuple(spans)
+    tp.spans = tuple(byte_span(base, bits, val) for base, (bits, val) in folded.items())
     return tp
 
 
+def _write_span(pkt, base, lo, hi, keep, key):
+    """The masked write of one span at its header's offset in this packet.
+    Returns None when no byte changed, else its (IPv4, transport) checksum
+    deltas: old - new over the span, and over its pseudo-header part (bytes
+    12-19 of an IPv4 span, all of a transport span). Read as integers, both
+    are congruent modulo 0xFFFF to their word sums (see checksum16) once a
+    span that ends on a word's high byte (an odd hi, as words are counted
+    from the header's start) is shifted a byte up."""
+    at = pkt.l4_offset if base == L4 else pkt.l3_offset
+    start = at + lo
+    stop = at + hi
+    old = int.from_bytes(pkt.data[start:stop], "big")
+    new = (old & keep) | key
+    if new == old:
+        return None
+    pkt.writable()[start:stop] = new.to_bytes(hi - lo, "big")
+    if base == L4:
+        ip, l4 = 0, old - new
+    else:
+        m = ((1 << 64) - 1) >> 8 * (HDR - hi)  # the span's bytes from 12 on
+        ip, l4 = old - new, (old & m) - (new & m)
+    if hi & 1:
+        return ip << 8, l4 << 8
+    return ip, l4
+
+
 def apply_static(pkt, tp, counters):
-    """Fixed-field rewrites: a masked write of each span at its header's
-    offset in this packet. A span counts as a change only when its bytes
-    change."""
-    modified = False
-    d = pkt.data
-    for base, lo, hi, keep, key in tp.spans:
-        at = pkt.l4_offset if base == L4 else pkt.l3_offset
-        lo += at
-        hi += at
-        old = int.from_bytes(d[lo:hi], "big")
-        new = (old & keep) | key
-        if new != old:
-            d = pkt.writable()
-            d[lo:hi] = new.to_bytes(hi - lo, "big")
-            pkt.invalidate()
-            modified = True
-    for fd, value in tp.cond_fields:
-        if write_field(pkt, fd, value):
-            modified = True
-        else:
+    """Fixed-field rewrites, each a masked write of a span at its header's
+    offset in this packet (a checked span only on packets of its protocol),
+    then payload writes. Returns None when no byte changed, else the summed
+    (IPv4, transport) checksum deltas of the span writes; after a payload
+    write (`tp.full`) they are not the whole change."""
+    ip = l4 = 0
+    changed = False
+    for span in tp.spans:
+        delta = _write_span(pkt, *span)
+        if delta is not None:
+            changed = True
+            ip += delta[0]
+            l4 += delta[1]
+    for proto, span in tp.cond_fields:
+        if pkt.ip_proto != proto or pkt.is_fragment:
             counters["rewrite_skipped"] += 1
+            continue
+        delta = _write_span(pkt, *span)
+        if delta is not None:
+            changed = True
+            ip += delta[0]
+            l4 += delta[1]
     for fd, value in tp.payload_mods:
         if write_field(pkt, fd, value):
-            modified = True
+            changed = True
         else:
             counters["rewrite_skipped"] += 1
-    return modified
+    return (ip, l4) if changed else None
 
 
 def apply_option_edits(pkt, tp, counters):
@@ -232,17 +255,11 @@ def translate_session(pkt, entry, direction, programs):
     wrote there: the new quad is the packet's own outside the plan's bound
     mask.
 
-    Both checksums move by the RFC 1624 difference between the quad the
-    packet carries (read from its probe window) and the one it leaves with
-    (0 for a packet already carrying its post-image). A quad, like any
-    big-endian integer, is congruent to the sum of its 16-bit words modulo
-    0xFFFF, so the transport delta is old - new and the IPv4 header delta
-    (old >> 32) - (new >> 32), the addresses alone. This is the word
-    difference update_checksums finds: a UDP result of 0 is stored as
-    0xFFFF, a transport checksum that arrived wrong stays wrong by the same
-    amount, and the IPv4 header checksum (valid, as parse_packet and the
-    checksum step leave it) stays valid. A UDP packet without a checksum
-    gets both recomputed by fix_checksums.
+    The checksums move as after any same-length write (patch_checksums). A
+    quad, like any big-endian integer, is congruent to the sum of its 16-bit
+    words modulo 0xFFFF, so the transport delta is old - new, from the quad
+    the packet carries (its probe window's) to the one it leaves with, and
+    the IPv4 header's (old >> 32) - (new >> 32), the addresses alone.
     """
     old = pkt.window() >> 128 & QUAD
     plan = entry.plan
@@ -253,23 +270,10 @@ def translate_session(pkt, entry, direction, programs):
     if programs:
         new = old & ~bound | new & bound
     d = pkt.writable()
-    l3 = pkt.l3_offset
-    l4 = pkt.l4_offset
-    (ip,) = _CSUM.unpack_from(d, l3 + 10)
-    _CSUM.pack_into(d, l3 + 10, (ip + (old >> 32) - (new >> 32)) % 0xFFFF)
-    _ADDRS.pack_into(d, l3 + 12, new >> 32)
-    _PORTS.pack_into(d, l4, new & 0xFFFFFFFF)
-    udp = pkt.ip_proto != PROTO_TCP
-    at = l4 + 6 if udp else l4 + 16
-    (hc,) = _CSUM.unpack_from(d, at)
-    if udp and hc == 0:
+    _ADDRS.pack_into(d, pkt.l3_offset + 12, new >> 32)
+    _PORTS.pack_into(d, pkt.l4_offset, new & 0xFFFFFFFF)
+    if not patch_checksums(pkt, (old >> 32) - (new >> 32), old - new):
         fix_checksums(pkt)
-        return
-    hc = (hc + old - new) % 0xFFFF
-    if hc == 0 and udp:
-        hc = 0xFFFF
-    _CSUM.pack_into(d, at, hc)
-    pkt.invalidate()
 
 
 def rewrite_packet(pkt, programs, entry, direction, counters):
@@ -277,43 +281,48 @@ def rewrite_packet(pkt, programs, entry, direction, counters):
     bindings outside the tuple (`entry.extra`: forward packets get the
     rewritten value, reverse packets the original), then bring the
     checksums up to date, and last write the connection's addresses and
-    ports (translate_session). Returns True when bytes changed.
+    ports (translate_session). Returns True when bytes changed; a write
+    that leaves the bytes as they were is no change.
 
-    Same-length header writes (static mask/key spans, checked field writes,
-    flags, bindings) patch the TCP/UDP checksum incrementally
-    (update_checksums), so a checksum that arrived wrong stays wrong.
-    Option edits, payload writes, writes to ip-proto, and UDP packets
-    without a checksum recompute both checksums in full
+    Every same-length header write (spans, checked spans, bindings) returns
+    its RFC 1624 deltas, and patch_checksums moves both checksums by their
+    sum, so a transport checksum that arrived wrong stays wrong by the same
+    amount. Option edits, writes to ip-proto (which the pseudo-header holds)
+    or a payload, and UDP packets without a checksum recompute both checksums in full
     (fix_checksums), which also repairs one that arrived wrong. A packet
     whose TCP option area is malformed counts once in `malformed_options`.
-    A packet with bindings counts as changed even when it already carried
-    their values, and has its checksums normalised as if they had moved.
     No rule writes ip-len (`validate_rule` rejects it): the total length is
     the engine's, set only by option edits.
     """
     malformed = pkt._opts_bad
-    extra = entry.extra if entry is not None else ()
-    modified = full = False
-    if programs or extra:
-        before = bytes(pkt.data[pkt.l3_offset:pkt.l4_offset + 20])
-        for tp in programs:
-            if apply_static(pkt, tp, counters):
-                modified = True
-                full = full or bool(tp.payload_mods)
-            if tp.has_option_edits:
-                if apply_option_edits(pkt, tp, counters):
-                    modified = full = True
-                malformed = malformed or pkt._opts_bad
-            if tp.dynamic and entry is None:
-                counters["missing_binding"] += 1
-        for b in extra:
-            modified |= write_field(pkt, b.field,
-                                    b.rewritten if direction == FWD else b.original)
-        if modified and (full or not update_checksums(pkt, before)):
-            fix_checksums(pkt)
+    changed = full = False
+    ip = l4 = 0
+    for tp in programs:
+        delta = apply_static(pkt, tp, counters)
+        if delta is not None:
+            changed = True
+            full = full or tp.full
+            ip += delta[0]
+            l4 += delta[1]
+        if tp.has_option_edits:
+            if apply_option_edits(pkt, tp, counters):
+                changed = full = True
+            malformed = malformed or pkt._opts_bad
+        if tp.dynamic and entry is None:
+            counters["missing_binding"] += 1
+    if entry is not None:
+        for b in entry.extra:
+            delta = _write_span(pkt, *(b.fwd if direction == FWD else b.rev))
+            if delta is not None:
+                changed = True
+                full = full or b.field.name == "ip-proto"
+                ip += delta[0]
+                l4 += delta[1]
+    if changed and (full or not patch_checksums(pkt, ip, l4)):
+        fix_checksums(pkt)
     if malformed:
         counters["malformed_options"] += 1
     if entry is not None and entry.plan is not None:
         translate_session(pkt, entry, direction, programs)
-        modified = True
-    return modified
+        changed = True
+    return changed

@@ -8,18 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refbuild as ref
+import midbox.rewrite as rw
 from flows import tuple_of
-from midbox import (Engine, EngineConfig, parse_packet, verify_checksums,
-                    write_field)
-from midbox.fields import FIXED, FLAG, REGISTRY
-from midbox.packet import checksum16, fix_checksums, update_checksums
+from midbox import (Engine, EngineConfig, compile_targets, parse_command,
+                    parse_packet, verify_checksums, write_field)
+from midbox.conntrack import FWD
+from midbox.fields import FIXED, FLAG, L4, REGISTRY
+from midbox.packet import checksum16, fix_checksums
+from midbox.pipeline import COUNTERS
 from midbox.rulegen import SNAT_RULE
 
-# IPv4 fields whose writes change the packet's structure or pseudo-header
-# protocol/length; update_checksums leaves these to the full recompute
-STRUCTURE_FIELDS = {"ip-len", "ip-proto"}
+# the IPv4 field whose writes change the pseudo-header's protocol; a
+# program writing it recomputes in full. No rule writes ip-len.
+STRUCTURE_FIELDS = {"ip-proto"}
 SAME_LENGTH_FIELDS = sorted(n for n, fd in REGISTRY.items()
-                            if fd.kind in (FIXED, FLAG))
+                            if fd.kind in (FIXED, FLAG) and n != "ip-len")
+# a match on each protocol that every packet of it passes
+PROTO_GUARD = {ref.TCP: "tcp-sport >= 0", ref.UDP: "udp-sport >= 0",
+               ref.ICMP: "icmp-type >= 0"}
 
 
 @given(st.binary(max_size=1600))
@@ -34,21 +40,40 @@ def test_checksum16_equals_rfc1071(data):
     assert checksum16(data) == ref.rfc1071_checksum(data)
 
 
-def _incremental_and_full(data, writes):
-    """(bytes after update_checksums or its fallback, bytes after
-    fix_checksums, whether the incremental path ran) for the same writes on
-    two copies of one packet."""
+def _program(data, writes, guaranteed=True):
+    """The compiled `mod` program of `writes` for packet `data`. With
+    `guaranteed`, and when every transport field written is of the packet's
+    protocol, the match implies that protocol, so the writes fold into
+    spans; otherwise the match is `ip-ttl >= 0` and transport writes are
+    checked spans."""
+    pkt = parse_packet(data)
+    protos = {REGISTRY[name].proto for name, _ in writes} - {None}
+    match = "ip-ttl >= 0"
+    if guaranteed and not pkt.is_fragment and protos <= {pkt.ip_proto}:
+        match = PROTO_GUARD.get(pkt.ip_proto, match)
+    mods = " ".join(f"mod {name} {value}" for name, value in writes)
+    return compile_targets(parse_command(f"mmb add {match} {mods}").rule)
+
+
+def _incremental_and_full(data, writes, guaranteed=True):
+    """(bytes after the `mod` program of `writes` ran through
+    rewrite_packet, bytes after the same writes field by field and
+    fix_checksums, whether the program path kept to the incremental update)
+    for one packet."""
     inc = parse_packet(data)
     full = parse_packet(data)
-    before = bytes(inc.data[inc.l3_offset:inc.l4_offset + 20])
+    calls = []
+    real = rw.fix_checksums
+    rw.fix_checksums = lambda pkt: calls.append(pkt) or real(pkt)
+    try:
+        rw.rewrite_packet(inc, [_program(data, writes, guaranteed)], None, FWD,
+                          dict.fromkeys(COUNTERS, 0))
+    finally:
+        rw.fix_checksums = real
     for name, value in writes:
-        write_field(inc, REGISTRY[name], value)
         write_field(full, REGISTRY[name], value)
-    used = update_checksums(inc, before)
-    if not used:
-        fix_checksums(inc)
     fix_checksums(full)
-    return bytes(inc.data), bytes(full.data), used
+    return bytes(inc.data), bytes(full.data), not calls
 
 
 @st.composite
@@ -67,11 +92,16 @@ def field_writes(draw):
 @example(0, [("ip-ttl", 1)])
 @example(1, [("udp-len", 0), ("ip-dscp", 63)])
 @example(2, [("ip-saddr", 0xC8000001), ("tcp-sport", 40000)])
+@example(3, [("ip-proto", 17), ("ip-ttl", 3)])
 def test_incremental_update_equals_full_recompute(seed, writes):
+    """Odd seeds take checked spans, even ones guaranteed spans where the
+    packet's protocol allows."""
     data = ref.random_valid_packet(random.Random(seed))
-    inc, full, used = _incremental_and_full(data, writes)
+    inc, full, used = _incremental_and_full(data, writes, seed % 2 == 0)
     assert inc == full
-    if not any(name in STRUCTURE_FIELDS for name, _ in writes):
+    if any(name in STRUCTURE_FIELDS for name, _ in writes):
+        assert not used or inc == data
+    else:
         assert used
 
 
@@ -128,6 +158,52 @@ def test_udp_zero_checksum_takes_full_recompute():
     assert not used
     assert inc == full and inc[26:28] != b"\x00\x00"
     assert ref.verify_packet_checksums(inc)
+
+
+def test_program_path_keeps_a_wrong_transport_checksum_wrong():
+    """Random same-length `mod` programs through rewrite_packet over random
+    valid packets, one seeded stream of cases: output checksums equal
+    fix_checksums', and a transport checksum that arrived wrong leaves wrong
+    by the same amount. The cases cover guaranteed and checked spans, IHL
+    above 5 and spans that end on a word's high byte."""
+    rng = random.Random(1624)
+    names = [n for n in SAME_LENGTH_FIELDS if n not in STRUCTURE_FIELDS]
+    seen = dict.fromkeys(("guaranteed", "checked", "ihl>5", "high byte",
+                          "wrong"), 0)
+    for _ in range(1500):
+        data = ref.random_valid_packet(rng)
+        writes = []
+        for name in rng.sample(names, rng.randint(1, 3)):
+            fd = REGISTRY[name]
+            writes.append((name, rng.randrange(1 << fd.width)))
+        guaranteed = rng.random() < 0.5
+        out, want, used = _incremental_and_full(data, writes, guaranteed)
+        assert out == want and used
+        if out == data:
+            continue
+        pkt = parse_packet(data)
+        transport = pkt.ip_proto in (ref.TCP, ref.UDP) and not pkt.is_fragment
+        tp = _program(data, writes, guaranteed)
+        seen["guaranteed"] += any(base == L4 for base, *_ in tp.spans)
+        seen["checked"] += any(proto == pkt.ip_proto and transport
+                               for proto, _ in tp.cond_fields)
+        seen["ihl>5"] += pkt.ihl > 5
+        seen["high byte"] += any(hi & 1 for _, _, hi, _, _ in tp.spans)
+        if not transport:
+            continue
+        at = pkt.l4_offset + (16 if pkt.ip_proto == ref.TCP else 6)
+        good = (data[at] << 8) | data[at + 1]
+        wrong = good ^ rng.randrange(1, 1 << 16)
+        if wrong == 0:  # a UDP 0 would mean "no checksum"
+            continue
+        bad = data[:at] + wrong.to_bytes(2, "big") + data[at + 2:]
+        out_bad, _, used = _incremental_and_full(bad, writes, guaranteed)
+        assert used
+        assert out_bad[:at] == out[:at] and out_bad[at + 2:] == out[at + 2:]
+        err_out = (out_bad[at] << 8 | out_bad[at + 1]) - (out[at] << 8 | out[at + 1])
+        assert err_out % 0xFFFF == (wrong - good) % 0xFFFF
+        seen["wrong"] += 1
+    assert all(seen.values()), seen
 
 
 def _snat(data):
@@ -360,7 +436,7 @@ def test_session_checksum_landing_on_zero(proto, direction, monkeypatch):
     want = _build(proto, t4_out, 64, 2, payload, 5)
     assert _csum(want) == (0 if proto == ref.TCP else 0xFFFF)
     calls = []
-    monkeypatch.setattr(midbox.rewrite, "update_checksums",
+    monkeypatch.setattr(midbox.rewrite, "fix_checksums",
                         lambda *a: calls.append(a))
     out = []
     engine.run_stream(iter([(_build(proto, t4_in, 64, 2, payload, 5), 0, 0)]),

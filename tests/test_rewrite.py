@@ -67,7 +67,7 @@ def test_transport_mods_not_folded_without_transport_match():
     # writes, never a blind masked span
     _, tp = program_of("mmb add ip-proto tcp mod tcp-win 7 mod ip-ttl 3")
     assert [s[:3] for s in tp.spans] == [(L3, 8, 9)]  # only the ttl byte folds
-    assert [fd.name for fd, _ in tp.cond_fields] == ["tcp-win"]
+    assert tp.cond_fields == [(ref.TCP, (L4, 14, 16, 0, 7))]  # tcp-win
     frag_hdr = ref.ipv4_header(0x0A000001, 0x0A000002, ref.TCP, 24,
                                flags_frag=0x2000)
     frag = frag_hdr + bytes(24)
@@ -146,6 +146,9 @@ def _without_ip_options(data):
      dict(ttl=64), False),
     ("mmb add ip-proto udp mod ip-ttl 64", _udp_without_checksum,
      dict(ttl=10), True),
+    # a checked write of the value the packet carries is no change either
+    ("mmb add ip-ttl >= 0 mod udp-dport 53", _udp_without_checksum,
+     dict(dport=53), False),
     ("mmb add tcp-syn mod tcp-syn 1", ref.tcp_packet, dict(flags=ref.SYN), False),
     ("mmb add tcp-syn mod tcp-ack 1 mod ip-ttl 5", ref.tcp_packet,
      dict(flags=ref.SYN), True),
@@ -153,8 +156,8 @@ def _without_ip_options(data):
      dict(), False),
     ("mmb add udp-dport 53 mod udp-sport 5353 mod ip-dscp 10", ref.udp_packet,
      dict(), True),
-], ids=["udp-nocsum-same", "udp-nocsum-ttl", "tcp-flag-same", "tcp-flag-ttl",
-        "udp-l3l4-same", "udp-l3l4"])
+], ids=["udp-nocsum-same", "udp-nocsum-ttl", "udp-nocsum-checked-same",
+        "tcp-flag-same", "tcp-flag-ttl", "udp-l3l4-same", "udp-l3l4"])
 def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
     """IP options move the transport header, not what a static mod does:
     the same bytes come out and a change is reported only when bytes
