@@ -24,15 +24,14 @@ vector at a time (`match_tables`): each table runs over every packet of the
 vector, and tables that share a shift share one shifted copy of each
 packet's window.
 
-The rest of the classify node runs over the vector too (`classify_vector`):
-the maskless rules, then the connection stage, which keys every TCP/UDP
-packet from the same windows, resolves the keys, and then walks the packets
-in order. `classify` is its one-packet case.
+The rest of the classify node (`classify_vector`) walks the vector's
+packets in order: each packet's connection (`ConnTable.lookup`), then its
+table hits plus the maskless rules. `classify` is its one-packet case.
 """
 
 from operator import eq, ge, gt, is_not, le, lt, ne
 
-from .conntrack import FWD, OUT_OF_PORTS, QUAD, REV, TABLE_FULL, quad_key
+from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
 from .fields import (FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP,
                      PROTO_UDP, fold, prefix_mask)
 from .packet import options_map
@@ -450,8 +449,10 @@ def classify(pkt, snap, conn=None, now=0.0, hits=None):
 
 
 def classify_vector(pkts, snap, conn, now, hits):
-    """The classify node over a vector: each packet's rules (its `hits`
-    from match_tables, then the maskless rules) and its connection.
+    """The classify node over a vector, one packet after another: its
+    connection (`conn.lookup`), then its rules (its `hits` from
+    match_tables, then the maskless rules). A packet is looked up after
+    the packets before it have opened their flows, so it sees them.
 
     Returns one result per packet: None for a miss, else (kind, rules,
     entry, direction) with kind DROP or MATCH and the matched compiled
@@ -460,25 +461,24 @@ def classify_vector(pkts, snap, conn, now, hits):
     and a dropped packet opens no connection. A new flow whose stateful
     rule finds no free shuffle value, or translates and finds the
     connection table full, is dropped.
-
-    While the connection table is empty, only the rules decide; the
-    connection stage (`_connection_stage`) starts at the first packet that
-    opens a flow.
     """
-    if conn is not None and conn._entries:
-        return _connection_stage(pkts, snap, conn, now, hits)
     slow = snap.slow
+    lookup = _untracked if conn is None else conn.lookup
     res = [None] * len(pkts)
-    for i, h in enumerate(hits):
+    for i, p in enumerate(pkts):
+        e, d = lookup(p, now)
+        h = hits[i]
         if slow:
-            h = _with_slow(pkts[i], h, slow)
+            h = _with_slow(p, h, slow)
         if h:
-            res[i] = _by_rules(pkts[i], h, None, None, conn, now)
-            if conn is not None and conn._entries:
-                res[i + 1:] = _connection_stage(pkts[i + 1:], snap, conn, now,
-                                                hits[i + 1:])
-                break
+            res[i] = _by_rules(p, h, e, d, conn, now)
+        elif e is not None:
+            res[i] = MATCH, (), e, d
     return res
+
+
+def _untracked(pkt, now):
+    return None, None
 
 
 def _with_slow(pkt, hits, slow):
@@ -527,67 +527,3 @@ def _by_rules(pkt, matched, entry, direction, conn, now):
             return DROP, matched, None, None
         direction = FWD if entry is not None else None
     return MATCH, matched, entry, direction
-
-
-def _connection_stage(pkts, snap, conn, now, hits):
-    """classify_vector with the connection table, in three passes: every
-    TCP/UDP non-fragment packet's quad and key from its probe window, then
-    each key resolved to its entry, then each packet in order. The last
-    pass applies expiry and drops the connections of deleted rules, counts
-    and refreshes each hit and moves its TCP state, then runs the rules. A
-    packet after an insert or a removal in the same vector is resolved
-    again, so it sees the flow an earlier packet opened."""
-    quads = []
-    keys = []
-    for p in pkts:
-        proto = p.ip_proto
-        if p.is_fragment or (proto != PROTO_TCP and proto != PROTO_UDP):
-            quads.append(None)
-            keys.append(None)
-        else:
-            q = p.window() >> 128 & QUAD
-            quads.append(q)
-            keys.append(quad_key(q, proto))
-    get = conn._entries.get
-    alias = conn._alias.get
-    found = [get(k) or alias(k) for k in keys]
-
-    slow = snap.slow
-    live = snap.by_id
-    timeout = conn._timeout
-    update_state = conn.update_state
-    res = [None] * len(pkts)
-    changes = conn.changes
-    for i, p in enumerate(pkts):
-        e = found[i]
-        if conn.changes != changes:
-            k = keys[i]
-            e = get(k) or alias(k)
-        d = None
-        if e is not None:
-            if now - e.last_seen > timeout[e.state] or e.rule_id not in live:
-                # expired, or its rule was deleted (ids are never reused)
-                conn.remove(e)
-                e = None
-            else:
-                # a key hit means q is pre_q or its reverse, an alias hit
-                # post_q or its reverse
-                q = quads[i]
-                if q == e.pre_q or q == e.post_q:
-                    d, j = FWD, 0
-                else:
-                    d, j = REV, 1
-                if now > e.last_seen:
-                    e.last_seen = now
-                e.pkts[j] += 1
-                e.octets[j] += len(p.data) - p.l3_offset
-                if p.ip_proto == PROTO_TCP:
-                    update_state(e, p.tcp_flags, d, now)
-        h = hits[i]
-        if slow:
-            h = _with_slow(p, h, slow)
-        if h:
-            res[i] = _by_rules(p, h, e, d, conn, now)
-        elif e is not None:
-            res[i] = MATCH, (), e, d
-    return res

@@ -170,10 +170,8 @@ class _ShuffleAlloc:
 
 
 class ConnTable:
-    """The engine's connection table.
-
-    `changes` counts inserts and removals, so a caller holding entries it
-    resolved earlier knows when to resolve them again."""
+    """The engine's connection table. `lookup` is the one place a packet
+    becomes its connection entry and direction."""
 
     def __init__(self, timeouts=None, capacity=2 ** 20, shuffle_seed=0,
                  shuffle_range=(1024, 65535)):
@@ -188,7 +186,6 @@ class ConnTable:
         self._deleted = set()  # ids of rules deleted since the last reclaim
         self._scan = []
         self._scan_i = 0
-        self.changes = 0
         self.full_drops = 0
         self.out_of_ports = 0
         t = self.timeouts
@@ -205,30 +202,35 @@ class ConnTable:
 
     def lookup(self, pkt, now):
         """(entry, direction) for a tracked packet, else (None, None).
-        Expired entries are removed on the spot; hits refresh last_seen and
-        the per-direction counters. The connection stage
-        (classifier.classify_vector) does the same for a whole vector."""
-        if not self._entries:
+        An entry that has expired or whose rule was deleted is removed on
+        the spot; a hit refreshes last_seen and the per-direction counters
+        and moves a TCP flow's state."""
+        entries = self._entries
+        if not entries:
             return None, None
         proto = pkt.ip_proto
-        if pkt.is_fragment or proto not in (PROTO_TCP, PROTO_UDP):
+        if pkt.is_fragment or (proto != PROTO_TCP and proto != PROTO_UDP):
             return None, None
         q = pkt.window() >> 128 & QUAD
         k = quad_key(q, proto)
-        e = self._entries.get(k) or self._alias.get(k)
+        e = entries.get(k) or self._alias.get(k)
         if e is None:
             return None, None
-        if now - e.last_seen > self.timeout_for(e):
+        if now - e.last_seen > self._timeout[e.state] or e.rule_id in self._deleted:
             self.remove(e)
             return None, None
         # a key hit means q is pre_q or its reverse, an alias hit post_q or
         # its reverse
-        direction = FWD if q == e.pre_q or q == e.post_q else REV
+        if q == e.pre_q or q == e.post_q:
+            direction, i = FWD, 0
+        else:
+            direction, i = REV, 1
         if now > e.last_seen:
             e.last_seen = now
-        i = 0 if direction == FWD else 1
         e.pkts[i] += 1
         e.octets[i] += len(pkt.data) - pkt.l3_offset
+        if proto == PROTO_TCP:
+            self.update_state(e, pkt.tcp_flags, direction, now)
         return e, direction
 
     def insert(self, pkt, rule, now):
@@ -298,7 +300,6 @@ class ConnTable:
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[k] = entry
-        self.changes += 1
         return entry
 
     def _plan(self, rule, proto):
@@ -403,7 +404,6 @@ class ConnTable:
             del self._alias[entry.trans_key]
         if entry.plan is not None:
             self._release(entry.rule_id, entry.plan.steps, entry.post_q, entry.extra)
-        self.changes += 1
 
     def _release(self, rule_id, steps, post, extra):
         """Return the values `steps` drew to their pools: a tuple field's

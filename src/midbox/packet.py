@@ -363,31 +363,17 @@ def read_field(pkt, fd):
 
 
 def write_field(pkt, fd, value):
-    """Write a bit-span or payload field in place. Returns True when a write
-    happened; False when the packet cannot hold the value (callers count
-    these skips). TCP option edits belong to rewrite.apply_option_edits."""
+    """Write a payload field's bytes in place, over the start of the
+    payload. Returns False and writes nothing when the packet cannot hold
+    them (callers count these skips). Fixed fields and flags are written as
+    spans by the rewrite stage (rewrite._write_span), TCP options by
+    rewrite.apply_option_edits."""
     if fd.proto is not None and (pkt.ip_proto != fd.proto or pkt.is_fragment):
         return False
-    kind = fd.kind
-    d = pkt.data
-    if kind == PAYLOAD:
-        start = pkt.l4_offset + 8 if fd.payload_base == "udp" else pkt.payload_offset
-        if not isinstance(value, (bytes, bytearray)):
-            return False
-        if start + len(value) > len(d):
-            return False
-        pkt.writable()[start:start + len(value)] = value
-        pkt.invalidate()
-        return True
-    base = pkt.l4_offset if fd.base == L4 else pkt.l3_offset
-    start = base + fd.offset
-    stop = start + fd.span_bytes
-    if stop > len(d):
+    start = pkt.l4_offset + 8 if fd.payload_base == "udp" else pkt.payload_offset
+    if start + len(value) > len(pkt.data):
         return False
-    mask = ((1 << fd.width) - 1) << fd.shift
-    old = int.from_bytes(d[start:stop], "big")
-    new = (old & ~mask) | ((value << fd.shift) & mask)
-    pkt.writable()[start:stop] = new.to_bytes(fd.span_bytes, "big")
+    pkt.writable()[start:start + len(value)] = value
     pkt.invalidate()
     return True
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import refbuild as ref
 import midbox.rewrite as rw
+from bits import write_bits
 from flows import tuple_of
 from midbox import (Engine, EngineConfig, compile_targets, parse_command,
-                    parse_packet, verify_checksums, write_field)
+                    parse_packet, verify_checksums)
 from midbox.conntrack import FWD
 from midbox.fields import FIXED, FLAG, L4, REGISTRY
 from midbox.packet import checksum16, fix_checksums
@@ -71,7 +72,7 @@ def _incremental_and_full(data, writes, guaranteed=True):
     finally:
         rw.fix_checksums = real
     for name, value in writes:
-        write_field(full, REGISTRY[name], value)
+        write_bits(full, REGISTRY[name], value)
     fix_checksums(full)
     return bytes(inc.data), bytes(full.data), not calls
 

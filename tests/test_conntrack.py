@@ -159,6 +159,48 @@ def test_fin_exchange_closes():
     assert e.state == CLOSED
 
 
+def test_lookup_moves_tcp_state():
+    """lookup alone moves a flow's TCP state: a client ACK establishes a
+    NEW flow, a RST closes it."""
+    conn = ConnTable()
+    syn = tcp_pkt(saddr=0x0A000005, daddr=0x0A800001, sport=4321, dport=80,
+                  flags=ref.SYN)
+    e = conn.insert(syn, tracking_rule(), 0.0)
+    synack = tcp_pkt(saddr=0x0A800001, daddr=0x0A000005, sport=80, dport=4321,
+                     flags=ref.SYN | ref.ACK)
+    assert conn.lookup(synack, 1.0) == (e, REV)
+    assert e.state == NEW
+    ack = tcp_pkt(saddr=0x0A000005, daddr=0x0A800001, sport=4321, dport=80,
+                  flags=ref.ACK)
+    assert conn.lookup(ack, 2.0) == (e, FWD)
+    assert e.state == ESTABLISHED
+    rst = tcp_pkt(saddr=0x0A800001, daddr=0x0A000005, sport=80, dport=4321,
+                  flags=ref.RST)
+    assert conn.lookup(rst, 3.0) == (e, REV)
+    assert e.state == CLOSED
+
+
+def test_lookup_drops_a_deleted_rules_flow():
+    """After forget_rule, neither the flow's own packet nor its translated
+    reply finds the entry, and the entry and its alias are gone."""
+    conn = ConnTable(shuffle_seed=7)
+    rule = tracking_rule("mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp "
+                         "shuffle tcp-sport mod ip-saddr 200.0.0.1")
+    syn = tcp_pkt(saddr=0x0A000005, daddr=0xC6336401, sport=4321, dport=80,
+                  flags=ref.SYN)
+    e = conn.insert(syn, rule, 0.0)
+    saddr, daddr, sport, dport = tuple_of(e.post_q)
+    reply = tcp_pkt(saddr=daddr, daddr=saddr, sport=dport, dport=sport,
+                    flags=ref.SYN | ref.ACK)
+    assert conn.lookup(reply, 0.5) == (e, REV)
+    conn.forget_rule(rule)
+    ack = tcp_pkt(saddr=0x0A000005, daddr=0xC6336401, sport=4321, dport=80)
+    assert conn.lookup(ack, 1.0) == (None, None)
+    assert conn.lookup(reply, 1.0) == (None, None)
+    assert len(conn) == 0
+    assert e.key not in conn._entries and e.trans_key not in conn._alias
+
+
 def reference_machine(seq):
     """Explicit transition table over (state, first_fin_direction)."""
     state, fin_dir = NEW, None

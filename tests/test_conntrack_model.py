@@ -118,7 +118,7 @@ class Model:
         e = self.entries.get(k) or self.alias.get(k)
         if e is None:
             return None, None
-        if now - e.last_seen > self.timeout(e):
+        if now - e.last_seen > self.timeout(e) or e.rule_id in self.deleted:
             self.remove(e)
             return None, None
         d = FWD if t5 in (e.pre, e.post) else REV

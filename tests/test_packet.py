@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refbuild as ref
+from bits import write_bits
 from midbox import (ABSENT, BadChecksum, MalformedOption, NotIPv4,
                     TruncatedPacket, fix_checksums, parse_packet,
                     parse_tcp_options, read_field, serialize,
-                    verify_checksums, write_field)
+                    verify_checksums)
 from midbox.fields import REGISTRY
 from midbox.packet import ETHERNET, RAW_IP, checksum16
 
@@ -150,7 +151,7 @@ def test_fix_checksums_idempotent_on_valid_packet():
 
 def test_fix_checksums_after_rewrite_matches_reference():
     pkt = parse_packet(ref.tcp_packet(payload=b"xyz"))
-    write_field(pkt, REGISTRY["ip-saddr"], 0xC8000001)
+    write_bits(pkt, REGISTRY["ip-saddr"], 0xC8000001)
     fix_checksums(pkt)
     assert ref.verify_packet_checksums(serialize(pkt))
     assert verify_checksums(pkt)
@@ -167,7 +168,7 @@ def test_fix_checksums_random_mutations():
         pkt = parse_packet(data)
         name = rng.choice(mutable)
         fd = REGISTRY[name]
-        write_field(pkt, fd, rng.randrange(1 << fd.width))
+        write_bits(pkt, fd, rng.randrange(1 << fd.width))
         fix_checksums(pkt)
         assert ref.verify_packet_checksums(serialize(pkt)), name
         assert verify_checksums(pkt)
@@ -183,7 +184,7 @@ def test_checksum16_agrees_with_rfc1071_loop():
 def test_flag_write_and_read():
     pkt = parse_packet(ref.tcp_packet(flags=ref.ACK))
     assert read_field(pkt, REGISTRY["tcp-syn"]) == 0
-    write_field(pkt, REGISTRY["tcp-syn"], 1)
+    write_bits(pkt, REGISTRY["tcp-syn"], 1)
     assert read_field(pkt, REGISTRY["tcp-syn"]) == 1
     assert read_field(pkt, REGISTRY["tcp-ack"]) == 1
 
@@ -237,7 +238,7 @@ def test_writes_go_through_writable():
     buf = pkt.writable()
     assert isinstance(buf, bytearray) and pkt.data is buf
     assert pkt.writable() is buf
-    write_field(pkt, REGISTRY["ip-saddr"], 0xC8000001)
+    write_bits(pkt, REGISTRY["ip-saddr"], 0xC8000001)
     fix_checksums(pkt)
     out = pkt.to_bytes()
     assert type(out) is bytes and out == bytes(buf) and out != data

@@ -570,7 +570,7 @@ def test_dropped_syns_do_not_fill_the_table():
     assert len(engine.conn) == 1
 
 
-# ------------------------------ the connection stage at any vector size
+# ------------------------- connection lookups at any vector size
 
 STAGE_RULES = (
     SNAT_RULE,
