@@ -14,8 +14,7 @@ from .errors import (BadChecksum, CommandError, CommandSyntaxError,
                      TypeMismatch, UnknownField)
 from .fields import FieldDescriptor, REGISTRY
 from .packet import (ABSENT, ETHERNET, RAW_IP, PacketBuffer, fix_checksums,
-                     parse_packet, parse_tcp_options, read_field, serialize,
-                     verify_checksums)
+                     parse_packet, read_field, serialize, verify_checksums)
 from .pipeline import Engine, EngineConfig, RunReport
 from .rewrite import TargetProgram, apply_option_edits, apply_static, \
     compile_targets

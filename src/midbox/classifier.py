@@ -7,7 +7,10 @@ mask (complex conditions, negated matches, TCP options, payload bytes)
 remains as a per-rule residue, evaluated on mask survivors or, for rules
 with no mask at all, on every packet. The residue and the rule's protocol
 gate are compiled once, when the rule is, into one predicate
-(`CompiledRule.test`, built from `compile_match`).
+(`CompiledRule.test`, built from `compile_match`). Option matches read one
+per-packet map (`packet.options_map`), built by one walk of the option area
+and holding each option's payload and its integer, so no rule decodes a
+payload again.
 
 A rule's equalities and set-flag checks fold (`fields.fold`) into one mask
 and one key over a 40-byte window read as one integer
@@ -67,21 +70,18 @@ def _span(fd, op, val, mask):
 
 
 def _option(fd, op, val):
-    """pkt -> op(payload, val) for a TCP option, its payload read as an
-    integer when `val` is one; False when the option is absent. The cached
-    option map is empty for anything but an unfragmented, well-formed TCP
-    packet, which is the field's protocol check."""
+    """pkt -> op(payload, val) for a TCP option, comparing the payload's
+    integer from the packet's option map when `val` is one; False when the
+    option is absent. The cached option map is empty for anything but an
+    unfragmented, well-formed TCP packet, which is the field's protocol
+    check."""
     k = fd.opt_kind
-    if type(val) is int:
-        def test(p):
-            o = p._opts
-            b = (options_map(p) if o is None else o).get(k)
-            return b is not None and op(int.from_bytes(b, "big"), val)
-    else:
-        def test(p):
-            o = p._opts
-            b = (options_map(p) if o is None else o).get(k)
-            return b is not None and op(b, val)
+    i = int(type(val) is int)  # (payload, integer): which one to compare
+
+    def test(p):
+        o = p._opts
+        v = (options_map(p) if o is None else o).get(k)
+        return v is not None and op(v[i], val)
     return test
 
 

@@ -9,11 +9,15 @@ Input is zero-copy: a packet keeps the bytes it was parsed from until its
 first write (PacketBuffer.writable), and parse_packet reads an IHL-5
 packet's 40-byte probe window once, for the header checksum and the
 classifier both.
+
+TCP options are walked by one function (tcp_options), for matches and
+option edits alike. Option matches read one per-packet map (options_map),
+built by one walk and holding each option's payload and its integer.
 """
 
 import struct
 
-from .errors import BadChecksum, MalformedOption, NotIPv4, TruncatedPacket
+from .errors import BadChecksum, NotIPv4, TruncatedPacket
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 RAW_IP = 101  # pcap LINKTYPE_RAW
@@ -56,20 +60,6 @@ def checksum16(data):
     if len(data) & 1:
         n <<= 8
     return -n % 0xFFFF if n else 0xFFFF
-
-
-class TcpOptionView:
-    """One TCP option: kind, total wire length, and offset of its payload."""
-
-    __slots__ = ("kind", "length", "value_offset")
-
-    def __init__(self, kind, length, value_offset):
-        self.kind = kind
-        self.length = length
-        self.value_offset = value_offset
-
-    def __repr__(self):
-        return f"TcpOptionView(kind={self.kind}, length={self.length})"
 
 
 class PacketBuffer:
@@ -283,37 +273,38 @@ def serialize(pkt):
     return pkt.to_bytes()
 
 
-def parse_tcp_options(pkt):
-    """TCP options in wire order. Iteration stops at EOL or end of header.
-
-    Raises MalformedOption when a length byte is 0/1 or overruns the header.
-    """
+def tcp_options(pkt):
+    """The TCP options of `pkt` as (kind, payload bytes) pairs in wire
+    order, in one walk of the option area: NOPs are skipped and the walk
+    stops at EOL or the header's end. None when the area is malformed: a
+    length byte below 2, missing, or running past the header."""
     l4 = pkt.l4_offset
-    doff = pkt.tcp_data_offset
-    end = l4 + 4 * doff
+    a = bytes(pkt.data[l4 + 20:l4 + 4 * pkt.tcp_data_offset])
+    end = len(a)
     out = []
-    i = l4 + 20
-    d = pkt.data
+    i = 0
     while i < end:
-        kind = d[i]
-        if kind == TCP_OPT_EOL:
-            break
+        kind = a[i]
         if kind == TCP_OPT_NOP:
-            out.append(TcpOptionView(kind, 1, i + 1))
             i += 1
             continue
-        if i + 1 >= end:
-            raise MalformedOption(f"option kind {kind} missing length byte")
-        length = d[i + 1]
-        if length < 2 or i + length > end:
-            raise MalformedOption(f"option kind {kind} length {length} overruns header")
-        out.append(TcpOptionView(kind, length, i + 2))
-        i += length
+        if kind == TCP_OPT_EOL:
+            break
+        if i + 1 == end:
+            return None
+        n = a[i + 1]
+        if n < 2 or i + n > end:
+            return None
+        out.append((kind, a[i + 2:i + n]))
+        i += n
     return out
 
 
 def options_map(pkt):
-    """kind -> payload bytes for the packet's TCP options (cached).
+    """kind -> (payload bytes, payload as a big-endian integer) for the
+    packet's TCP options, the first of a repeated kind winning; built by
+    one tcp_options walk and cached, so every option match of every rule
+    reads it instead of decoding the payload again.
 
     A malformed option area yields an empty map and sets pkt._opts_bad.
     """
@@ -321,14 +312,12 @@ def options_map(pkt):
     if opts is None:
         opts = {}
         if pkt.ip_proto == PROTO_TCP and not pkt.is_fragment:
-            try:
-                for v in parse_tcp_options(pkt):
-                    if v.kind != TCP_OPT_NOP and v.kind not in opts:
-                        opts[v.kind] = bytes(pkt.data[v.value_offset:
-                                                      v.value_offset + v.length - 2])
-            except MalformedOption:
-                opts = {}
+            walked = tcp_options(pkt)
+            if walked is None:
                 pkt._opts_bad = True
+            else:
+                for kind, b in reversed(walked):
+                    opts[kind] = (b, int.from_bytes(b, "big"))
         pkt._opts = opts
     return opts
 
@@ -346,7 +335,7 @@ def read_field(pkt, fd):
     d = pkt.data
     if kind == OPT:
         v = options_map(pkt).get(fd.opt_kind)
-        return ABSENT if v is None else v
+        return ABSENT if v is None else v[0]
     if kind == PAYLOAD:
         if fd.payload_base == "udp":
             start = pkt.l4_offset + 8

@@ -12,6 +12,7 @@ from .packet import ETHERNET, RAW_IP
 MAGIC = 0xA1B2C3D4
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
+_RECORD_LE = struct.Struct("<IIII")  # the writer's record header
 
 
 class PcapFormatError(ValueError):
@@ -20,7 +21,9 @@ class PcapFormatError(ValueError):
 
 class PcapReader:
     """Iterates (data, ts_sec, ts_usec) records of a pcap file of one of the
-    two link types the engine ingests."""
+    two link types the engine ingests. A record whose ts_usec is not below
+    10^6 is malformed: the engine carries a timestamp as one float and the
+    writer splits it again, so such a record could not leave as it came."""
 
     def __init__(self, path):
         self.f = open(path, "rb")
@@ -41,6 +44,7 @@ class PcapReader:
         if self.link_type not in (RAW_IP, ETHERNET):
             self.f.close()
             raise PcapFormatError(f"unsupported link type {self.link_type}")
+        self._record = struct.Struct(self.endian + "IIII")
 
     def __iter__(self):
         return self
@@ -49,7 +53,10 @@ class PcapReader:
         hdr = self.f.read(RECORD_HEADER_LEN)
         if len(hdr) < RECORD_HEADER_LEN:
             raise StopIteration
-        ts_sec, ts_usec, incl_len, _orig = struct.unpack(self.endian + "IIII", hdr)
+        ts_sec, ts_usec, incl_len, _orig = self._record.unpack(hdr)
+        if ts_usec >= 1_000_000:
+            raise PcapFormatError(f"record timestamp {ts_sec} s {ts_usec} us: "
+                                  "microseconds past 999999")
         data = self.f.read(incl_len)
         if len(data) < incl_len:
             raise PcapFormatError("truncated pcap record")
@@ -73,7 +80,7 @@ class PcapWriter:
         self.f.write(struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, snaplen, link_type))
 
     def write(self, data, ts_sec=0, ts_usec=0):
-        self.f.write(struct.pack("<IIII", ts_sec, ts_usec, len(data), len(data)))
+        self.f.write(_RECORD_LE.pack(ts_sec, ts_usec, len(data), len(data)))
         self.f.write(data)
 
     def close(self):

@@ -17,9 +17,8 @@ translate_session alone.
 import struct
 
 from .conntrack import FWD, QUAD, mirror
-from .errors import MalformedOption
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, byte_span, fold
-from .packet import fix_checksums, parse_tcp_options, patch_checksums, write_field
+from .packet import fix_checksums, patch_checksums, tcp_options, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
@@ -176,16 +175,11 @@ def apply_option_edits(pkt, tp, counters):
     malformed option area is left alone and flagged in pkt._opts_bad."""
     if pkt.ip_proto != PROTO_TCP or pkt.is_fragment:
         return False
-    try:
-        views = parse_tcp_options(pkt)
-    except MalformedOption:
+    orig = tcp_options(pkt)
+    if orig is None:
         pkt._opts_bad = True
         return False
-
-    d = pkt.data
-    orig = [(v.kind, bytes(d[v.value_offset:v.value_offset + v.length - 2]))
-            for v in views if v.kind != 1]
-    opts = list(orig)
+    opts = orig
     if tp.opt_strip_except is not None:
         opts = [o for o in opts if o[0] in tp.opt_strip_except]
     elif tp.opt_strip:

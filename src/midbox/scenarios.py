@@ -6,7 +6,7 @@ the pipeline, and reports per-node costs plus scenario-specific checks.
 from dataclasses import dataclass, field
 
 from .errors import MalformedOption
-from .packet import parse_packet, parse_tcp_options, verify_checksums
+from .packet import parse_packet, tcp_options, verify_checksums
 from .pipeline import DISP_DROP, Engine, EngineConfig
 from .rulegen import (SNAT_RULE, STRIP_EXCEPT_RULE, firewall_rules,
                       mask_limit_rules, stateful_rules, tcp_option_rules)
@@ -242,7 +242,10 @@ def _option_kinds(data):
     pkt = parse_packet(data)
     if pkt.l4_kind != "TCP":
         return None
-    return [v.kind for v in parse_tcp_options(pkt) if v.kind != 1]
+    opts = tcp_options(pkt)
+    if opts is None:
+        raise MalformedOption("malformed TCP option area")
+    return [kind for kind, _ in opts]
 
 
 def scenario_tcp_opts(rule_count=100, packets=10000, flows=7, seed=0,

@@ -1,8 +1,9 @@
 """Classifier: compile, window matching, verdicts vs the linear oracle."""
 
+import operator
 import random
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 import refbuild as ref
@@ -363,6 +364,56 @@ def test_compiled_matches_agree_with_oracle():
             pkt, view = _cut(data, end), _Cut(data, end)
             for m, test in spans:
                 assert test(pkt) is oracle._eval(view, m), (str(m), end)
+
+
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+@st.composite
+def _int_option_cases(draw):
+    """(kind, payloads, malformed, value): a kind, 0 to 2 payloads for it
+    (absent, once, repeated; kind 4's are empty, the others start with 0
+    to all of their bytes zero), whether the option area ends in an option
+    whose length byte is 1, and a value to compare."""
+    kind = draw(st.sampled_from([2, 4, 6, 8]))
+    size = 0 if kind == 4 else draw(st.integers(1, 8))
+    payloads = []
+    for _ in range(draw(st.integers(0, 2))):
+        zeros = draw(st.integers(0, size))
+        payloads.append(bytes(zeros) + draw(st.binary(min_size=size - zeros,
+                                                      max_size=size - zeros)))
+    return kind, payloads, draw(st.booleans()), draw(st.integers(0, 2 ** 66))
+
+
+@settings(max_examples=300)
+@given(case=_int_option_cases())
+@example(case=(2, [b"\x00\x05"], False, 5))  # a leading zero byte
+@example(case=(8, [bytes(7) + b"\x01"], False, 1))
+@example(case=(4, [b""], False, 0))  # an empty payload
+@example(case=(2, [b"\x05\xb4", b"\x00\x01"], False, 1))  # repeated
+@example(case=(6, [], False, 0))  # absent
+@example(case=(2, [b"\x05\xb4"], True, 1460))  # malformed area
+def test_integer_option_matches_compare_the_payload_integer(case):
+    """Every integer comparison on a TCP option, plain and negated, through
+    compile_match: the verdict is the oracle's, and that of int.from_bytes
+    on the kind's first payload; an absent option, or any option of a
+    malformed area, fails every condition."""
+    kind, payloads, malformed, drawn = case
+    area = b"".join(bytes((kind, 2 + len(b))) + b for b in payloads)
+    area = b"\x01" + area + bytes([3, 3, 7]) + (bytes([5, 1]) if malformed else b"")
+    data = ref.tcp_packet(options=area + bytes(-len(area) % 4))
+    pkt, view = parse_packet(data), oracle._View(data)
+    n = None if malformed or not payloads else int.from_bytes(payloads[0], "big")
+    base = n or 0
+    for value in sorted({0, base - 1, base, base + 1, drawn} - {-1}):
+        for cond, neg in [(c, g) for c in CONDS for g in ("", "! ")]:
+            m = parse_command(f"mmb add {neg}tcp-opt {kind} {cond} {value} drop"
+                              ).rule.matches[0]
+            got = compile_match(m)(pkt)
+            assert got is oracle._eval(view, m), (str(m), data.hex())
+            want = n is not None and _OPS[cond](n, value) != bool(neg)
+            assert got is want, (str(m), data.hex())
 
 
 # ---------------------------------------------------------------- verdicts

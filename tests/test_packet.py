@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import refbuild as ref
 from bits import write_bits
-from midbox import (ABSENT, BadChecksum, MalformedOption, NotIPv4,
-                    TruncatedPacket, fix_checksums, parse_packet,
-                    parse_tcp_options, read_field, serialize,
+from midbox import (ABSENT, BadChecksum, NotIPv4, TruncatedPacket,
+                    fix_checksums, parse_packet, read_field, serialize,
                     verify_checksums)
 from midbox.fields import REGISTRY
-from midbox.packet import ETHERNET, RAW_IP, checksum16
+from midbox.packet import (ETHERNET, RAW_IP, checksum16, options_map,
+                           tcp_options)
 
 ETH_IPV4 = b"\xaa" * 6 + b"\xbb" * 6 + b"\x08\x00"
 
@@ -110,35 +110,87 @@ def test_read_field_matches_reference_on_random_packets():
 
 def test_parse_tcp_options_empty():
     pkt = parse_packet(ref.tcp_packet())
-    assert parse_tcp_options(pkt) == []
+    assert tcp_options(pkt) == []
 
 
 def test_parse_tcp_options_syn_mss_nop_wscale():
     opts = ref.make_options((2, (1460).to_bytes(2, "big")), (1,),
                             (3, bytes([7])))
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN, options=opts))
-    views = parse_tcp_options(pkt)
-    assert [(v.kind, v.length) for v in views] == [(2, 4), (1, 1), (3, 3)]
-    assert pkt.data[views[0].value_offset:views[0].value_offset + 2] == \
-        (1460).to_bytes(2, "big")
+    # the NOP is skipped; each option's wire length is 2 + its payload's
+    got = tcp_options(pkt)
+    assert [(k, 2 + len(b)) for k, b in got] == [(2, 4), (3, 3)]
+    assert got[0][1] == (1460).to_bytes(2, "big")
+    assert got[1][1] == bytes([7])
 
 
 def test_parse_tcp_options_overrun_is_malformed():
     # kind 2 claims 40 bytes inside a 20-byte option area
     area = bytes([2, 40]) + bytes(18)
     pkt = parse_packet(ref.tcp_packet(options=area))
-    with pytest.raises(MalformedOption):
-        parse_tcp_options(pkt)
+    assert tcp_options(pkt) is None
 
 
 def test_parse_tcp_options_never_reads_past_header():
     opts = ref.make_options((8, bytes(8)))
     payload = b"\x02\x28" * 30  # looks like options, but is payload
     pkt = parse_packet(ref.tcp_packet(options=opts, payload=payload))
-    views = parse_tcp_options(pkt)
-    end = pkt.l4_offset + 4 * pkt.tcp_data_offset
-    assert all(v.value_offset + max(v.length - 2, 0) <= end for v in views)
-    assert [v.kind for v in views] == [8]
+    assert tcp_options(pkt) == [(8, bytes(8))]
+
+
+def _option(kind, payload):
+    return bytes((kind, 2 + len(payload))) + payload
+
+
+# pieces of an option area: NOP, EOL, well-formed options (kind 4 carries
+# no payload), and the malformed shapes: a length byte of 0 or 1, a length
+# that overruns any area, and loose bytes, among them a kind whose length
+# byte is cut off
+_PIECES = st.one_of(
+    st.just(b"\x01"), st.just(b"\x00"),
+    st.builds(_option, st.integers(2, 255), st.binary(max_size=10)),
+    st.builds(_option, st.just(4), st.just(b"")),
+    st.builds(lambda k, n: bytes((k, n)), st.integers(2, 255), st.integers(0, 1)),
+    st.builds(lambda k, n: bytes((k, n)), st.integers(2, 255), st.integers(41, 255)),
+    st.binary(max_size=3),
+)
+
+
+@st.composite
+def _option_areas(draw):
+    """A TCP option area of 0 to 40 bytes: pieces cut to 40 bytes, then
+    padded to a 4-byte multiple with EOL or NOP, or filled with one of them
+    to 40 bytes (data offset 15)."""
+    area = b"".join(draw(st.lists(_PIECES, max_size=8)))[:40]
+    fill = draw(st.sampled_from([b"\x00", b"\x01"]))
+    size = 40 if draw(st.booleans()) else len(area) + -len(area) % 4
+    return area + fill * (size - len(area))
+
+
+@given(area=_option_areas())
+@settings(max_examples=500)
+@example(area=_option(2, b"\x05\xb4") + b"\x01" + _option(3, b"\x07"))
+@example(area=bytes([2, 0, 0, 0]))  # length byte 0
+@example(area=bytes([3, 1, 0, 0]))  # length byte 1
+@example(area=bytes([8, 12]) + bytes(6))  # overrun
+@example(area=bytes([1, 1, 1, 8]))  # missing length byte
+@example(area=_option(8, bytes(8)) + b"\x01" * 30)  # data offset 15, NOP fill
+@example(area=bytes([1, 1, 2, 39]) + bytes(36))  # data offset 15, overrun by 1
+@example(area=_option(2, b"\x05\xb4") + _option(2, b"\x02\x18"))  # repeated
+def test_tcp_options_equal_reference_walk(area):
+    """The one option walker against refbuild's: the same (kind, payload)
+    list, or both find the area malformed; the packet's option map holds
+    each kind's first payload and its integer, and is empty on a malformed
+    area."""
+    data = ref.tcp_packet(options=area, payload=b"\x02\x28\x08")
+    pkt = parse_packet(data)
+    want = ref.ref_walk_options(data)
+    assert tcp_options(pkt) == want
+    first = {}
+    for kind, payload in want or ():
+        first.setdefault(kind, (payload, int.from_bytes(payload, "big")))
+    assert options_map(pkt) == first
+    assert pkt._opts_bad == (want is None)
 
 
 def test_fix_checksums_idempotent_on_valid_packet():

@@ -61,3 +61,36 @@ def test_unsupported_link_type_rejected(tmp_path):
     write_pcap(path, 113, [(ref.tcp_packet(), 0, 0)])
     with pytest.raises(PcapFormatError, match="link type 113"):
         PcapReader(path)
+
+
+def _one_record_file(path, ts_sec, ts_usec):
+    data = ref.tcp_packet()
+    with open(path, "wb") as f:
+        f.write(struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, 65535, 101))
+        f.write(struct.pack("<IIII", ts_sec, ts_usec, len(data), len(data)))
+        f.write(data)
+
+
+@pytest.mark.parametrize("ts_sec,ts_usec", [(2 ** 32 - 1, 1_500_000), (5, 1_000_000)])
+def test_out_of_range_microseconds_are_a_format_error(tmp_path, capsys, ts_sec,
+                                                      ts_usec):
+    # the engine carries a timestamp as one float and the writer splits it
+    # again, so such a record could only leave altered, or not be written
+    from midbox.cli import main
+    src = tmp_path / "in.pcap"
+    _one_record_file(src, ts_sec, ts_usec)
+    with PcapReader(src) as r:
+        with pytest.raises(PcapFormatError, match="999999"):
+            list(r)
+    rc = main(["--pcap-in", str(src), "--pcap-out", str(tmp_path / "out.pcap")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ts_sec,ts_usec", [(2 ** 32 - 1, 999_999), (5, 0), (0, 1)])
+def test_in_range_timestamps_pass_through_unchanged(tmp_path, ts_sec, ts_usec):
+    from midbox.cli import main
+    src, out = tmp_path / "in.pcap", tmp_path / "out.pcap"
+    _one_record_file(src, ts_sec, ts_usec)
+    assert main(["--pcap-in", str(src), "--pcap-out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()

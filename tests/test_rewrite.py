@@ -6,11 +6,11 @@ import pytest
 
 import oracle
 import refbuild as ref
-from midbox import (compile_targets, parse_command, parse_packet,
-                    parse_tcp_options, serialize, verify_checksums)
+from midbox import (compile_targets, parse_command, parse_packet, serialize,
+                    verify_checksums)
 from midbox.conntrack import ConnTable
 from midbox.fields import L3, L4
-from midbox.packet import fix_checksums
+from midbox.packet import fix_checksums, tcp_options
 from midbox.pipeline import COUNTERS
 from midbox.rewrite import (apply_option_edits, apply_static, rewrite_packet,
                             translate_session)
@@ -198,8 +198,7 @@ def test_strip_except_keeps_whitelist():
                                       payload=b"PAY"))
     assert apply_option_edits(pkt, tp, no_counts())
     fix_checksums(pkt)
-    kinds = [(v.kind, v.length) for v in parse_tcp_options(pkt)]
-    assert kinds == [(2, 4), (3, 3)]
+    assert tcp_options(pkt) == [(2, (1460).to_bytes(2, "big")), (3, b"\x07")]
     assert verify_checksums(pkt)
     assert bytes(pkt.data[pkt.payload_offset:]) == b"PAY"
     assert pkt.total_length == len(pkt.data)
@@ -219,8 +218,7 @@ def test_add_option_appends_before_padding():
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN,
                                       options=ref.make_options((3, b"\x07"))))
     assert apply_option_edits(pkt, tp, no_counts())
-    kinds = [v.kind for v in parse_tcp_options(pkt) if v.kind != 1]
-    assert kinds == [3, 2]
+    assert tcp_options(pkt) == [(3, b"\x07"), (2, (1460).to_bytes(2, "big"))]
 
 
 def test_add_without_room_is_skipped():
@@ -243,16 +241,11 @@ def test_option_edits_random_reparse_closure():
         pkt = parse_packet(data)
         if pkt.ip_proto != ref.TCP:
             continue
-        try:
-            before = [(v.kind, bytes(pkt.data[v.value_offset:
-                                              v.value_offset + v.length - 2]))
-                      for v in parse_tcp_options(pkt) if v.kind != 1]
-        except Exception:
+        before = tcp_options(pkt)
+        if before is None:
             continue
         changed = apply_option_edits(pkt, tp, no_counts())
-        after = [(v.kind, bytes(pkt.data[v.value_offset:
-                                         v.value_offset + v.length - 2]))
-                 for v in parse_tcp_options(pkt) if v.kind != 1]
+        after = tcp_options(pkt)
         expect = [(k, (1400).to_bytes(2, "big") if k == 2 and len(p) == 2 else p)
                   for k, p in before if k != 8]
         expect = expect + [(3, b"\x09")] if _fits(expect, (3, b"\x09")) else expect
