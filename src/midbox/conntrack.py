@@ -9,13 +9,14 @@ entry. Flows whose stateful rule translates tuple fields are additionally
 indexed under the translated tuple's key, which is what returning packets
 carry. An entry keeps the two quads (what its client sends, and what that
 leaves as) and nothing else of the tuple: the session writer, the reverse
-direction and the release of shuffled ports all work from them. Expiry is
-lazy: stale entries die on lookup or during the budgeted sweep run before
-each packet vector; there are no timers.
+direction and the release of shuffled ports all work from them. An entry
+ends when the sweep run before each packet vector finds it past its state's
+timeout (a heap of deadlines makes that exact), or when its rule is deleted.
 """
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .fields import PROTO_TCP, PROTO_UDP, byte_span, fold
@@ -115,10 +116,11 @@ class ConnEntry:
     """One tracked flow, held as quads: pre_q is the quad of its client's
     packets and post_q the quad they leave with, keyed by `key` and
     `trans_key`. `plan` is its rule's Plan, or None when the flow binds
-    nothing; `extra` holds the bindings of fields outside the tuple."""
+    nothing; `extra` holds the bindings of fields outside the tuple. `due`
+    is its live sweep heap item's deadline, at most its true deadline."""
 
     __slots__ = ("key", "trans_key", "pre_q", "post_q", "proto", "state",
-                 "fin_dir", "created", "last_seen", "rule_id", "plan",
+                 "fin_dir", "created", "last_seen", "due", "rule_id", "plan",
                  "extra", "pkts", "octets")
 
     def __init__(self, key, q, post_q, proto, plan, extra, rule_id, now):
@@ -183,9 +185,8 @@ class ConnTable:
         self._alias = {}
         self._allocs = {}
         self._plans = {}  # (rule id, protocol) -> Plan
-        self._deleted = set()  # ids of rules deleted since the last reclaim
-        self._scan = []
-        self._scan_i = 0
+        self._by_rule = {}  # rule id -> {key: entry}
+        self._heap = []  # (deadline, key); an item not its entry's due is stale
         self.full_drops = 0
         self.out_of_ports = 0
         t = self.timeouts
@@ -196,15 +197,10 @@ class ConnTable:
     def __len__(self):
         return len(self._entries)
 
-    def timeout_for(self, entry):
-        # UDP entries stay ACTIVE, TCP entries never are
-        return self._timeout[entry.state]
-
     def lookup(self, pkt, now):
         """(entry, direction) for a tracked packet, else (None, None).
-        An entry that has expired or whose rule was deleted is removed on
-        the spot; a hit refreshes last_seen and the per-direction counters
-        and moves a TCP flow's state."""
+        An expired entry is removed on the spot; a hit refreshes last_seen
+        and the per-direction counters and moves a TCP flow's state."""
         entries = self._entries
         if not entries:
             return None, None
@@ -216,7 +212,7 @@ class ConnTable:
         e = entries.get(k) or self._alias.get(k)
         if e is None:
             return None, None
-        if now - e.last_seen > self._timeout[e.state] or e.rule_id in self._deleted:
+        if e.last_seen + self._timeout[e.state] < now:
             self.remove(e)
             return None, None
         # a key hit means q is pre_q or its reverse, an alias hit post_q or
@@ -230,15 +226,14 @@ class ConnTable:
         e.pkts[i] += 1
         e.octets[i] += len(pkt.data) - pkt.l3_offset
         if proto == PROTO_TCP:
-            self.update_state(e, pkt.tcp_flags, direction, now)
+            self.update_state(e, pkt.tcp_flags, direction)
         return e, direction
 
     def insert(self, pkt, rule, now):
         """Track a new flow for a stateful rule match; allocates dynamic
         bindings. Idempotent for an already-tracked tuple.
 
-        A full table first reclaims the connections of deleted rules. If it
-        is still full, the flow is counted in `full_drops` and insert
+        On a full table the flow is counted in `full_drops`, and insert
         returns TABLE_FULL for a rule that translates (the packet is then
         dropped, not sent out half-translated) and None otherwise (the
         packet is processed statelessly). OUT_OF_PORTS, tracking nothing,
@@ -257,11 +252,8 @@ class ConnTable:
         if plan is None:
             plan = self._plans[rule.id, proto] = self._plan(rule, proto)
         if len(self._entries) >= self.capacity:
-            if self._deleted:
-                self._reclaim()
-            if len(self._entries) >= self.capacity:
-                self.full_drops += 1
-                return TABLE_FULL if plan.translates else None
+            self.full_drops += 1
+            return TABLE_FULL if plan.translates else None
 
         extra = ()
         post = q
@@ -288,8 +280,7 @@ class ConnTable:
         tk = entry.trans_key
         if tk != k:
             other = self._entries.get(tk) or self._alias.get(tk)
-            if other is not None and (other.rule_id in self._deleted
-                                      or now - other.last_seen > self.timeout_for(other)):
+            if other is not None and other.last_seen + self._timeout[other.state] < now:
                 self.remove(other)
                 other = None
             if other is not None:
@@ -300,6 +291,9 @@ class ConnTable:
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[k] = entry
+        self._by_rule.setdefault(rule.id, {})[k] = entry
+        entry.due = now + self._timeout[entry.state]
+        heappush(self._heap, (entry.due, k))
         return entry
 
     def _plan(self, rule, proto):
@@ -319,10 +313,11 @@ class ConnTable:
                            value)
                           for fd, shift, kind, value in steps), bool(writes))
 
-    def update_state(self, entry, flags, direction, now=None):
+    def update_state(self, entry, flags, direction):
         """Simplified TCP machine: RST closes; a first FIN enters FIN_WAIT;
         FIN+ACK from the other side closes; an ACK without SYN establishes.
-        No transition leaves CLOSED."""
+        No transition leaves CLOSED. A transition that moves the deadline
+        earlier pushes the new one on the sweep heap."""
         if entry.proto != PROTO_TCP:
             return entry
         s = entry.state
@@ -330,37 +325,46 @@ class ConnTable:
             return entry
         if flags & RST:
             entry.state = CLOSED
-            return entry
-        if flags & FIN:
+        elif flags & FIN:
             if s == FIN_WAIT:
                 if direction != entry.fin_dir and flags & ACK:
                     entry.state = CLOSED
             else:
                 entry.state = FIN_WAIT
                 entry.fin_dir = direction
-            return entry
-        if s == NEW and flags & ACK and not flags & SYN:
+        elif s == NEW and flags & ACK and not flags & SYN:
             entry.state = ESTABLISHED
+        if entry.state != s:
+            due = entry.last_seen + self._timeout[entry.state]
+            if due < entry.due:
+                entry.due = due
+                heappush(self._heap, (due, entry.key))
         return entry
 
-    def purge(self, now, budget=64):
-        """Incremental expiry sweep: examines at most `budget` entries per
-        call, resuming where the previous call stopped."""
+    def purge(self, now, budget=None):
+        """Expiry sweep: pops the heap while its head is due before `now`,
+        at most `budget` items if one is given. A stale item is skipped, an
+        expired entry removed, and one refreshed since goes back at its
+        true deadline. Returns the number removed."""
+        heap = self._heap
+        entries = self._entries
+        # an item pushed back is due at or after `now`, so no call pops more
+        # than the heap held when it began
+        n = len(heap) if budget is None else budget
         removed = 0
-        scanned = 0
-        while scanned < budget:
-            if self._scan_i >= len(self._scan):
-                self._scan = list(self._entries.keys())
-                self._scan_i = 0
-                if not self._scan:
-                    break
-            key = self._scan[self._scan_i]
-            self._scan_i += 1
-            scanned += 1
-            e = self._entries.get(key)
-            if e is not None and now - e.last_seen > self.timeout_for(e):
+        while n > 0 and heap and heap[0][0] < now:
+            n -= 1
+            due, key = heappop(heap)
+            e = entries.get(key)
+            if e is None or e.due != due:
+                continue
+            due = e.last_seen + self._timeout[e.state]
+            if due < now:
                 self.remove(e)
                 removed += 1
+            else:
+                e.due = due
+                heappush(heap, (due, key))
         return removed
 
     def _alloc_for(self, rule_id, fd):
@@ -376,29 +380,20 @@ class ConnTable:
         return alloc
 
     def forget_rule(self, rule):
-        """Release a deleted rule: drop its plans and shuffle pools now, and
-        remove its connections when a lookup finds them, when they expire,
-        when a new flow's translation needs their tuple, or when an insert
-        finds the table full (`_reclaim`), whichever comes first. Releasing
-        their values then finds no pool."""
+        """Release a deleted rule: drop its plans and shuffle pools, and
+        remove its connections, in time linear in their number. Their heap
+        items go stale."""
         self._plans.pop((rule.id, PROTO_TCP), None)
         self._plans.pop((rule.id, PROTO_UDP), None)
         for t in rule.targets:
             if t.kind == SHUFFLE:
                 self._allocs.pop((rule.id, t.field.name), None)
-        if rule.stateful and self._entries:
-            self._deleted.add(rule.id)
-
-    def _reclaim(self):
-        """Remove the connections of every rule deleted since the last
-        reclaim, in one walk of the table. Rule ids are never reused."""
-        dead = self._deleted
-        for e in [e for e in self._entries.values() if e.rule_id in dead]:
+        for e in self._by_rule.pop(rule.id, {}).values():
             self.remove(e)
-        dead.clear()
 
     def remove(self, entry):
         self._entries.pop(entry.key, None)
+        self._by_rule.get(entry.rule_id, {}).pop(entry.key, None)
         # a later flow may have taken over the translated key
         if entry.trans_key != entry.key and self._alias.get(entry.trans_key) is entry:
             del self._alias[entry.trans_key]

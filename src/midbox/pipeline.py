@@ -256,8 +256,7 @@ class Engine:
 
     def list_connections_text(self):
         now = time.monotonic()
-        lines = [e.describe(now) for e in self.conn.entries()
-                 if e.rule_id in self.rules]
+        lines = [e.describe(now) for e in self.conn.entries()]
         return "\n".join(lines) if lines else "no connections"
 
     # ------------------------------------------------------------- packets

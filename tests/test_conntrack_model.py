@@ -2,11 +2,12 @@
 
 The model keys its entries by the normalised 5-tuple, ((addr, port),
 (addr, port), proto) with the smaller endpoint first, and holds the same
-policy as ConnTable: lazy expiry, the budgeted purge sweep, capacity with
-reclaim of deleted rules' connections, per-rule shuffle pools as sets, the
-alias under which a translated flow's replies arrive, and the drop of a new
-flow whose translation is a live flow's tuple. Its pools draw the table's
-seeded sequence, so it predicts every shuffled value.
+policy as ConnTable: expiry on lookup, a sweep that removes every entry
+past its timeout, capacity, removal of a deleted rule's connections with
+it, per-rule shuffle pools as sets, the alias under which a translated
+flow's replies arrive, and the drop of a new flow whose translation is a
+live flow's tuple. Its pools draw the table's seeded sequence, so it
+predicts every shuffled value.
 """
 
 import random
@@ -88,9 +89,6 @@ class Model:
         self.entries = {}
         self.alias = {}
         self.pools = {}
-        self.deleted = set()
-        self.scan = []
-        self.scan_i = 0
         self.full_drops = 0
         self.out_of_ports = 0
 
@@ -99,6 +97,9 @@ class Model:
         return {NEW: t.tcp_new, ESTABLISHED: t.tcp_established,
                 FIN_WAIT: t.tcp_fin_wait, CLOSED: t.tcp_closed,
                 "ACTIVE": t.udp}[e.state]
+
+    def expired(self, e, now):
+        return e.last_seen + self.timeout(e) < now
 
     def remove(self, e):
         self.entries.pop(e.key, None)
@@ -118,7 +119,7 @@ class Model:
         e = self.entries.get(k) or self.alias.get(k)
         if e is None:
             return None, None
-        if now - e.last_seen > self.timeout(e) or e.rule_id in self.deleted:
+        if self.expired(e, now):
             self.remove(e)
             return None, None
         d = FWD if t5 in (e.pre, e.post) else REV
@@ -169,17 +170,11 @@ class Model:
         if existing is not None:
             return existing
         if len(self.entries) >= self.capacity:
-            if self.deleted:
-                for e in [e for e in self.entries.values()
-                          if e.rule_id in self.deleted]:
-                    self.remove(e)
-                self.deleted.clear()
-            if len(self.entries) >= self.capacity:
-                self.full_drops += 1
-                translates = any(
-                    t.kind == SHUFFLE or (t.kind == MOD and t.field.name in TUPLE_FIELDS)
-                    for t in rule.targets)
-                return TABLE_FULL if translates else None
+            self.full_drops += 1
+            translates = any(
+                t.kind == SHUFFLE or (t.kind == MOD and t.field.name in TUPLE_FIELDS)
+                for t in rule.targets)
+            return TABLE_FULL if translates else None
         post = list(t5)
         bindings = []
         taken = []
@@ -209,8 +204,7 @@ class Model:
         # flow's replies to this one
         if e.trans_key != k:
             other = self.entries.get(e.trans_key) or self.alias.get(e.trans_key)
-            if other is not None and (other.rule_id in self.deleted or
-                                      now - other.last_seen > self.timeout(other)):
+            if other is not None and self.expired(other, now):
                 self.remove(other)
                 other = None
             if other is not None:
@@ -225,25 +219,14 @@ class Model:
         for t in rule.targets:
             if t.kind == SHUFFLE:
                 self.pools.pop((rule.id, t.field.name), None)
-        if self.entries:
-            self.deleted.add(rule.id)
+        for e in [e for e in self.entries.values() if e.rule_id == rule.id]:
+            self.remove(e)
 
-    def purge(self, now, budget):
-        removed = scanned = 0
-        while scanned < budget:
-            if self.scan_i >= len(self.scan):
-                self.scan = list(self.entries)
-                self.scan_i = 0
-                if not self.scan:
-                    break
-            key = self.scan[self.scan_i]
-            self.scan_i += 1
-            scanned += 1
-            e = self.entries.get(key)
-            if e is not None and now - e.last_seen > self.timeout(e):
-                self.remove(e)
-                removed += 1
-        return removed
+    def purge(self, now):
+        gone = [e for e in self.entries.values() if self.expired(e, now)]
+        for e in gone:
+            self.remove(e)
+        return len(gone)
 
 
 def _packet(t5, ihl, flags):
@@ -275,7 +258,7 @@ ops = st.one_of(
     st.tuples(st.just("advance"), st.sampled_from(STEPS)),
     st.tuples(st.just("forget"), st.integers(0, len(RULES) - 1)),
     st.tuples(st.just("add"), st.integers(0, len(RULES) - 1)),
-    st.tuples(st.just("purge"), st.integers(0, 6)))
+    st.tuples(st.just("purge")))
 
 
 def _tuple_of(spec, model):
@@ -334,7 +317,7 @@ def test_conn_table_agrees_with_model(capacity, ports, seed, steps):
                 conn.forget_rule(rule)
                 model.forget_rule(rule)
         elif op[0] == "purge":
-            assert conn.purge(now, op[1]) == model.purge(now, op[1])
+            assert conn.purge(now) == model.purge(now)
         else:
             spec = op[1]
             t5 = _tuple_of(spec, model)
@@ -348,7 +331,7 @@ def test_conn_table_agrees_with_model(capacity, ports, seed, steps):
                 me, md = model.lookup(t5, now, octets)
                 assert (e, d) == ((me.eng, md) if me is not None else (None, None))
                 if e is not None and t5[4] == ref.TCP:
-                    conn.update_state(e, pkt.tcp_flags, d, now)
+                    conn.update_state(e, pkt.tcp_flags, d)
                     model.update_state(me, spec[7], md)
             if e is None and op[0] != "lookup" and live:
                 # as classify does: a packet no entry tracks makes a new flow

@@ -11,7 +11,7 @@ import oracle
 import refbuild as ref
 from midbox import CommandError, ETHERNET, RAW_IP, Engine, EngineConfig, parse_packet
 from midbox.pcap import write_pcap
-from midbox.pipeline import COUNTERS, DISP_DROP, DISP_FORWARD
+from midbox.pipeline import COUNTERS, DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
 from midbox.rulegen import SNAT_RULE, firewall_rules
 
 
@@ -423,6 +423,7 @@ def test_deleted_rule_connections_free_their_slots():
                            flags=ref.SYN)
     engine.run_stream(as_source([first]))
     assert engine.execute_line("mmb del 1") == "deleted rule 1"
+    assert len(engine.conn) == 0
     engine.execute_line(SNAT_RULE)
     second = ref.tcp_packet(saddr=0x0A000001, sport=5003, dport=80,
                             flags=ref.SYN)
@@ -433,6 +434,58 @@ def test_deleted_rule_connections_free_their_slots():
     assert ref.ref_read(out[0], "tcp-sport") != 5003
     assert len(engine.conn) == 1
     assert "rule=2" in engine.list_connections_text()
+
+
+def test_deleted_rules_leave_no_per_rule_state():
+    """Adds and deletes of a stateful rule beside an open flow leave the
+    table's per-rule state (plans, shuffle pools, flows by rule) holding
+    only the live rule."""
+    engine = fresh_engine()
+    engine.add_commands([SNAT_RULE])
+    engine.run_stream(as_source([_snat_syn(5000, daddr=0xC6336401)]))
+    for _ in range(1000):
+        added = engine.execute_line(
+            "mmb add-stateful ip-saddr 192.0.2.1 shuffle tcp-sport "
+            "mod ip-saddr 200.0.0.2")
+        rid = int(added.rsplit(" ", 1)[1])
+        assert engine.execute_line(f"mmb del {rid}") == f"deleted rule {rid}"
+    conn = engine.conn
+    ids = ({rid for rid, _ in conn._plans} | {rid for rid, _ in conn._allocs}
+           | set(conn._by_rule))
+    assert ids == set(engine.rules) == {1}
+    assert len(conn) == 1
+
+
+def test_expiry_is_independent_of_vector_size():
+    """The sweep before each vector removes every expired flow, however the
+    stream is cut. At t=0 64 ESTABLISHED and 136 NEW SNAT flows fill a
+    table of 200; at t=10, past tcp_new, 100 untracked packets and then a
+    new SNAT SYN come, and the SYN finds room at every vector size."""
+    from midbox.conntrack import TimeoutPolicy
+    server = 0xC6336401
+    opened = [_snat_syn(2000 + i, server) for i in range(200)]
+    acks = [ref.tcp_packet(saddr=0x0A000001, daddr=server, sport=2000 + i,
+                           dport=80, flags=ref.ACK) for i in range(64)]
+    untracked = [ref.tcp_packet(saddr=0xC0000201, daddr=server,
+                                sport=3000 + i, dport=80) for i in range(100)]
+    phases = ((0.0, opened + acks), (10.0, untracked + [_snat_syn(9000, server)]))
+    seen = []
+    for V in (1, 7, 256):
+        engine = fresh_engine(vector_size=V, conn_capacity=200,
+                              timeouts=TimeoutPolicy(tcp_new=5.0))
+        engine.add_commands([SNAT_RULE])
+        for now, blobs in phases:
+            for i in range(0, len(blobs), V):
+                chunk = [parse_packet(b) for b in blobs[i:i + V]]
+                results = engine.run_vector(chunk, now=now)
+        pkt, disp = results[-1]
+        seen.append((len(engine.conn), engine.counters["conn_full_drops"],
+                     disp, pkt.to_bytes()))
+    assert seen[1] == seen[0]
+    assert seen[2] == seen[0]
+    entries, full_drops, disp, data = seen[0]
+    assert (entries, full_drops, disp) == (65, 0, DISP_REWRITTEN)
+    assert ref.ref_read(data, "ip-saddr") == 0xC8000001
 
 
 def test_report_json_shape():
