@@ -178,11 +178,6 @@ def _options_last(exprs):
     return tuple(cheap + opts)
 
 
-def _program(rule, session=False):
-    tp = compile_targets(rule, session)
-    return None if tp.is_empty else tp
-
-
 def _gate(proto):
     def gate(p):
         return p.ip_proto == proto and not p.is_fragment
@@ -228,18 +223,18 @@ def _rule_test(proto, residue):
 
 class CompiledRule:
     """One rule prepared for execution: table shift, mask and key, match
-    test, programs.
+    test, writers.
 
     `residue` holds the matches the mask could not fold, and `test` is the
     rule's protocol gate and residue compiled into one predicate; it runs
     on packets that hit the rule's table entry, or on every packet for a
-    maskless rule (mask 0). `program` is the rule's rewrite program and
-    `own_program` the one for the forward packets of its own connections
-    (compile_targets with `session`); each is None when it writes
+    maskless rule (mask 0). `writers` are the rule's rewrite writers and
+    `own_writers` the ones for the forward packets of its own connections
+    (compile_targets with `session`); each is () when the rule writes
     nothing."""
 
     __slots__ = ("rule", "shift", "mask", "key", "residue", "test",
-                 "program", "own_program", "drop", "never")
+                 "writers", "own_writers", "drop", "never")
 
     def __init__(self, rule):
         self.rule = rule
@@ -247,8 +242,8 @@ class CompiledRule:
         self.residue = _options_last(residue)
         self.test = _rule_test(rule.proto_req, self.residue)
         self.drop = any(t.kind == T_DROP for t in rule.targets)
-        self.program = _program(rule)
-        self.own_program = _program(rule, True) if rule.stateful else self.program
+        self.writers = compile_targets(rule)
+        self.own_writers = compile_targets(rule, True) if rule.stateful else self.writers
 
 
 class ClassifierTable:

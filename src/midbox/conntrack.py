@@ -382,7 +382,8 @@ class ConnTable:
     def forget_rule(self, rule):
         """Release a deleted rule: drop its plans and shuffle pools, and
         remove its connections, in time linear in their number. Their heap
-        items go stale."""
+        items go stale, unless the table is left empty: then every item is,
+        and the heap is emptied."""
         self._plans.pop((rule.id, PROTO_TCP), None)
         self._plans.pop((rule.id, PROTO_UDP), None)
         for t in rule.targets:
@@ -390,6 +391,8 @@ class ConnTable:
                 self._allocs.pop((rule.id, t.field.name), None)
         for e in self._by_rule.pop(rule.id, {}).values():
             self.remove(e)
+        if not self._entries:
+            self._heap.clear()
 
     def remove(self, entry):
         self._entries.pop(entry.key, None)

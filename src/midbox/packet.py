@@ -10,9 +10,9 @@ first write (PacketBuffer.writable), and parse_packet reads an IHL-5
 packet's 40-byte probe window once, for the header checksum and the
 classifier both.
 
-TCP options are walked by one function (tcp_options), for matches and
-option edits alike. Option matches read one per-packet map (options_map),
-built by one walk and holding each option's payload and its integer.
+TCP options are walked once per packet, until a write changes them, by one
+function (tcp_options): options_map caches a map of each option's payload
+and integer, for matches, beside the walk in wire order, for edits.
 """
 
 import struct
@@ -86,6 +86,7 @@ class PacketBuffer:
         "ts",
         "_win",
         "_opts",
+        "_walk",
         "_opts_bad",
     )
 
@@ -102,6 +103,7 @@ class PacketBuffer:
         self.ts = ts
         self._win = None
         self._opts = None
+        self._walk = None
         self._opts_bad = False
 
     @property
@@ -159,10 +161,11 @@ class PacketBuffer:
         return d
 
     def invalidate(self):
-        """Drop cached derived views after a mutation."""
+        """Drop cached derived views after a mutation. `_opts_bad` stays, as
+        no write reaches a malformed option area."""
         self._win = None
         self._opts = None
-        self._opts_bad = False
+        self._walk = None
 
     def five_tuple(self):
         """(src_addr, dst_addr, src_port, dst_port, proto); ports are 0 for
@@ -303,8 +306,8 @@ def tcp_options(pkt):
 def options_map(pkt):
     """kind -> (payload bytes, payload as a big-endian integer) for the
     packet's TCP options, the first of a repeated kind winning; built by
-    one tcp_options walk and cached, so every option match of every rule
-    reads it instead of decoding the payload again.
+    one tcp_options walk, which it keeps in pkt._walk for option edits,
+    and cached, so no option match decodes a payload again.
 
     A malformed option area yields an empty map and sets pkt._opts_bad.
     """
@@ -312,7 +315,7 @@ def options_map(pkt):
     if opts is None:
         opts = {}
         if pkt.ip_proto == PROTO_TCP and not pkt.is_fragment:
-            walked = tcp_options(pkt)
+            walked = pkt._walk = tcp_options(pkt)
             if walked is None:
                 pkt._opts_bad = True
             else:

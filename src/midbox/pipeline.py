@@ -296,14 +296,12 @@ class Engine:
         for p, (_, crs, entry, direction) in to_rewrite:
             if crs:
                 # the forward packets of a rule's own flow take the rule's
-                # program without the bindings the session writer makes
+                # writers without the bindings the session writer makes
                 own = entry.rule_id if entry is not None and direction == FWD else None
-                programs = []
+                writers = ()
                 for cr in crs:
-                    tp = cr.own_program if cr.rule.id == own else cr.program
-                    if tp is not None:
-                        programs.append(tp)
-                rewrite_packet(p, programs, entry, direction, counters)
+                    writers += cr.own_writers if cr.rule.id == own else cr.writers
+                rewrite_packet(p, writers, entry, direction, counters)
             elif entry.extra or p._opts_bad:
                 rewrite_packet(p, (), entry, direction, counters)
             elif entry.plan is not None:

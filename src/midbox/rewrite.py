@@ -1,30 +1,36 @@
-"""Target application: static mask/key rewrite, TCP option edits, and the
+"""Target application: rule targets compiled into writers, and the
 connection translation of tracked packets.
 
-Fixed-field rewrites compile (`fields.fold`, `fields.byte_span`) to a
-keep-mask and a key over the affected byte span of a header, at most one
-span for the IPv4 header and one for the transport header, so the hot path
-is (packet & mask) | key at the packet's own header offsets, whatever its
-IHL. Fields the match does not guarantee to exist (e.g. a tcp-* target on a
-rule that can match UDP) get a span of their own, written only on packets
-of their protocol. Each span write returns its RFC 1624 checksum deltas,
-which packet.patch_checksums applies once per packet. Option strips/adds
-rebuild the option area and keep the data offset and IP total length
-coherent. A tracked packet's addresses and ports are written by
-translate_session alone.
+A rule's targets compile once (compile_targets) into writers `w(pkt,
+counters)`, each returning None when no byte changed, FULL when both
+checksums need a full recompute, or the RFC 1624 (IPv4, transport) deltas
+of its write, which packet.patch_checksums applies once per packet.
+Fixed-field rewrites fold (`fields.fold`, `fields.byte_span`) into a
+keep-mask and a key over at most one span of the IPv4 header and one of
+the transport header, written as (packet & mask) | key at the packet's own
+header offsets, whatever its IHL. A field the match does not guarantee to
+exist (e.g. a tcp-* target on a rule that can match UDP) gets a checked
+span, written only on packets of its protocol. Option edits rebuild the
+option area and keep the data offset and IP total length coherent. A
+tracked packet's addresses and ports are written by translate_session
+alone.
 """
 
 import struct
+from functools import partial
 
 from .conntrack import FWD, QUAD, mirror
-from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, byte_span, fold
-from .packet import fix_checksums, patch_checksums, tcp_options, write_field
+from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, PROTO_UDP, byte_span, fold
+from .packet import fix_checksums, options_map, patch_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
 # wire layouts of translate_session: the two addresses, the two ports
 _ADDRS = struct.Struct("!Q")
 _PORTS = struct.Struct("!I")
+
+# a writer's result when both checksums need a full recompute
+FULL = "full"
 
 
 def _encode_opt_value(value):
@@ -35,63 +41,40 @@ def _encode_opt_value(value):
     return bytes(value)
 
 
-class TargetProgram:
-    """Compiled targets of one rule."""
-
-    __slots__ = ("spans", "cond_fields", "payload_mods", "opt_strip",
-                 "opt_strip_except", "opt_adds", "opt_mods", "dynamic", "full")
-
-    def __init__(self):
-        self.spans = ()           # (base, lo, hi, keep mask, key), one per base
-        self.cond_fields = []     # (protocol, span) written on that protocol only
-        self.payload_mods = []    # (fd, bytes)
-        self.opt_strip = frozenset()
-        self.opt_strip_except = None  # frozenset whitelist, or None
-        self.opt_adds = []        # (kind, payload bytes)
-        self.opt_mods = []        # (kind, value)
-        self.dynamic = []         # fds of shuffle targets
-        self.full = False         # writes ip-proto or a payload: checksums in full
-
-    @property
-    def has_option_edits(self):
-        return bool(self.opt_strip or self.opt_strip_except is not None
-                    or self.opt_adds or self.opt_mods)
-
-    @property
-    def is_empty(self):
-        return (not self.spans and not self.cond_fields
-                and not self.payload_mods and not self.has_option_edits
-                and not self.dynamic)
-
-
 def compile_targets(rule, session=False):
-    """Build the rewrite program for a validated rule. Drop rules compile to
-    an empty program (the drop happens during classification).
+    """The writers of a validated rule, in the order they run: guaranteed
+    spans, checked spans, payload writes, option edits, and a shuffle
+    rule's missing-binding count; none for a drop rule. Every writer of a
+    rule that writes ip-proto (which the pseudo-header holds) or a payload
+    returns FULL when it changes bytes.
 
-    With `session`, the program is the one for the forward packets of the
-    rule's own connections: it leaves out the shuffles and the mods of
+    With `session`, the writers are the ones for the forward packets of the
+    rule's own connections: they leave out the shuffles and the mods of
     tuple fields the rule's protocol guarantees, since those are the
     connection's bindings, which the session writer and `entry.extra`
     write."""
-    tp = TargetProgram()
     folded = {}  # base -> [bits, val] over fold's header integer
+    checked = []  # (protocol, span) written on that protocol only
+    payloads = []  # payload writers
+    options = {}  # apply_option_edits' keyword arguments
+    full = shuffles = False
 
     for t in rule.targets:
         if t.kind == MOD:
             fd = t.field
             if fd.kind == OPT:
-                tp.opt_mods.append((fd.opt_kind, t.value))
+                options.setdefault("mods", []).append((fd.opt_kind, t.value))
                 continue
             if fd.kind == PAYLOAD:
-                tp.payload_mods.append((fd, bytes(t.value)))
-                tp.full = True
+                payloads.append(_payload_writer(fd, bytes(t.value)))
+                full = True
                 continue
-            tp.full = tp.full or fd.name == "ip-proto"
+            full = full or fd.name == "ip-proto"
             # guaranteed-present fields fold into the mask/key; others get
             # checked writes so a mismatched packet passes untouched
             guaranteed = fd.proto is None or fd.proto == rule.proto_req
             if not guaranteed:
-                tp.cond_fields.append((fd.proto, byte_span(*fold(fd, t.value))))
+                checked.append((fd.proto, byte_span(*fold(fd, t.value))))
                 continue
             if session and fd.name in TUPLE_FIELDS:
                 continue
@@ -100,26 +83,36 @@ def compile_targets(rule, session=False):
             acc[0] |= bits
             acc[1] = (acc[1] & ~bits) | val  # a later mod of the same bits wins
         elif t.kind == STRIP:
-            tp.opt_strip = t.opt_kinds
+            options["strip"] = t.opt_kinds
         elif t.kind == STRIP_EXCEPT:
-            tp.opt_strip_except = t.opt_kinds
+            options["keep"] = t.opt_kinds
         elif t.kind == ADD_OPT:
-            tp.opt_adds.append((t.field.opt_kind, _encode_opt_value(t.value)))
+            options.setdefault("adds", []).append(
+                (t.field.opt_kind, _encode_opt_value(t.value)))
         elif t.kind == SHUFFLE and not session:
-            tp.dynamic.append(t.field)
+            shuffles = True
 
-    tp.spans = tuple(byte_span(base, bits, val) for base, (bits, val) in folded.items())
-    return tp
+    writers = [_span_writer(byte_span(base, *acc), None, full)
+               for base, acc in folded.items()]
+    writers += [_span_writer(span, proto, full) for proto, span in checked]
+    writers += payloads
+    if options:
+        writers.append(partial(apply_option_edits, **options))
+    if shuffles:
+        writers.append(_count_missing_binding)
+    return tuple(writers)
 
 
-def _write_span(pkt, base, lo, hi, keep, key):
-    """The masked write of one span at its header's offset in this packet.
-    Returns None when no byte changed, else its (IPv4, transport) checksum
-    deltas: old - new over the span, and over its pseudo-header part (bytes
-    12-19 of an IPv4 span, all of a transport span). Read as integers, both
-    are congruent modulo 0xFFFF to their word sums (see checksum16) once a
-    span that ends on a word's high byte (an odd hi, as words are counted
-    from the header's start) is shifted a byte up."""
+def _write_span(base, lo, hi, keep, key, pkt, counters=None):
+    """The masked write of one span at its header's offset in this packet;
+    an unchecked span's writer is this function with the span bound
+    (partial), hence the argument order. Returns None when no byte changed,
+    else its (IPv4, transport) checksum deltas: old - new over the span,
+    and over its pseudo-header part (bytes 12-19 of an IPv4 span, all of a
+    transport span). Read as integers, both are congruent modulo 0xFFFF to
+    their word sums (see checksum16) once a span that ends on a word's high
+    byte (an odd hi, as words are counted from the header's start) is
+    shifted a byte up."""
     at = pkt.l4_offset if base == L4 else pkt.l3_offset
     start = at + lo
     stop = at + hi
@@ -138,58 +131,66 @@ def _write_span(pkt, base, lo, hi, keep, key):
     return ip, l4
 
 
-def apply_static(pkt, tp, counters):
-    """Fixed-field rewrites, each a masked write of a span at its header's
-    offset in this packet (a checked span only on packets of its protocol),
-    then payload writes. Returns None when no byte changed, else the summed
-    (IPv4, transport) checksum deltas of the span writes; after a payload
-    write (`tp.full`) they are not the whole change."""
-    ip = l4 = 0
-    changed = False
-    for span in tp.spans:
-        delta = _write_span(pkt, *span)
-        if delta is not None:
-            changed = True
-            ip += delta[0]
-            l4 += delta[1]
-    for proto, span in tp.cond_fields:
-        if pkt.ip_proto != proto or pkt.is_fragment:
+def _span_writer(span, proto, full):
+    """_write_span with `span` bound, unless a checked span (`proto`),
+    which fragments and other protocols skip and count in rewrite_skipped,
+    or a `full` rule's, which returns FULL for its deltas."""
+    if proto is None and not full:
+        return partial(_write_span, *span)
+
+    def write(pkt, counters):
+        if proto is not None and (pkt.ip_proto != proto or pkt.is_fragment):
             counters["rewrite_skipped"] += 1
-            continue
-        delta = _write_span(pkt, *span)
-        if delta is not None:
-            changed = True
-            ip += delta[0]
-            l4 += delta[1]
-    for fd, value in tp.payload_mods:
+            return None
+        delta = _write_span(*span, pkt)
+        return FULL if full and delta is not None else delta
+    return write
+
+
+def _payload_writer(fd, value):
+    """The writer of `value` over the start of a payload field, counted in
+    rewrite_skipped on a packet that cannot hold it."""
+    def write(pkt, counters):
         if write_field(pkt, fd, value):
-            changed = True
-        else:
-            counters["rewrite_skipped"] += 1
-    return (ip, l4) if changed else None
+            return FULL
+        counters["rewrite_skipped"] += 1
+        return None
+    return write
 
 
-def apply_option_edits(pkt, tp, counters):
-    """Strip/whitelist/modify/append TCP options, repack, and keep the data
-    offset and IP total length coherent. A no-op edit leaves bytes alone; a
-    malformed option area is left alone and flagged in pkt._opts_bad."""
+def _count_missing_binding(pkt, counters):
+    """A shuffle rule's writer outside its own flows: a shuffle binds in a
+    connection entry, which fragments and packets of neither TCP nor UDP
+    never get, so those count in missing_binding."""
+    if pkt.is_fragment or (pkt.ip_proto != PROTO_TCP and pkt.ip_proto != PROTO_UDP):
+        counters["missing_binding"] += 1
+
+
+def apply_option_edits(pkt, counters, strip=(), keep=None, adds=(), mods=()):
+    """The option-edit writer, a rule's edits bound (partial): from the
+    packet's option walk (options_map caches it), strip the `strip` kinds or
+    all but the `keep` ones, modify `mods`, append `adds`, repack, and keep
+    the data offset and IP total length coherent. Returns FULL after a
+    change, else None; a malformed option area (pkt._opts_bad) is left
+    alone."""
     if pkt.ip_proto != PROTO_TCP or pkt.is_fragment:
-        return False
-    orig = tcp_options(pkt)
+        return None
+    if pkt._opts is None:
+        options_map(pkt)
+    orig = pkt._walk
     if orig is None:
-        pkt._opts_bad = True
-        return False
+        return None
     opts = orig
-    if tp.opt_strip_except is not None:
-        opts = [o for o in opts if o[0] in tp.opt_strip_except]
-    elif tp.opt_strip:
-        opts = [o for o in opts if o[0] not in tp.opt_strip]
+    if keep is not None:
+        opts = [o for o in opts if o[0] in keep]
+    elif strip:
+        opts = [o for o in opts if o[0] not in strip]
 
     mod_changed = False
-    if tp.opt_mods:
+    if mods:
         out = []
         for kind, payload in opts:
-            for mk, mv in tp.opt_mods:
+            for mk, mv in mods:
                 if mk != kind:
                     continue
                 if isinstance(mv, int):
@@ -208,16 +209,16 @@ def apply_option_edits(pkt, tp, counters):
         opts = out
 
     added = False
-    if tp.opt_adds:
-        need = sum(2 + len(p) for _, p in opts) + sum(2 + len(p) for _, p in tp.opt_adds)
+    if adds:
+        need = sum(2 + len(p) for _, p in opts) + sum(2 + len(p) for _, p in adds)
         if need > _MAX_OPT_AREA:
             counters["opt_add_skipped"] += 1
         else:
-            opts = opts + tp.opt_adds
+            opts = opts + adds
             added = True
 
     if opts == orig and not mod_changed and not added:
-        return False
+        return None
 
     area = b"".join(bytes((k, 2 + len(p))) + p for k, p in opts)
     pad = (-len(area)) % 4
@@ -236,18 +237,18 @@ def apply_option_edits(pkt, tp, counters):
         total = ((d[l3 + 2] << 8) | d[l3 + 3]) + delta
         d[l3 + 2:l3 + 4] = total.to_bytes(2, "big")
     pkt.invalidate()
-    return True
+    return FULL
 
 
-def translate_session(pkt, entry, direction, programs):
+def translate_session(pkt, entry, direction, writers):
     """The connection translation of a tracked TCP or UDP packet, the one
     writer of its addresses and ports. Forward packets leave with the quad
     post_q, reverse packets with the mirror of pre_q: its upper 64 bits are
     written as the addresses at l3+12 and its lower 32 as the ports at the
     L4 offset, so any IHL works (fragments never have an entry). After
-    `programs` ran, a tuple field that no binding covers keeps what they
-    wrote there: the new quad is the packet's own outside the plan's bound
-    mask.
+    rule `writers` ran, a tuple field that no binding covers keeps what
+    they wrote there: the new quad is the packet's own outside the plan's
+    bound mask.
 
     The checksums move as after any same-length write (patch_checksums). A
     quad, like any big-endian integer, is congruent to the sum of its 16-bit
@@ -261,7 +262,7 @@ def translate_session(pkt, entry, direction, programs):
         new, bound = entry.post_q, plan.bound
     else:
         new, bound = mirror(entry.pre_q), plan.mirror
-    if programs:
+    if writers:
         new = old & ~bound | new & bound
     d = pkt.writable()
     _ADDRS.pack_into(d, pkt.l3_offset + 12, new >> 32)
@@ -270,8 +271,8 @@ def translate_session(pkt, entry, direction, programs):
         fix_checksums(pkt)
 
 
-def rewrite_packet(pkt, programs, entry, direction, counters):
-    """Apply matched rules' programs in rule order, then the entry's
+def rewrite_packet(pkt, writers, entry, direction, counters):
+    """Run the matched rules' writers in rule order, then write the entry's
     bindings outside the tuple (`entry.extra`: forward packets get the
     rewritten value, reverse packets the original), then bring the
     checksums up to date, and last write the connection's addresses and
@@ -281,32 +282,29 @@ def rewrite_packet(pkt, programs, entry, direction, counters):
     Every same-length header write (spans, checked spans, bindings) returns
     its RFC 1624 deltas, and patch_checksums moves both checksums by their
     sum, so a transport checksum that arrived wrong stays wrong by the same
-    amount. Option edits, writes to ip-proto (which the pseudo-header holds)
-    or a payload, and UDP packets without a checksum recompute both checksums in full
-    (fix_checksums), which also repairs one that arrived wrong. A packet
-    whose TCP option area is malformed counts once in `malformed_options`.
-    No rule writes ip-len (`validate_rule` rejects it): the total length is
-    the engine's, set only by option edits.
+    amount. A FULL writer (option edits, and writes of a rule that writes
+    ip-proto or a payload), a binding of ip-proto, and UDP packets without
+    a checksum recompute both checksums in full (fix_checksums), which also
+    repairs one that arrived wrong. A packet whose TCP option area is
+    malformed counts once in `malformed_options`. No rule writes ip-len
+    (`validate_rule` rejects it): the total length is the engine's, set
+    only by option edits.
     """
-    malformed = pkt._opts_bad
     changed = full = False
     ip = l4 = 0
-    for tp in programs:
-        delta = apply_static(pkt, tp, counters)
-        if delta is not None:
-            changed = True
-            full = full or tp.full
+    for w in writers:
+        delta = w(pkt, counters)
+        if delta is None:
+            continue
+        changed = True
+        if delta is FULL:
+            full = True
+        else:
             ip += delta[0]
             l4 += delta[1]
-        if tp.has_option_edits:
-            if apply_option_edits(pkt, tp, counters):
-                changed = full = True
-            malformed = malformed or pkt._opts_bad
-        if tp.dynamic and entry is None:
-            counters["missing_binding"] += 1
     if entry is not None:
         for b in entry.extra:
-            delta = _write_span(pkt, *(b.fwd if direction == FWD else b.rev))
+            delta = _write_span(*(b.fwd if direction == FWD else b.rev), pkt)
             if delta is not None:
                 changed = True
                 full = full or b.field.name == "ip-proto"
@@ -314,9 +312,9 @@ def rewrite_packet(pkt, programs, entry, direction, counters):
                 l4 += delta[1]
     if changed and (full or not patch_checksums(pkt, ip, l4)):
         fix_checksums(pkt)
-    if malformed:
+    if pkt._opts_bad:
         counters["malformed_options"] += 1
     if entry is not None and entry.plan is not None:
-        translate_session(pkt, entry, direction, programs)
+        translate_session(pkt, entry, direction, writers)
         changed = True
     return changed

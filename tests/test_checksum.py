@@ -14,13 +14,13 @@ from flows import tuple_of
 from midbox import (Engine, EngineConfig, compile_targets, parse_command,
                     parse_packet, verify_checksums)
 from midbox.conntrack import FWD
-from midbox.fields import FIXED, FLAG, L4, REGISTRY
+from midbox.fields import FIXED, FLAG, L4, REGISTRY, byte_span, fold
 from midbox.packet import checksum16, fix_checksums
 from midbox.pipeline import COUNTERS
 from midbox.rulegen import SNAT_RULE
 
 # the IPv4 field whose writes change the pseudo-header's protocol; a
-# program writing it recomputes in full. No rule writes ip-len.
+# rule writing it recomputes in full. No rule writes ip-len.
 STRUCTURE_FIELDS = {"ip-proto"}
 SAME_LENGTH_FIELDS = sorted(n for n, fd in REGISTRY.items()
                             if fd.kind in (FIXED, FLAG) and n != "ip-len")
@@ -41,25 +41,31 @@ def test_checksum16_equals_rfc1071(data):
     assert checksum16(data) == ref.rfc1071_checksum(data)
 
 
-def _program(data, writes, guaranteed=True):
-    """The compiled `mod` program of `writes` for packet `data`. With
+def _match(data, writes, guaranteed=True):
+    """The match of the `mod` rule of `writes` for packet `data`. With
     `guaranteed`, and when every transport field written is of the packet's
     protocol, the match implies that protocol, so the writes fold into
-    spans; otherwise the match is `ip-ttl >= 0` and transport writes are
-    checked spans."""
+    spans; otherwise it is `ip-ttl >= 0` and transport writes are checked
+    spans."""
     pkt = parse_packet(data)
     protos = {REGISTRY[name].proto for name, _ in writes} - {None}
-    match = "ip-ttl >= 0"
     if guaranteed and not pkt.is_fragment and protos <= {pkt.ip_proto}:
-        match = PROTO_GUARD.get(pkt.ip_proto, match)
+        return PROTO_GUARD.get(pkt.ip_proto, "ip-ttl >= 0")
+    return "ip-ttl >= 0"
+
+
+def _program(data, writes, guaranteed=True):
+    """The compiled writers of the `mod` rule of `writes` for packet
+    `data` (see _match)."""
     mods = " ".join(f"mod {name} {value}" for name, value in writes)
-    return compile_targets(parse_command(f"mmb add {match} {mods}").rule)
+    return compile_targets(parse_command(
+        f"mmb add {_match(data, writes, guaranteed)} {mods}").rule)
 
 
 def _incremental_and_full(data, writes, guaranteed=True):
-    """(bytes after the `mod` program of `writes` ran through
+    """(bytes after the writers of the `mod` rule of `writes` ran through
     rewrite_packet, bytes after the same writes field by field and
-    fix_checksums, whether the program path kept to the incremental update)
+    fix_checksums, whether the writer path kept to the incremental update)
     for one packet."""
     inc = parse_packet(data)
     full = parse_packet(data)
@@ -67,7 +73,7 @@ def _incremental_and_full(data, writes, guaranteed=True):
     real = rw.fix_checksums
     rw.fix_checksums = lambda pkt: calls.append(pkt) or real(pkt)
     try:
-        rw.rewrite_packet(inc, [_program(data, writes, guaranteed)], None, FWD,
+        rw.rewrite_packet(inc, _program(data, writes, guaranteed), None, FWD,
                           dict.fromkeys(COUNTERS, 0))
     finally:
         rw.fix_checksums = real
@@ -162,11 +168,11 @@ def test_udp_zero_checksum_takes_full_recompute():
 
 
 def test_program_path_keeps_a_wrong_transport_checksum_wrong():
-    """Random same-length `mod` programs through rewrite_packet over random
-    valid packets, one seeded stream of cases: output checksums equal
-    fix_checksums', and a transport checksum that arrived wrong leaves wrong
-    by the same amount. The cases cover guaranteed and checked spans, IHL
-    above 5 and spans that end on a word's high byte."""
+    """Random same-length `mod` rules' writers through rewrite_packet over
+    random valid packets, one seeded stream of cases: output checksums
+    equal fix_checksums', and a transport checksum that arrived wrong leaves
+    wrong by the same amount. The cases cover guaranteed and checked spans,
+    IHL above 5 and spans that end on a word's high byte."""
     rng = random.Random(1624)
     names = [n for n in SAME_LENGTH_FIELDS if n not in STRUCTURE_FIELDS]
     seen = dict.fromkeys(("guaranteed", "checked", "ihl>5", "high byte",
@@ -184,12 +190,22 @@ def test_program_path_keeps_a_wrong_transport_checksum_wrong():
             continue
         pkt = parse_packet(data)
         transport = pkt.ip_proto in (ref.TCP, ref.UDP) and not pkt.is_fragment
-        tp = _program(data, writes, guaranteed)
-        seen["guaranteed"] += any(base == L4 for base, *_ in tp.spans)
-        seen["checked"] += any(proto == pkt.ip_proto and transport
-                               for proto, _ in tp.cond_fields)
+        # the spans compile_targets folds the writes into: one per header
+        # over the guaranteed fields, one per checked field
+        folds = [fold(REGISTRY[name], value) for name, value in writes]
+        if _match(data, writes, guaranteed) == "ip-ttl >= 0":
+            checked = [REGISTRY[name].proto for name, _ in writes]
+            folds = [f for f, proto in zip(folds, checked) if proto is None]
+        else:
+            checked = []
+        bits = {}
+        for base, b, _ in folds:
+            bits[base] = bits.get(base, 0) | b
+        spans = [byte_span(base, b, 0) for base, b in bits.items()]
+        seen["guaranteed"] += any(base == L4 for base, *_ in spans)
+        seen["checked"] += pkt.ip_proto in checked and transport
         seen["ihl>5"] += pkt.ihl > 5
-        seen["high byte"] += any(hi & 1 for _, _, hi, _, _ in tp.spans)
+        seen["high byte"] += any(hi & 1 for _, _, hi, _, _ in spans)
         if not transport:
             continue
         at = pkt.l4_offset + (16 if pkt.ip_proto == ref.TCP else 6)
@@ -257,6 +273,22 @@ def test_same_length_rewrites_skip_full_recompute(monkeypatch):
     for pkt, _ in results:
         assert ref.verify_packet_checksums(bytes(pkt.data))
     assert bytes(results[1][0].data).endswith(b"abz")
+
+
+def test_a_payload_rule_recomputes_in_full_when_its_payload_write_is_skipped():
+    """`full` holds for a whole rule: its TTL write recomputes both
+    checksums in full even when its payload write does not fit, so a UDP
+    checksum that arrived wrong leaves valid."""
+    engine = Engine()
+    engine.add_commands(["mmb add udp-dport 53 mod ip-ttl 9 mod udp-payload 0x616263"])
+    data = bytearray(ref.udp_packet(dport=53, payload=b"q"))
+    data[26:28] = (((data[26] << 8) | data[27]) ^ 0x0101).to_bytes(2, "big")
+    out = []
+    report = engine.run_stream(iter([(bytes(data), 0, 0)]), out)
+    assert report.counters["rewrite_skipped"] == 1
+    assert ref.ref_read(out[0], "ip-ttl") == 9
+    assert out[0][28:] == b"q"
+    assert ref.verify_packet_checksums(out[0])
 
 
 # ------------------------------------------- connection (session) rewrites

@@ -201,6 +201,22 @@ def test_lookup_drops_a_deleted_rules_flow():
     assert e.key not in conn._entries and e.trans_key not in conn._alias
 
 
+def test_deleting_the_last_rule_empties_the_sweep_heap():
+    """4,096 SNAT flows opened and FINed leave two heap items each; `mmb del`
+    of their rule leaves the table empty, and the heap with it."""
+    from midbox import Engine
+    from midbox.rulegen import SNAT_RULE
+    engine = Engine()
+    engine.add_commands([SNAT_RULE])
+    flows = [(0x0A000000 + i % 250, 0xC6336401, 1024 + i, 80) for i in range(4096)]
+    packets = [ref.tcp_packet(*t, flags=ref.SYN) for t in flows]
+    packets += [ref.tcp_packet(*t, flags=ref.FIN | ref.ACK) for t in flows]
+    engine.run_stream((p, 0, 0) for p in packets)
+    assert len(engine.conn) == 4096 and len(engine.conn._heap) == 8192
+    assert engine.execute_line("mmb del 1") == "deleted rule 1"
+    assert len(engine.conn) == 0 and len(engine.conn._heap) == 0
+
+
 def reference_machine(seq):
     """Explicit transition table over (state, first_fin_direction)."""
     state, fin_dir = NEW, None

@@ -1,4 +1,5 @@
-"""Rewrite stage: masked static writes, option edits, dynamic bindings."""
+"""Rewrite stage: compiled writers (masked static writes, option edits),
+dynamic bindings."""
 
 import random
 
@@ -9,11 +10,10 @@ import refbuild as ref
 from midbox import (compile_targets, parse_command, parse_packet, serialize,
                     verify_checksums)
 from midbox.conntrack import ConnTable
-from midbox.fields import L3, L4
+from midbox.fields import L4, REGISTRY, byte_span, fold
 from midbox.packet import fix_checksums, tcp_options
 from midbox.pipeline import COUNTERS
-from midbox.rewrite import (apply_option_edits, apply_static, rewrite_packet,
-                            translate_session)
+from midbox.rewrite import FULL, rewrite_packet, translate_session
 
 
 def no_counts():
@@ -21,41 +21,75 @@ def no_counts():
     return dict.fromkeys(COUNTERS, 0)
 
 
-def program_of(line):
+def program_of(line, session=False):
     r = parse_command(line).rule
     r.id = 1
-    return r, compile_targets(r)
+    return r, compile_targets(r, session)
+
+
+def run_writers(pkt, writers, counters=None):
+    """Each writer's result on `pkt`, in order; checksums are left as the
+    writers leave them."""
+    counters = no_counts() if counters is None else counters
+    return [w(pkt, counters) for w in writers]
+
+
+def changed_at(before, after):
+    return [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
 
 
 def test_compile_port_rewrite_span_and_wellformedness():
-    _, tp = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
-    assert tp.spans == ((L4, 2, 4, 0, 0x01BB),)  # (base, lo, hi, keep, key)
+    # (base, lo, hi, keep, key): tcp-dport is transport bytes 2-3, all
+    # replaced
+    assert byte_span(*fold(REGISTRY["tcp-dport"], 443)) == (L4, 2, 4, 0, 0x01BB)
+    _, writers = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
+    data = ref.tcp_packet(dport=80)
+    pkt = parse_packet(data)
+    assert len(writers) == 1 and run_writers(pkt, writers) != [None]
+    assert changed_at(data, pkt.data) == [22, 23]  # tcp-dport 80 -> 443
+    assert ref.ref_read(bytes(pkt.data), "tcp-dport") == 443
 
 
 def test_compile_drop_rule_is_empty_program():
-    _, tp = program_of("mmb add tcp-dport 80 drop")
-    assert tp.is_empty
+    _, writers = program_of("mmb add tcp-dport 80 drop")
+    assert writers == ()
 
 
 def test_compile_snat_static_and_dynamic_split():
-    r, tp = program_of(
-        "mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp tcp-syn "
-        "shuffle tcp-sport mod ip-saddr 200.0.0.1")
-    assert tp.spans == ((L3, 12, 16, 0, 0xC8000001),)
-    assert [fd.name for fd in tp.dynamic] == ["tcp-sport"]
+    """The rule's writers write the static source address and leave the
+    shuffled port to the connection; its own flows' writers leave both."""
+    line = ("mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp tcp-syn "
+            "shuffle tcp-sport mod ip-saddr 200.0.0.1")
+    r, writers = program_of(line)
     assert r.stateful
+    data = ref.tcp_packet(0x0A000005, 0xC6336401, 40000, 80, flags=ref.SYN)
+    pkt = parse_packet(data)
+    counters = no_counts()
+    run_writers(pkt, writers, counters)
+    assert set(changed_at(data, pkt.data)) <= {12, 13, 14, 15}  # ip-saddr
+    assert ref.ref_read(bytes(pkt.data), "ip-saddr") == 0xC8000001
+    assert not any(counters.values())  # a TCP packet is no missing binding
+    _, own = program_of(line, session=True)
+    assert own == ()
 
 
 def test_static_key_disjoint_from_mask_randomized():
+    """Random mods folded per header as compile_targets folds them: each
+    header's span keeps every byte it does not write and its key sets no
+    kept bit."""
     rng = random.Random(41)
     fields = ["ip-ttl", "ip-dscp", "ip-id", "tcp-sport", "tcp-dport",
               "tcp-win", "tcp-seq"]
     for _ in range(200):
-        picks = rng.sample(fields, rng.randint(1, 4))
-        parts = " ".join(f"mod {f} {rng.randrange(50)}" for f in picks)
-        _, tp = program_of(f"mmb add tcp-syn {parts}")
-        assert 1 <= len(tp.spans) <= 2
-        for _, lo, hi, keep, key in tp.spans:
+        folded = {}
+        for name in rng.sample(fields, rng.randint(1, 4)):
+            base, bits, val = fold(REGISTRY[name], rng.randrange(50))
+            acc = folded.setdefault(base, [0, 0])
+            acc[0] |= bits
+            acc[1] |= val
+        assert 1 <= len(folded) <= 2
+        for base, (bits, val) in folded.items():
+            _, lo, hi, keep, key = byte_span(base, bits, val)
             assert key & keep == 0 and 0 <= lo < hi <= 20
             assert keep.bit_length() <= 8 * (hi - lo)
             assert key.bit_length() <= 8 * (hi - lo)
@@ -65,32 +99,37 @@ def test_transport_mods_not_folded_without_transport_match():
     # `ip-proto tcp` alone also matches TCP fragments, which have no
     # transport header: tcp-* writes must go through checked per-field
     # writes, never a blind masked span
-    _, tp = program_of("mmb add ip-proto tcp mod tcp-win 7 mod ip-ttl 3")
-    assert [s[:3] for s in tp.spans] == [(L3, 8, 9)]  # only the ttl byte folds
-    assert tp.cond_fields == [(ref.TCP, (L4, 14, 16, 0, 7))]  # tcp-win
+    _, writers = program_of("mmb add ip-proto tcp mod tcp-win 7 mod ip-ttl 3")
     frag_hdr = ref.ipv4_header(0x0A000001, 0x0A000002, ref.TCP, 24,
                                flags_frag=0x2000)
     frag = frag_hdr + bytes(24)
     pkt = parse_packet(frag)
-    apply_static(pkt, tp, no_counts())
-    assert bytes(pkt.data[20:]) == bytes(24)  # payload untouched
+    counters = no_counts()
+    run_writers(pkt, writers, counters)
+    assert changed_at(frag, pkt.data) == [8]  # only the ttl byte
     assert pkt.data[8] == 3
+    assert counters["rewrite_skipped"] == 1  # tcp-win
+    # an unfragmented TCP packet takes the checked tcp-win write
+    data = ref.tcp_packet(ttl=3, window=1000)
+    pkt = parse_packet(data)
+    run_writers(pkt, writers)
+    assert changed_at(data, pkt.data) == [34, 35]
+    assert ref.ref_read(bytes(pkt.data), "tcp-win") == 7
 
 
 def test_identity_program_leaves_packet_alone():
-    _, tp = program_of("mmb add tcp-dport 80 drop")  # empty program
+    _, writers = program_of("mmb add tcp-dport 80 drop")  # no writers
     data = ref.tcp_packet(dport=80)
     pkt = parse_packet(data)
-    assert not apply_static(pkt, tp, no_counts())
+    assert not rewrite_packet(pkt, writers, None, None, no_counts())
     assert serialize(pkt) == data
 
 
 def test_port_80_to_443():
-    _, tp = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
+    _, writers = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
     data = ref.tcp_packet(dport=80, payload=b"req")
     pkt = parse_packet(data)
-    assert apply_static(pkt, tp, no_counts())
-    fix_checksums(pkt)
+    assert rewrite_packet(pkt, writers, None, None, no_counts())
     out = serialize(pkt)
     assert ref.ref_read(out, "tcp-dport") == 443
     # every other field is untouched
@@ -99,21 +138,23 @@ def test_port_80_to_443():
     assert ref.verify_packet_checksums(out)
 
 
-def test_apply_static_random_vs_byte_loop():
-    """Masked-write result equals a per-byte (b & mask) | key loop."""
+def test_static_writers_random_vs_byte_loop():
+    """Masked-write result equals a per-byte (b & mask) | key loop over
+    each field's span."""
     rng = random.Random(42)
     for _ in range(300):
-        _, tp = program_of(
-            f"mmb add tcp-syn mod ip-ttl {rng.randrange(256)} "
-            f"mod tcp-win {rng.randrange(1 << 16)} "
-            f"mod tcp-seq {rng.randrange(1 << 32)}")
+        values = {"ip-ttl": rng.randrange(256), "tcp-win": rng.randrange(1 << 16),
+                  "tcp-seq": rng.randrange(1 << 32)}
+        _, writers = program_of("mmb add tcp-syn " + " ".join(
+            f"mod {name} {v}" for name, v in values.items()))
         data = ref.random_valid_packet(rng)
         pkt = parse_packet(data)
         if pkt.ip_proto != ref.TCP or pkt.is_fragment:
             continue
-        apply_static(pkt, tp, no_counts())
+        run_writers(pkt, writers)
         expect = bytearray(data)
-        for base, lo, hi, keep, key in tp.spans:
+        for name, v in values.items():
+            base, lo, hi, keep, key = byte_span(*fold(REGISTRY[name], v))
             at = 4 * pkt.ihl if base == L4 else 0
             mask = keep.to_bytes(hi - lo, "big")
             key = key.to_bytes(hi - lo, "big")
@@ -162,12 +203,12 @@ def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
     """IP options move the transport header, not what a static mod does:
     the same bytes come out and a change is reported only when bytes
     change."""
-    _, tp = program_of(line)
+    _, writers = program_of(line)
     results = []
     for ihl in (5, 6):
         data = build(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)), **kw)
         pkt = parse_packet(data)
-        changed = rewrite_packet(pkt, [tp], None, None, no_counts())
+        changed = rewrite_packet(pkt, writers, None, None, no_counts())
         results.append((changed, _without_ip_options(bytes(pkt.data)),
                         _without_ip_options(data)))
     assert results[0] == results[1]
@@ -177,11 +218,11 @@ def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
 
 def test_rewrite_touches_only_program_bytes():
     rng = random.Random(43)
-    _, tp = program_of("mmb add tcp-syn mod tcp-win 777 mod ip-ttl 9")
+    _, writers = program_of("mmb add tcp-syn mod tcp-win 777 mod ip-ttl 9")
     for _ in range(100):
         data = ref.tcp_packet(payload=rng.randbytes(rng.randrange(40)))
         pkt = parse_packet(data)
-        apply_static(pkt, tp, no_counts())
+        run_writers(pkt, writers)
         out = bytes(pkt.data)
         spans = [(8, 9), (34, 36)]  # ttl, tcp-win
         for i, (a, b) in enumerate(zip(data, out)):
@@ -190,13 +231,13 @@ def test_rewrite_touches_only_program_bytes():
 
 
 def test_strip_except_keeps_whitelist():
-    _, tp = program_of(
+    _, writers = program_of(
         "mmb add tcp-opt-timestamp strip ! tcp-opt-mss strip ! tcp-opt-wscale")
     opts = ref.make_options((2, (1460).to_bytes(2, "big")), (4, b""),
                             (8, bytes(8)), (1,), (3, b"\x07"))
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN, options=opts,
                                       payload=b"PAY"))
-    assert apply_option_edits(pkt, tp, no_counts())
+    assert run_writers(pkt, writers) == [FULL]
     fix_checksums(pkt)
     assert tcp_options(pkt) == [(2, (1460).to_bytes(2, "big")), (3, b"\x07")]
     assert verify_checksums(pkt)
@@ -205,35 +246,35 @@ def test_strip_except_keeps_whitelist():
 
 
 def test_strip_absent_option_is_byte_identical():
-    _, tp = program_of("mmb add tcp-syn strip tcp-opt-timestamp")
+    _, writers = program_of("mmb add tcp-syn strip tcp-opt-timestamp")
     opts = ref.make_options((2, (1460).to_bytes(2, "big")), (1,), (3, b"\x07"))
     data = ref.tcp_packet(flags=ref.SYN, options=opts)
     pkt = parse_packet(data)
-    assert not apply_option_edits(pkt, tp, no_counts())
+    assert run_writers(pkt, writers) == [None]
     assert serialize(pkt) == data
 
 
 def test_add_option_appends_before_padding():
-    _, tp = program_of("mmb add tcp-syn add tcp-opt-mss 1460")
+    _, writers = program_of("mmb add tcp-syn add tcp-opt-mss 1460")
     pkt = parse_packet(ref.tcp_packet(flags=ref.SYN,
                                       options=ref.make_options((3, b"\x07"))))
-    assert apply_option_edits(pkt, tp, no_counts())
+    assert run_writers(pkt, writers) == [FULL]
     assert tcp_options(pkt) == [(3, b"\x07"), (2, (1460).to_bytes(2, "big"))]
 
 
 def test_add_without_room_is_skipped():
-    _, tp = program_of("mmb add tcp-syn add tcp-opt 66 0x" + "ab" * 39)
+    _, writers = program_of("mmb add tcp-syn add tcp-opt 66 0x" + "ab" * 39)
     data = ref.tcp_packet(flags=ref.SYN)
     pkt = parse_packet(data)
     counters = no_counts()
-    assert not apply_option_edits(pkt, tp, counters)
+    assert run_writers(pkt, writers, counters) == [None]
     assert serialize(pkt) == data
     assert counters["opt_add_skipped"] == 1
 
 
 def test_option_edits_random_reparse_closure():
     rng = random.Random(44)
-    r, tp = program_of(
+    r, writers = program_of(
         "mmb add tcp-syn strip tcp-opt-timestamp add tcp-opt-wscale 9 "
         "mod tcp-opt-mss 1400")
     for _ in range(500):
@@ -244,7 +285,7 @@ def test_option_edits_random_reparse_closure():
         before = tcp_options(pkt)
         if before is None:
             continue
-        changed = apply_option_edits(pkt, tp, no_counts())
+        changed = run_writers(pkt, writers) == [FULL]
         after = tcp_options(pkt)
         expect = [(k, (1400).to_bytes(2, "big") if k == 2 and len(p) == 2 else p)
                   for k, p in before if k != 8]
@@ -260,13 +301,41 @@ def _fits(opts, add):
     return sum(2 + len(p) for _, p in opts) + 2 + len(add[1]) <= 40
 
 
+def test_option_area_is_walked_once_per_packet(monkeypatch):
+    """tcp-opts traffic against 100 option-match rules and the whitelist
+    strip: the option edits read the walk the option matches cached, so
+    each packet's option area is walked once."""
+    import midbox.packet
+    import midbox.rewrite
+    from midbox.pipeline import Engine
+    from midbox.rulegen import STRIP_EXCEPT_RULE, tcp_option_rules
+    from midbox.traffic import TrafficProfile, generate_traffic
+    engine = Engine()
+    engine.add_commands(tcp_option_rules(100, seed=0) + [STRIP_EXCEPT_RULE])
+    profile = TrafficProfile(flows=7, seed=0, options="all",
+                             option_value_space="lo", packet_bytes=200)
+    packets = list(generate_traffic(profile, 5000))
+    walks = []
+    walker = midbox.packet.tcp_options
+
+    def counted(pkt):
+        walks.append(pkt)
+        return walker(pkt)
+    # every module of the packet path that could bind the walker's name
+    for module in (midbox.packet, midbox.rewrite):
+        monkeypatch.setattr(module, "tcp_options", counted, raising=False)
+    report = engine.run_stream(iter(packets))
+    assert report.packets_in == 5000 and report.rewritten > 1000
+    assert len(walks) == 5000
+
+
 def test_dynamic_forward_and_reverse_roundtrip():
     conn = ConnTable(shuffle_seed=3)
     rule = parse_command(
         "mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp tcp-syn "
         "shuffle tcp-sport mod ip-saddr 200.0.0.1").rule
     rule.id = 1
-    tp = compile_targets(rule)
+    writers = compile_targets(rule)
     failures = 0
     for i in range(1000):
         client = 0x0A000001 + (i % 250)
@@ -276,7 +345,7 @@ def test_dynamic_forward_and_reverse_roundtrip():
                                           flags=ref.SYN))
         entry = conn.insert(syn, rule, float(i))
         assert entry is not None
-        apply_static(syn, tp, no_counts())
+        run_writers(syn, writers)
         translate_session(syn, entry, "fwd", ())
         fix_checksums(syn)
         t5 = syn.five_tuple()
@@ -362,11 +431,17 @@ def test_program_write_to_an_unbound_tuple_field_stays():
 
 
 def test_missing_binding_counted():
-    r, tp = program_of("mmb add-stateful ip-proto tcp tcp-syn shuffle tcp-sport")
-    pkt = parse_packet(ref.tcp_packet(flags=ref.SYN))
-    counters = no_counts()
-    rewrite_packet(pkt, [tp], None, None, counters)
-    assert counters["missing_binding"] == 1
+    """A shuffle rule's match on a packet that gets no connection entry (an
+    ICMP one) counts once in missing_binding and leaves unchanged."""
+    from midbox.pipeline import Engine
+    engine = Engine()
+    engine.add_commands(["mmb add-stateful ip-proto icmp shuffle ip-id"])
+    data = ref.icmp_packet()
+    out = []
+    report = engine.run_stream(iter([(data, 0, 0)]), out)
+    assert report.counters["missing_binding"] == 1
+    assert report.rewritten == 1 and out == [data]
+    assert len(engine.conn) == 0
 
 
 def test_engine_rewrite_matches_linear_oracle():
