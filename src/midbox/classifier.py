@@ -27,6 +27,10 @@ vector at a time (`match_tables`): each table runs over every packet of the
 vector, and tables that share a shift share one shifted copy of each
 packet's window.
 
+One compiled rule set (`RuleSetSnapshot`) holds the tables and the
+maskless rules. A rule is compiled and placed by `add` and taken out by
+`remove`, in place; the engine calls them only between vectors.
+
 The rest of the classify node (`classify_vector`) walks the vector's
 packets in order: each packet's connection (`ConnTable.lookup`), then its
 table hits plus the maskless rules. `classify` is its one-packet case.
@@ -257,25 +261,16 @@ class ClassifierTable:
         self.mask = mask
         self.entries = {}
 
-    def copy(self):
-        """A table with the same mask and its own copy of `entries`."""
-        table = ClassifierTable(self.shift, self.mask)
-        table.entries = dict(self.entries)
-        return table
-
     def __repr__(self):
         return (f"ClassifierTable(shift={self.shift}, mask={self.mask:x}, "
                 f"keys={len(self.entries)})")
 
 
 class RuleSetSnapshot:
-    """Immutable compiled view of the rule set; one snapshot serves a whole
-    packet vector, so rule changes land between vectors.
-
-    The constructor compiles every rule. `with_rule` and `without_rule`
-    derive the next snapshot copy-on-write: the new one shares every table,
-    entry and compiled rule the change does not touch, and the old one is
-    never mutated, so a vector still running on it keeps its view."""
+    """The compiled rule set: the mask tables (`index` maps each table's
+    (shift, mask) to it), the maskless rules (`slow`) and every compiled
+    rule by id. The constructor places each rule through `add`, and
+    `version` counts the adds and removes, starting from `version`."""
 
     __slots__ = ("tables", "slow", "by_id", "version", "index", "_groups")
 
@@ -285,90 +280,52 @@ class RuleSetSnapshot:
         self.tables = []
         self.slow = []
         self.by_id = {}
-        self.index = {}  # table key -> ClassifierTable
+        self.index = {}
         for rule in rules:
-            cr = CompiledRule(rule)
-            self.by_id[rule.id] = cr
-            if cr.never:
-                continue
-            if not cr.mask:
-                self.slow.append(cr)
-                continue
-            tkey = (cr.shift, cr.mask)
-            table = self.index.get(tkey)
-            if table is None:
-                table = self.index[tkey] = ClassifierTable(*tkey)
-                self.tables.append(table)
-            table.entries[cr.key] = table.entries.get(cr.key, ()) + (cr,)
+            self.add(rule)
 
-    def with_rule(self, rule, version):
-        """This snapshot plus `rule`, whose id must exceed every id in it;
-        only `rule` is compiled."""
-        cr = CompiledRule(rule)
-        snap = self._derive(version)
-        snap.by_id[rule.id] = cr
+    def add(self, rule):
+        """Compile `rule` and place it. Its id must exceed every id here,
+        so an entry's rules and the maskless rules stay in id order."""
+        cr = self.by_id[rule.id] = CompiledRule(rule)
+        self.version += 1
         if cr.never:
-            return snap
+            return
         if not cr.mask:
-            snap.slow = self.slow + [cr]
-            return snap
+            self.slow.append(cr)
+            return
         tkey = (cr.shift, cr.mask)
-        old = self.index.get(tkey)
-        table = ClassifierTable(*tkey) if old is None else old.copy()
+        table = self.index.get(tkey)
+        if table is None:
+            table = self.index[tkey] = ClassifierTable(*tkey)
+            self.tables.append(table)
+            self._groups = None
         table.entries[cr.key] = table.entries.get(cr.key, ()) + (cr,)
-        snap._replace_table(tkey, old, table)
-        return snap
 
-    def without_rule(self, rule_id, version):
-        """This snapshot minus the rule `rule_id`; a table left with no
-        keys is dropped."""
-        cr = self.by_id[rule_id]
-        snap = self._derive(version)
-        del snap.by_id[rule_id]
+    def remove(self, rule_id):
+        """Take out the rule `rule_id`; a table left with no keys is
+        dropped."""
+        cr = self.by_id.pop(rule_id)
+        self.version += 1
         if cr.never:
-            return snap
+            return
         if not cr.mask:
-            snap.slow = [c for c in self.slow if c is not cr]
-            return snap
-        tkey = (cr.shift, cr.mask)
-        old = self.index[tkey]
-        table = old.copy()
-        rest = tuple(c for c in table.entries[cr.key] if c is not cr)
+            self.slow.remove(cr)
+            return
+        entries = self.index[cr.shift, cr.mask].entries
+        rest = tuple(c for c in entries[cr.key] if c is not cr)
         if rest:
-            table.entries[cr.key] = rest
-        else:
-            del table.entries[cr.key]
-        snap._replace_table(tkey, old, table if table.entries else None)
-        return snap
-
-    def _derive(self, version):
-        """A shallow copy with its own `tables`, `by_id` and `index`."""
-        snap = object.__new__(RuleSetSnapshot)
-        snap.version = version
-        snap._groups = None
-        snap.tables = list(self.tables)
-        snap.slow = self.slow
-        snap.by_id = dict(self.by_id)
-        snap.index = dict(self.index)
-        return snap
-
-    def _replace_table(self, tkey, old, new):
-        """Put `new` where `old` was (None for either adds or drops one).
-        Table order does not affect verdicts, so a new table goes last."""
-        if old is None:
-            self.tables.append(new)
-            self.index[tkey] = new
-        elif new is None:
-            self.tables.remove(old)
-            del self.index[tkey]
-        else:
-            self.tables[self.tables.index(old)] = new
-            self.index[tkey] = new
+            entries[cr.key] = rest
+            return
+        del entries[cr.key]
+        if not entries:
+            self.tables.remove(self.index.pop((cr.shift, cr.mask)))
+            self._groups = None
 
     def groups(self):
         """The tables grouped by window shift, as ((shift, (table, ...)),
-        ...). Built on the first probe, so deriving a snapshot never pays
-        for it; it holds only shared tables, so freeing it is cheap too."""
+        ...). Built on the first probe after a table is created or
+        dropped; a change inside a table keeps it."""
         groups = self._groups
         if groups is None:
             by_shift = {}

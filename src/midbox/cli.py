@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 
+from .errors import MidboxError
 from .pcap import PcapFormatError, PcapReader, PcapWriter
 from .pipeline import Engine, EngineConfig
 from .scenarios import SCENARIO_NAMES, run_scenario
@@ -105,8 +106,12 @@ def main(argv=None):
     engine = Engine(EngineConfig(vector_size=args.vector_size,
                                  shuffle_seed=args.seed))
     if args.rules:
-        with open(args.rules) as f:
-            engine.add_commands(f)
+        try:
+            with open(args.rules) as f:
+                engine.add_commands(f)
+        except (MidboxError, OSError, UnicodeDecodeError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     if args.pcap_in:
         try:

@@ -2,9 +2,9 @@
 
 Packets flow in vectors (up to 256 by default) through a small node graph:
 input (parse/validate) -> classify -> {error-drop | rewrite -> output |
-output}. Rule changes publish a new immutable snapshot between vectors, so
-one vector never sees two rule sets; a single add or del derives it
-copy-on-write from the previous one. One connection table serves every
+output}. The engine is single-threaded: rule commands run between
+`run_vector` calls and change the one compiled rule set in place, so one
+vector never sees two rule sets. One connection table serves every
 vector.
 """
 
@@ -135,7 +135,7 @@ class RunReport:
 
 
 class Engine:
-    """Rule store, compiled snapshot, connection table, and the vector
+    """Rule store, compiled rule set, connection table, and the vector
     loop."""
 
     def __init__(self, config=None):
@@ -143,8 +143,7 @@ class Engine:
         self.rules = {}
         self._next_id = 1
         self.enabled = True
-        self._version = 0
-        self.snapshot = RuleSetSnapshot([], 0)
+        self.snapshot = RuleSetSnapshot([])
         c = self.config
         self.conn = ConnTable(c.timeouts, c.conn_capacity, c.shuffle_seed,
                               c.shuffle_range)
@@ -153,11 +152,10 @@ class Engine:
     # ------------------------------------------------------------- rules
 
     def install(self, rule):
-        """Assign an id (never reused) and publish a new snapshot that
-        compiles only this rule."""
+        """Assign an id (never reused) and add the rule to the compiled
+        set, compiling only it."""
         self._assign_id(rule)
-        self._version += 1
-        self.snapshot = self.snapshot.with_rule(rule, self._version)
+        self.snapshot.add(rule)
         return rule.id
 
     def _assign_id(self, rule):
@@ -170,8 +168,7 @@ class Engine:
         if rule_id not in self.rules:
             raise NoSuchRule(f"no such rule {rule_id}")
         self.conn.forget_rule(self.rules.pop(rule_id))
-        self._version += 1
-        self.snapshot = self.snapshot.without_rule(rule_id, self._version)
+        self.snapshot.remove(rule_id)
 
     def flush(self):
         n = len(self.rules)
@@ -182,7 +179,7 @@ class Engine:
         return n
 
     def add_commands(self, lines):
-        """Install `mmb add ...` lines in bulk: one snapshot rebuild at the
+        """Install `mmb add ...` lines in bulk: one full build at the
         end, so large rule sets load in linear time. Every line is parsed
         before any is installed, so a bad line installs nothing. Returns
         assigned ids."""
@@ -201,9 +198,7 @@ class Engine:
 
     def _rebuild(self):
         """Full build: compiles every installed rule."""
-        self._version += 1
-        self.snapshot = RuleSetSnapshot(
-            [self.rules[k] for k in sorted(self.rules)], self._version)
+        self.snapshot = RuleSetSnapshot([self.rules[k] for k in sorted(self.rules)])
 
     # ------------------------------------------------------------ command
 
@@ -331,9 +326,9 @@ class Engine:
     def run_stream(self, source, sink=None, reset=True):
         """Drain a packet source in vectors; returns a RunReport.
 
-        Source items may be PacketBuffers or (bytes, ts_sec, ts_usec)
-        records. `sink` receives forwarded packets: a list collects raw
-        bytes, a callable gets the PacketBuffer.
+        Source items are (bytes, ts_sec, ts_usec) records. `sink`
+        receives forwarded packets: a list collects raw bytes, a callable
+        gets the PacketBuffer.
         """
         if reset:
             self.reset_stats()
@@ -383,38 +378,34 @@ class Engine:
         # ends or a bypassed frame leaves it
         t0 = time.perf_counter_ns()
         n = 0
-        for item in source:
+        for data, ts_sec, ts_usec in source:
             packets_in += 1
             n += 1
-            if isinstance(item, PacketBuffer):
-                pkt = item
-            else:
-                data, ts_sec, ts_usec = item
-                try:
-                    pkt = parse_packet(data, self.config.link_type,
-                                       trace_id=packets_in - 1,
-                                       ts=ts_sec + ts_usec / 1e6)
-                except NotIPv4:
-                    if self.config.link_type == ETHERNET:
-                        # non-IP frames never enter the engine; they pass
-                        # through unparsed, in arrival order, after the
-                        # packets already waiting in vectors
-                        stats["input"].observe(n, time.perf_counter_ns() - t0)
-                        counters["bypass_non_ip"] += 1
-                        flush()
-                        output([PacketBuffer(bytes(data), 0, 0, 0, 0,
-                                             trace_id=packets_in - 1,
-                                             ts=ts_sec + ts_usec / 1e6)])
-                        n = 0
-                        t0 = time.perf_counter_ns()
-                        continue
-                    counters["parse_error_drops"] += 1
-                    dropped += 1
+            try:
+                pkt = parse_packet(data, self.config.link_type,
+                                   trace_id=packets_in - 1,
+                                   ts=ts_sec + ts_usec / 1e6)
+            except NotIPv4:
+                if self.config.link_type == ETHERNET:
+                    # non-IP frames never enter the engine; they pass
+                    # through unparsed, in arrival order, after the
+                    # packets already waiting in vectors
+                    stats["input"].observe(n, time.perf_counter_ns() - t0)
+                    counters["bypass_non_ip"] += 1
+                    flush()
+                    output([PacketBuffer(bytes(data), 0, 0, 0, 0,
+                                         trace_id=packets_in - 1,
+                                         ts=ts_sec + ts_usec / 1e6)])
+                    n = 0
+                    t0 = time.perf_counter_ns()
                     continue
-                except PacketError:
-                    counters["parse_error_drops"] += 1
-                    dropped += 1
-                    continue
+                counters["parse_error_drops"] += 1
+                dropped += 1
+                continue
+            except PacketError:
+                counters["parse_error_drops"] += 1
+                dropped += 1
+                continue
             vec.append(pkt)
             if len(vec) >= V:
                 stats["input"].observe(n, time.perf_counter_ns() - t0)

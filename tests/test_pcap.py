@@ -87,6 +87,27 @@ def test_out_of_range_microseconds_are_a_format_error(tmp_path, capsys, ts_sec,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rules", [
+    pytest.param("mmb add tcp-dport 80 drop\nmmb add no-such-field 1 drop\n",
+                 id="unknown-field"),
+    pytest.param("mmb del 1\n", id="not-an-add"),
+    pytest.param(b"mmb add tcp-dport 80 drop\n\xff\xfe\n", id="not-utf8"),
+    pytest.param(None, id="missing-file"),
+])
+def test_bad_rules_file_is_an_error_not_a_traceback(tmp_path, capsys, rules):
+    from midbox.cli import main
+    src, out, path = tmp_path / "in.pcap", tmp_path / "out.pcap", tmp_path / "rules.txt"
+    _one_record_file(src, 5, 0)
+    if isinstance(rules, str):
+        path.write_text(rules)
+    elif rules is not None:
+        path.write_bytes(rules)
+    rc = main(["--rules", str(path), "--pcap-in", str(src), "--pcap-out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ts_sec,ts_usec", [(2 ** 32 - 1, 999_999), (5, 0), (0, 1)])
 def test_in_range_timestamps_pass_through_unchanged(tmp_path, ts_sec, ts_usec):
     from midbox.cli import main

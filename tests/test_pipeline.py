@@ -64,6 +64,41 @@ def test_snapshot_swaps_between_vectors():
     assert all(d == DISP_DROP for _, d in after)
 
 
+@pytest.mark.parametrize("V", [1, 4, 256])
+def test_rule_changes_from_the_source_land_between_vectors(V):
+    """Commands the source runs between pulls take effect for whole
+    vectors: each vector follows the rule set in force when it ran, even
+    when some of its packets were pulled before the change."""
+    engine = fresh_engine(vector_size=V)
+    data = ref.tcp_packet(dport=80)
+    ran = []  # (drop rule installed, dispositions) of each vector
+    run_vector = engine.run_vector
+
+    def recording_run_vector(pkts, now=None):
+        installed = bool(engine.rules)
+        out = run_vector(pkts, now)
+        ran.append((installed, [d for _, d in out]))
+        return out
+    engine.run_vector = recording_run_vector
+
+    def source():
+        for i in range(600):
+            if i == 200:
+                reply = engine.execute_line("mmb add tcp-dport 80 drop")
+                rid = int(reply.rsplit(" ", 1)[1])
+            elif i == 450:
+                assert engine.execute_line(f"mmb del {rid}") == f"deleted rule {rid}"
+            yield data, 0, i
+
+    report = engine.run_stream(source())
+    assert report.packets_in == 600
+    assert sum(len(d) for _, d in ran) == 600
+    for installed, disps in ran:
+        assert disps == [DISP_DROP if installed else DISP_FORWARD] * len(disps)
+    assert {installed for installed, _ in ran} == {True, False}
+    assert report.dropped == sum(len(d) for installed, d in ran if installed)
+
+
 def test_packet_conservation_and_node_invariant():
     engine = fresh_engine()
     engine.add_commands([
