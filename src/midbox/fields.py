@@ -143,11 +143,6 @@ for _name, _kind in TCP_OPT_KINDS.items():
     REGISTRY[f"tcp-opt-{_name}"] = tcp_option_field(_kind)
 
 
-def lookup(name):
-    """Registry lookup; returns None for unknown names."""
-    return REGISTRY.get(name)
-
-
 def prefix_mask(plen):
     """The 32-bit mask of an address prefix of `plen` bits."""
     return ((1 << plen) - 1) << (32 - plen) if plen else 0

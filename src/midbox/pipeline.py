@@ -181,16 +181,21 @@ class Engine:
     def add_commands(self, lines):
         """Install `mmb add ...` lines in bulk: one full build at the
         end, so large rule sets load in linear time. Every line is parsed
-        before any is installed, so a bad line installs nothing. Returns
+        before any is installed, so a bad line installs nothing; its error
+        keeps its class and byte position and names the line, counting
+        from 1 over every line given, blank and `#` lines too. Returns
         assigned ids."""
         rules = []
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for n, line in enumerate(lines, 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
-            cmd = parse_command(line)
+            try:
+                cmd = parse_command(line)
+            except CommandError as e:
+                raise type(e)(f"line {n}: {e.args[0]}", e.position) from None
             if cmd.verb not in ("add", "add-stateful"):
-                raise CommandError(f"expected an add command, got {cmd.verb!r}")
+                raise CommandError(f"line {n}: expected an add command, got {cmd.verb!r}")
             rules.append(cmd.rule)
         ids = [self._assign_id(rule) for rule in rules]
         self._rebuild()

@@ -17,14 +17,20 @@ Grammar:
 A bare flag field (`tcp-syn`) means "flag set"; `!` negates the whole match.
 Repeated `strip ! X` clauses compose into one whitelist; mixing plain and
 negated strips in a rule is rejected.
+
+The tokens are `line.split()`, read in one pass by index. An error carries
+the index of its token until `parse_command` turns it into the token's byte
+offset in the line, so positions are found only on error. An error at end
+of line points just past the last token.
 """
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import fields
-from .errors import CommandSyntaxError, SemanticError, TypeMismatch, UnknownField
-from .fields import (FIXED, FLAG, OPT, PAYLOAD, PROTO_NAMES, PROTO_NUMBERS,
+from .errors import (CommandError, CommandSyntaxError, SemanticError, TypeMismatch,
+                     UnknownField)
+from .fields import (FIXED, FLAG, OPT, PAYLOAD, PROTO_NAMES, PROTO_NUMBERS, REGISTRY,
                      FieldDescriptor, prefix_mask, tcp_option_field)
 
 # match conditions
@@ -54,16 +60,14 @@ TUPLE_FIELDS = frozenset({"ip-saddr", "ip-daddr", "tcp-sport", "tcp-dport",
                           "udp-sport", "udp-dport"})
 
 
-@dataclass(frozen=True)
-class MatchExpr:
+class MatchExpr(NamedTuple):
     field: FieldDescriptor
     cond: str
     value: object = None  # int | bytes | (addr, prefix_len) | None
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class TargetExpr:
+class TargetExpr(NamedTuple):
     kind: str
     field: FieldDescriptor | None = None
     value: object = None
@@ -81,192 +85,204 @@ class Rule:
     hits: int = 0
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     verb: str  # add | add-stateful | del | list | flush | enable | disable
     rule: Rule | None = None
     rule_id: int | None = None
 
 
 _ADDR_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})(?:/(\d{1,2}))?$")
-_NUM_RE = re.compile(r"^(?:\d+|0[xX][0-9a-fA-F]+)$")
 _HEX_RE = re.compile(r"^0[xX]([0-9a-fA-F]+)$")
 
+_DROP = TargetExpr(DROP)
 
-class _Cursor:
-    """Token stream over one command line, tracking byte positions."""
-
-    def __init__(self, line):
-        self.toks = [(m.group(0), m.start()) for m in re.finditer(r"\S+", line)]
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def next(self, what="token"):
-        if self.i >= len(self.toks):
-            pos = self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 0
-            raise CommandSyntaxError(f"expected {what}, got end of line", pos)
-        tok, pos = self.toks[self.i]
-        self.i += 1
-        return tok, pos
-
-    @property
-    def pos(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) else (
-            self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 0)
+# tokens that end a match without a value: the next match or the targets
+_NOT_A_VALUE = _TARGET_KEYWORDS | {"!", "tcp-opt"} | REGISTRY.keys()
 
 
-def _parse_num(tok, pos, what="number"):
-    if not _NUM_RE.match(tok):
-        raise CommandSyntaxError(f"expected {what}, got {tok!r}", pos)
-    return int(tok, 0)
+def _offset(line, toks, i):
+    """Byte offset in `line` of toks[i]; for the end sentinel, the end of
+    the last token (0 on a blank line)."""
+    at = 0
+    for tok in toks[:i]:
+        at = line.index(tok, at) + len(tok)
+    return at if toks[i] is None else line.index(toks[i], at)
 
 
-def _parse_value(tok, pos, fd):
+def _end(what, i):
+    return CommandSyntaxError(f"expected {what}, got end of line", i)
+
+
+def _int(tok):
+    """The integer a decimal or 0x-hex token spells, or None. As in a
+    Python literal, a decimal other than all zeros may not start with 0,
+    which could be read as octal."""
+    if tok.isdecimal() or _HEX_RE.match(tok):
+        try:
+            return int(tok, 0)
+        except ValueError:
+            pass
+    return None
+
+
+def _parse_num(tok, i, what):
+    v = _int(tok)
+    if v is None:
+        raise CommandSyntaxError(f"expected {what}, got {tok!r}", i)
+    return v
+
+
+def _parse_value(tok, i, fd):
     """Typed literal for a field: int, bytes, or (addr, prefix_len)."""
     if fd.is_addr:
         m = _ADDR_RE.match(tok)
         if m:
-            octets = [int(m.group(i)) for i in range(1, 5)]
-            if any(o > 255 for o in octets):
-                raise TypeMismatch(f"bad address {tok!r}", pos)
-            plen = int(m.group(5)) if m.group(5) else 32
+            a, b, c, d, plen = m.groups()
+            a, b, c, d = int(a), int(b), int(c), int(d)
+            if a > 255 or b > 255 or c > 255 or d > 255:
+                raise TypeMismatch(f"bad address {tok!r}", i)
+            addr = a << 24 | b << 16 | c << 8 | d
+            if plen is None:
+                return (addr, 32)
+            plen = int(plen)
             if plen > 32:
-                raise TypeMismatch(f"prefix length {plen} out of range", pos)
-            addr = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
+                raise TypeMismatch(f"prefix length {plen} out of range", i)
             return (addr & prefix_mask(plen), plen)
-        if _NUM_RE.match(tok):
-            v = int(tok, 0)
+        v = _int(tok)
+        if v is not None:
             if v >= 1 << 32:
-                raise TypeMismatch(f"address value {tok!r} too wide", pos)
+                raise TypeMismatch(f"address value {tok!r} too wide", i)
             return (v, 32)
-        raise TypeMismatch(f"expected address for {fd.name}, got {tok!r}", pos)
+        raise TypeMismatch(f"expected address for {fd.name}, got {tok!r}", i)
 
     if fd.name == "ip-proto" and tok in PROTO_NUMBERS:
         return PROTO_NUMBERS[tok]
 
-    if fd.kind in (OPT, PAYLOAD):
+    if fd.kind == OPT or fd.kind == PAYLOAD:
         m = _HEX_RE.match(tok)
         if m:
             digits = m.group(1)
             if len(digits) % 2:
-                raise TypeMismatch(f"hex byte string {tok!r} has odd length", pos)
+                raise TypeMismatch(f"hex byte string {tok!r} has odd length", i)
             return bytes.fromhex(digits)
-        if tok.isdigit():
+        if tok.isdecimal():
             return int(tok)
-        raise TypeMismatch(f"expected number or 0x-bytes for {fd.name}, got {tok!r}", pos)
+        raise TypeMismatch(f"expected number or 0x-bytes for {fd.name}, got {tok!r}", i)
 
     if fd.kind == FLAG:
-        raise TypeMismatch(f"flag field {fd.name} takes no value", pos)
+        raise TypeMismatch(f"flag field {fd.name} takes no value", i)
 
-    v = _parse_num(tok, pos, f"value for {fd.name}")
+    v = _int(tok)
+    if v is None:
+        raise CommandSyntaxError(f"expected value for {fd.name}, got {tok!r}", i)
     if fd.width and v >= 1 << fd.width:
-        raise TypeMismatch(f"value {tok} too wide for {fd.name} ({fd.width} bits)", pos)
+        raise TypeMismatch(f"value {tok} too wide for {fd.name} ({fd.width} bits)", i)
     return v
 
 
-def _field_token(cur, context="match"):
-    """Consume a field name; `tcp-opt` consumes its kind number too."""
-    tok, pos = cur.next("field name")
+def _field_token(toks, i):
+    """(field, index after it) of the field named at toks[i]; `tcp-opt`
+    takes its kind number from the next token."""
+    tok = toks[i]
+    fd = REGISTRY.get(tok)
+    if fd is not None:
+        return fd, i + 1
+    if tok is None:
+        raise _end("field name", i)
     if tok == "tcp-opt":
-        ktok, kpos = cur.next("TCP option kind")
-        kind = _parse_num(ktok, kpos, "TCP option kind")
+        ktok = toks[i + 1]
+        if ktok is None:
+            raise _end("TCP option kind", i + 1)
+        kind = _parse_num(ktok, i + 1, "TCP option kind")
         if not 2 <= kind <= 255:
-            raise TypeMismatch(f"TCP option kind {kind} out of range", kpos)
-        return tcp_option_field(kind), pos
-    fd = fields.lookup(tok)
-    if fd is None:
-        raise UnknownField(f"unknown field {tok!r}", pos)
-    return fd, pos
+            raise TypeMismatch(f"TCP option kind {kind} out of range", i + 1)
+        return tcp_option_field(kind), i + 2
+    raise UnknownField(f"unknown field {tok!r}", i)
 
 
-def _parse_match(cur):
-    negated = False
-    if cur.peek() == "!":
-        cur.next()
-        negated = True
-    fd, fpos = _field_token(cur)
-    nxt = cur.peek()
-    cond = None
-    if nxt in _COND_TOKENS:
-        cond = cur.next()[0]
-        nxt = cur.peek()
-
-    has_value = (nxt is not None and nxt not in _TARGET_KEYWORDS
-                 and nxt != "!" and fields.lookup(nxt) is None and nxt != "tcp-opt")
-    if cond is not None and not has_value:
-        raise CommandSyntaxError(f"condition {cond!r} needs a value", cur.pos)
-    if not has_value:
-        return MatchExpr(fd, PRESENT, None, negated)
-    tok, pos = cur.next("value")
-    value = _parse_value(tok, pos, fd)
-    cond = cond or EQ
+def _parse_match(toks, i):
+    """(MatchExpr, index after it) of the match that starts at toks[i]."""
+    negated = toks[i] == "!"
+    fd, i = _field_token(toks, i + negated)
+    tok = toks[i]
+    cond = EQ
+    if tok in _COND_TOKENS:
+        cond = tok
+        i += 1
+        tok = toks[i]
+        if tok is None or tok in _NOT_A_VALUE:
+            raise CommandSyntaxError(f"condition {cond!r} needs a value", i)
+    elif tok is None or tok in _NOT_A_VALUE:
+        return MatchExpr(fd, PRESENT, None, negated), i
+    value = _parse_value(tok, i, fd)
     if fd.kind == PAYLOAD and isinstance(value, int):
-        raise TypeMismatch(f"{fd.name} takes a 0x-byte-string value", pos)
+        raise TypeMismatch(f"{fd.name} takes a 0x-byte-string value", i)
     if cond in (LT, GT, LEQ, GEQ):
         if isinstance(value, tuple):
             if value[1] != 32:
-                raise TypeMismatch("ordering comparison needs a full address", pos)
+                raise TypeMismatch("ordering comparison needs a full address", i)
             value = value[0]
         if isinstance(value, (bytes, bytearray)):
-            raise TypeMismatch("ordering comparison needs a numeric value", pos)
-    return MatchExpr(fd, cond, value, negated)
+            raise TypeMismatch("ordering comparison needs a numeric value", i)
+    return MatchExpr(fd, cond, value, negated), i + 1
 
 
-def _parse_tcpopt_token(cur):
-    fd, pos = _field_token(cur)
+def _option_field(toks, i):
+    fd, j = _field_token(toks, i)
     if fd.kind != OPT:
-        raise SemanticError(f"{fd.name} is not a TCP option field", pos)
-    return fd, pos
+        raise SemanticError(f"{fd.name} is not a TCP option field", i)
+    return fd, j
 
 
-def _parse_targets(cur):
+def _parse_targets(toks, i):
     targets = []
     strips = []          # (negated, kind)
-    while cur.peek() is not None:
-        tok, pos = cur.next("target")
+    tok = toks[i]
+    while tok is not None:
         if tok == "drop":
-            targets.append(TargetExpr(DROP))
+            targets.append(_DROP)
+            i += 1
         elif tok == "mod":
-            fd, _ = _field_token(cur)
-            vtok, vpos = cur.next(f"value for mod {fd.name}")
+            fd, i = _field_token(toks, i + 1)
+            vtok = toks[i]
+            if vtok is None:
+                raise _end(f"value for mod {fd.name}", i)
             if fd.kind == FLAG:
-                flag = _parse_num(vtok, vpos, "flag value")
+                flag = _parse_num(vtok, i, "flag value")
                 if flag not in (0, 1):
-                    raise TypeMismatch("flag value must be 0 or 1", vpos)
+                    raise TypeMismatch("flag value must be 0 or 1", i)
                 targets.append(TargetExpr(MOD, fd, flag))
             else:
-                value = _parse_value(vtok, vpos, fd)
+                value = _parse_value(vtok, i, fd)
                 if isinstance(value, tuple):  # address: mod needs a full value
                     addr, plen = value
                     if plen != 32:
-                        raise TypeMismatch("mod needs a full address, not a prefix", vpos)
+                        raise TypeMismatch("mod needs a full address, not a prefix", i)
                     value = addr
                 targets.append(TargetExpr(MOD, fd, value))
+            i += 1
         elif tok == "strip":
-            neg = False
-            if cur.peek() == "!":
-                cur.next()
-                neg = True
-            fd, _ = _parse_tcpopt_token(cur)
+            neg = toks[i + 1] == "!"
+            fd, i = _option_field(toks, i + 1 + neg)
             strips.append((neg, fd.opt_kind))
         elif tok == "add":
-            fd, _ = _parse_tcpopt_token(cur)
+            fd, i = _option_field(toks, i + 1)
             value = None
-            nxt = cur.peek()
-            if nxt is not None and nxt not in _TARGET_KEYWORDS:
-                vtok, vpos = cur.next("option value")
-                value = _parse_value(vtok, vpos, fd)
+            vtok = toks[i]
+            if vtok is not None and vtok not in _TARGET_KEYWORDS:
+                value = _parse_value(vtok, i, fd)
+                i += 1
             targets.append(TargetExpr(ADD_OPT, fd, value))
         elif tok == "shuffle":
-            fd, fpos = _field_token(cur)
+            fd, j = _field_token(toks, i + 1)
             if fd.kind != FIXED:
                 raise SemanticError(f"shuffle needs a fixed-width integer field, "
-                                    f"not {fd.name}", fpos)
+                                    f"not {fd.name}", i + 1)
             targets.append(TargetExpr(SHUFFLE, fd))
+            i = j
         else:
-            raise CommandSyntaxError(f"expected a target, got {tok!r}", pos)
+            raise CommandSyntaxError(f"expected a target, got {tok!r}", i)
+        tok = toks[i]
 
     if strips:
         negs = {n for n, _ in strips}
@@ -278,39 +294,60 @@ def _parse_targets(cur):
     return targets
 
 
+def _parse_tokens(toks):
+    """The Command that `toks` (ending in the None sentinel) spell. Errors
+    carry the index of their token as `position`."""
+    tok = toks[0]
+    if tok is None:
+        raise _end("command", 0)
+    if tok != "mmb":
+        raise CommandSyntaxError(f"commands start with 'mmb', got {tok!r}", 0)
+    verb = toks[1]
+    if verb is None:
+        raise _end("verb", 1)
+    if verb == "add" or verb == "add-stateful":
+        matches = []
+        i = 2
+        tok = toks[2]
+        while tok is not None and tok not in _TARGET_KEYWORDS:
+            m, i = _parse_match(toks, i)
+            matches.append(m)
+            tok = toks[i]
+        if not matches:
+            raise CommandSyntaxError("rule needs at least one match", i)
+        if tok is None:
+            raise CommandSyntaxError("rule needs at least one target", i)
+        rule = Rule(matches, _parse_targets(toks, i), stateful=(verb == "add-stateful"))
+        return Command(verb, validate_rule(rule))
+    if verb == "del":
+        tok = toks[2]
+        if tok is None:
+            raise _end("rule id", 2)
+        rid = _parse_num(tok, 2, "rule id")
+        _expect_end(toks, 3)
+        return Command("del", rule_id=rid)
+    if verb in ("list", "flush", "enable", "disable"):
+        _expect_end(toks, 2)
+        return Command(verb)
+    raise CommandSyntaxError(f"unknown verb {verb!r}", 1)
+
+
+def _expect_end(toks, i):
+    if toks[i] is not None:
+        raise CommandSyntaxError(f"unexpected token {toks[i]!r}", i)
+
+
 def parse_command(line):
     """Parse one command line into a Command. The returned rule (if any) is
     already validated."""
-    cur = _Cursor(line)
-    tok, pos = cur.next("command")
-    if tok != "mmb":
-        raise CommandSyntaxError(f"commands start with 'mmb', got {tok!r}", pos)
-    verb, vpos = cur.next("verb")
-    if verb in ("add", "add-stateful"):
-        matches = []
-        while cur.peek() is not None and cur.peek() not in _TARGET_KEYWORDS:
-            matches.append(_parse_match(cur))
-        if not matches:
-            raise CommandSyntaxError("rule needs at least one match", cur.pos)
-        targets = _parse_targets(cur)
-        if not targets:
-            raise CommandSyntaxError("rule needs at least one target", cur.pos)
-        rule = Rule(matches, targets, stateful=(verb == "add-stateful"))
-        return Command(verb, rule=validate_rule(rule))
-    if verb == "del":
-        tok, pos = cur.next("rule id")
-        rid = _parse_num(tok, pos, "rule id")
-        _expect_end(cur)
-        return Command("del", rule_id=rid)
-    if verb in ("list", "flush", "enable", "disable"):
-        _expect_end(cur)
-        return Command(verb)
-    raise CommandSyntaxError(f"unknown verb {verb!r}", vpos)
-
-
-def _expect_end(cur):
-    if cur.peek() is not None:
-        raise CommandSyntaxError(f"unexpected token {cur.peek()!r}", cur.pos)
+    toks = line.split()
+    toks.append(None)
+    try:
+        return _parse_tokens(toks)
+    except CommandError as e:
+        if e.position is not None:  # a token index until here
+            e.position = _offset(line, toks, e.position)
+        raise
 
 
 def _implied_protos(rule):
@@ -323,13 +360,13 @@ def _implied_protos(rule):
     """
     transport = set()
     explicit = set()
-    for m in rule.matches:
-        if m.negated and m.cond == PRESENT:
+    for fd, cond, value, negated in rule.matches:
+        if negated and cond == PRESENT:
             continue
-        if m.field.proto is not None:
-            transport.add(m.field.proto)
-        if m.field.name == "ip-proto" and m.cond == EQ and not m.negated:
-            explicit.add(m.value)
+        if fd.proto is not None:
+            transport.add(fd.proto)
+        if cond == EQ and not negated and fd.name == "ip-proto":
+            explicit.add(value)
     return transport, explicit
 
 
@@ -369,7 +406,7 @@ def validate_rule(rule):
         raise SemanticError(f"rule mixes fields of different protocols: {names}")
     rule.proto_req = next(iter(transport)) if transport else None
 
-    rule.fast_path_eligible = all(_match_is_foldable(m) for m in rule.matches)
+    rule.fast_path_eligible = all(map(_match_is_foldable, rule.matches))
     return rule
 
 

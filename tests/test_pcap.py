@@ -108,6 +108,22 @@ def test_bad_rules_file_is_an_error_not_a_traceback(tmp_path, capsys, rules):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rules,err", [
+    ("mmb add tcp-dport 80 drop\nmmb add no-such-field 1 drop\n",
+     "error: line 2: unknown field 'no-such-field' (at byte 8)\n"),
+    ("# web\n\n  mmb add tcp-dport 80 drop\n mmb add\ttcp-dport 80000 drop\n",
+     "error: line 4: value 80000 too wide for tcp-dport (16 bits) (at byte 19)\n"),
+    ("mmb add tcp-dport 80 drop\nmmb del 1\n",
+     "error: line 2: expected an add command, got 'del'\n"),
+])
+def test_bad_rules_line_is_named(tmp_path, capsys, rules, err):
+    from midbox.cli import main
+    path = tmp_path / "rules.txt"
+    path.write_text(rules)
+    assert main(["--rules", str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("ts_sec,ts_usec", [(2 ** 32 - 1, 999_999), (5, 0), (0, 1)])
 def test_in_range_timestamps_pass_through_unchanged(tmp_path, ts_sec, ts_usec):
     from midbox.cli import main

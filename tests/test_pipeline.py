@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracle
 import refbuild as ref
-from midbox import CommandError, ETHERNET, RAW_IP, Engine, EngineConfig, parse_packet
+from midbox import (CommandError, ETHERNET, RAW_IP, Engine, EngineConfig, UnknownField,
+                    parse_packet)
 from midbox.pcap import write_pcap
 from midbox.pipeline import COUNTERS, DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
 from midbox.rulegen import SNAT_RULE, firewall_rules
@@ -175,6 +176,12 @@ def test_failed_bulk_load_installs_nothing():
     assert engine.rules == {}
     assert engine.execute_line("mmb add tcp-dport 81 drop") == "added rule 1"
     assert list(engine.snapshot.by_id) == [1]
+
+
+def test_bulk_load_error_names_the_line_and_keeps_class_and_position():
+    with pytest.raises(UnknownField) as e:
+        fresh_engine().add_commands(["", "# rules", "mmb add tcp-dport 80 zap drop"])
+    assert e.value.position == 21 and e.value.args[0] == "line 3: unknown field 'zap'"
 
 
 def test_probe_count_is_tables_times_packets():

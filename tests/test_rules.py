@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from midbox import (CommandError, Engine, SemanticError, TypeMismatch,
                     UnknownField, format_command, parse_command)
 from midbox.errors import CommandSyntaxError
+from midbox.fields import FLAG, OPT, PAYLOAD, REGISTRY
 from midbox.rules import ADD_OPT, EQ, MOD, PRESENT, SHUFFLE, STRIP_EXCEPT
 
 
@@ -76,6 +77,69 @@ def test_errors_carry_byte_position():
     with pytest.raises(CommandSyntaxError) as e2:
         parse_command(line2)
     assert e2.value.position == line2.index("zap")
+
+
+# One line per raise site in rules.py. `»` marks where the error is (the
+# offending token, or the end of the last token for an error at end of line)
+# and is removed before parsing; a line without it expects no position.
+# Tokens repeat and are separated by tabs, runs of spaces and no-break
+# spaces, so that a position found by searching the line for the token, or by
+# counting single spaces, cannot pass by accident.
+ERROR_SITES = [
+    ("no-command", "»", CommandSyntaxError),
+    ("not-mmb", "\t»mm mmb", CommandSyntaxError),
+    ("no-verb", "mmb»", CommandSyntaxError),
+    ("bad-verb", "mmb \xa0 »mmb", CommandSyntaxError),
+    ("no-match", "mmb add\t\t»drop", CommandSyntaxError),
+    ("no-target", "mmb add  tcp-syn»", CommandSyntaxError),
+    ("del-no-id", "mmb  del»", CommandSyntaxError),
+    ("del-bad-id", "mmb del\t»del", CommandSyntaxError),
+    ("del-extra", "mmb del 3 \xa0»3", CommandSyntaxError),
+    ("list-extra", "mmb list\t»list", CommandSyntaxError),
+    ("no-field", "mmb add tcp-syn\t!»", CommandSyntaxError),
+    ("unknown-field", "mmb add ip-ttl 1  »ip-tt drop", UnknownField),
+    ("opt-no-kind", "mmb add tcp-opt»", CommandSyntaxError),
+    ("opt-bad-kind", "mmb add tcp-opt  »tcp-opt drop", CommandSyntaxError),
+    ("opt-kind-300", "mmb add tcp-dport 300 tcp-opt\t»300 drop", TypeMismatch),
+    ("octet-300", "mmb add ip-saddr 1.2.3.4\xa0ip-daddr  »1.2.3.300 drop", TypeMismatch),
+    ("prefix-40", "mmb add ip-saddr 1.2.3.4/24\tip-daddr »1.2.3.4/40 drop", TypeMismatch),
+    ("addr-wide", "mmb add ip-saddr  »4294967296 drop", TypeMismatch),
+    ("not-addr", "mmb add ip-saddr\t»tcp drop", TypeMismatch),
+    ("odd-hex", "mmb add tcp-opt-mss \xa0»0xabc drop", TypeMismatch),
+    ("opt-not-num", "mmb add tcp-opt-mss  »0b1 drop", TypeMismatch),
+    ("flag-value", "mmb add tcp-syn\t»1 drop", TypeMismatch),
+    ("not-num", "mmb add ip-ttl 1 ip-id  »x1 drop", CommandSyntaxError),
+    ("leading-zero", "mmb add tcp-dport\t»010 drop", CommandSyntaxError),
+    ("too-wide", "mmb add tcp-sport 1 tcp-dport\t»65536 drop", TypeMismatch),
+    ("cond-no-value", "mmb add tcp-dport <=  »drop", CommandSyntaxError),
+    ("cond-at-end", "mmb add tcp-dport\t==»", CommandSyntaxError),
+    ("order-prefix", "mmb add ip-saddr <\t»10.0.0.0/8 drop", TypeMismatch),
+    ("order-bytes", "mmb add tcp-opt-mss >= »0x05b4 drop", TypeMismatch),
+    ("payload-int", "mmb add udp-payload\xa0»99 drop", TypeMismatch),
+    ("mod-prefix", "mmb add tcp-syn mod ip-saddr  »10.0.0.0/8", TypeMismatch),
+    ("mod-flag-2", "mmb add tcp-syn mod tcp-syn\t»2", TypeMismatch),
+    ("mod-flag-text", "mmb add tcp-syn mod tcp-syn »tcp-syn", CommandSyntaxError),
+    ("mod-at-end", "mmb add tcp-syn mod tcp-dport»", CommandSyntaxError),
+    ("mod-at-end-blank", "mmb add tcp-syn mod tcp-dport»\t \n", CommandSyntaxError),
+    ("strip-not-opt", "mmb add tcp-syn strip\t»tcp-dport", SemanticError),
+    ("strip-at-end", "mmb add tcp-syn strip !»", CommandSyntaxError),
+    ("add-not-opt", "mmb add tcp-syn add  »tcp-dport 5", SemanticError),
+    ("add-bad-value", "mmb add tcp-syn add tcp-opt-mss\t»zz", TypeMismatch),
+    ("shuffle-opt", "mmb add-stateful tcp-syn shuffle \xa0»tcp-opt-mss", SemanticError),
+    ("not-target", "mmb add tcp-syn drop\t»tcp-syn", CommandSyntaxError),
+    ("mixed-strip", "mmb add tcp-syn strip tcp-opt-mss strip ! tcp-opt-sack", SemanticError),
+    ("drop-plus", "mmb add tcp-dport 80 drop mod tcp-dport 443", SemanticError),
+    ("protocols", "mmb add tcp-dport 80\tudp-sport 53 drop", SemanticError),
+]
+
+
+@pytest.mark.parametrize("marked,cls", [case[1:] for case in ERROR_SITES],
+                         ids=[case[0] for case in ERROR_SITES])
+def test_error_sites_carry_byte_position(marked, cls):
+    line = marked.replace("»", "")
+    with pytest.raises(cls) as e:
+        parse_command(line)
+    assert e.value.position == (marked.index("»") if "»" in marked else None)
 
 
 def test_drop_exclusive():
@@ -206,3 +270,70 @@ def test_parser_total_on_token_soup():
             parse_command(line)
         except CommandError:
             pass
+
+
+# Grammar-shaped lines: every registry field and `tcp-opt K`, the keywords,
+# and values at each edge a check tests. A value is usually one of its
+# field's kind, so most lines get far into a rule.
+_OCTETS = st.sampled_from(["0", "1", "10", "255", "256"])
+_ADDRS = st.builds("{}.{}.{}.{}{}".format, _OCTETS, _OCTETS, _OCTETS, _OCTETS,
+                   st.sampled_from([""] + [f"/{n}" for n in range(41)]))
+_ANY_VALUE = ["0", "1", "2", "010", "00", "x", "tcp", "udp", "icmp", "²", "4294967296",
+              "10.0.0.0/8", "0xff"]
+
+
+def _values_for(name):
+    """A field's values: mostly of its kind, at the edges its checks test."""
+    fd = REGISTRY.get(name)
+    if fd is not None and fd.is_addr:
+        return st.one_of(_ADDRS, st.sampled_from(["4294967295", "0xffffffff"] + _ANY_VALUE))
+    if fd is None or fd.kind in (OPT, PAYLOAD):
+        own = ["0x", "0x0", "0x00", "0xabc", "0xABCD", "0x0102030405", "0", "1460",
+               "65536", "²", "١٢"]
+    elif fd.kind == FLAG:
+        own = ["0", "1", "2"]
+    else:  # decimals at the field's width
+        w = fd.width
+        own = ["0", "010", str(2 ** w - 1), str(2 ** w), hex(2 ** w - 1)]
+    return st.sampled_from(own * 3 + _ANY_VALUE)
+
+
+def _with_value(names):
+    """(field, value) pairs."""
+    return names.flatmap(lambda f: st.tuples(st.just(f), _values_for(f)))
+
+
+_KINDS = [f"tcp-opt {k}" for k in ["2", "30", "66", "255"] * 2 + ["0", "1", "256", "x"]]
+_OPT_NAMES = sorted(n for n, fd in REGISTRY.items() if fd.kind == OPT) + _KINDS
+_FIELD_NAMES = st.sampled_from(sorted(REGISTRY) + _KINDS)
+_OPTS_FIRST = st.sampled_from(_OPT_NAMES * 2 + sorted(REGISTRY))
+_MATCHES = st.builds(
+    lambda neg, fv, cond, has_value: [neg, fv[0], cond, fv[1] if has_value or cond else ""],
+    st.sampled_from(["", "", "!"]), _with_value(_FIELD_NAMES),
+    st.sampled_from(["", "", "", "==", "!=", "<", ">", "<=", ">="]), st.booleans())
+_TARGETS = st.one_of(
+    st.just(["drop"]),
+    _with_value(_FIELD_NAMES).map(lambda fv: ["mod", *fv]),
+    st.builds(lambda neg, f: ["strip", neg, f], st.sampled_from(["", "!"]), _OPTS_FIRST),
+    _with_value(_OPTS_FIRST).flatmap(
+        lambda fv: st.sampled_from([["add", *fv], ["add", fv[0]]])),
+    _FIELD_NAMES.map(lambda f: ["shuffle", f]))
+_RULE_LINES = st.builds(
+    lambda verb, ms, ts, sep: sep.join(["mmb", verb] + [t for p in ms + ts for t in p if t]),
+    st.sampled_from(["add", "add-stateful"]), st.lists(_MATCHES, min_size=1, max_size=2),
+    st.lists(_TARGETS, min_size=1, max_size=2), st.sampled_from([" ", "\t", "  \xa0"]))
+_OTHER_LINES = st.builds(
+    lambda verb, toks: " ".join(["mmb", verb] + toks),
+    st.sampled_from(["del", "list", "flush", "enable", "disable", "zap"]),
+    st.lists(st.sampled_from(_ANY_VALUE + ["mmb", "drop", "!"]), max_size=2))
+
+
+@given(st.one_of(_RULE_LINES, _OTHER_LINES))
+@settings(max_examples=450)
+def test_parser_total_on_grammar_shaped_lines(line):
+    try:
+        cmd = parse_command(line)
+    except CommandError as e:
+        assert e.position is None or 0 <= e.position <= len(line)
+        return
+    assert parse_command(format_command(cmd)) == cmd
