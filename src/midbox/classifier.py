@@ -387,13 +387,10 @@ def match_tables(pkts, snap):
 _MISS = Verdict(MISS)
 
 
-def classify(pkt, snap, conn=None, now=0.0, hits=None):
+def classify(pkt, snap, conn=None, now=0.0):
     """Drop/miss/match verdict for one packet: classify_vector over a
-    vector of one. `hits` is the packet's entry of `match_tables` over its
-    vector; without it the packet's tables are probed here."""
-    if hits is None:
-        hits = match_tables((pkt,), snap)[0]
-    r = classify_vector((pkt,), snap, conn, now, (hits,))[0]
+    vector of one."""
+    r = classify_vector((pkt,), snap, conn, now, match_tables((pkt,), snap))[0]
     if r is None:
         return _MISS
     kind, crs, entry, direction = r

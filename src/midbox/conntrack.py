@@ -8,10 +8,11 @@ larger, then the protocol. So both directions of a flow hash to the same
 entry. Flows whose stateful rule translates tuple fields are additionally
 indexed under the translated tuple's key, which is what returning packets
 carry. An entry keeps the two quads (what its client sends, and what that
-leaves as) and nothing else of the tuple: the session writer, the reverse
-direction and the release of shuffled ports all work from them. An entry
-ends when the sweep run before each packet vector finds it past its state's
-timeout (a heap of deadlines makes that exact), or when its rule is deleted.
+leaves as) and nothing else of the tuple: the rewrite node's tuple write,
+the reverse direction and the release of shuffled ports all work from them.
+An entry ends when the sweep run before each packet vector finds it past its
+state's timeout (a heap of deadlines makes that exact), or when its rule is
+deleted.
 """
 
 import random
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .fields import PROTO_TCP, PROTO_UDP, byte_span, fold
+from .fields import ACK, FIN, PROTO_TCP, PROTO_UDP, RST, SYN, byte_span, fold
 from .packet import ABSENT, read_field
 from .rules import SHUFFLE, quad, tuple_writes
 
@@ -38,11 +39,6 @@ ESTABLISHED = "ESTABLISHED"
 FIN_WAIT = "FIN_WAIT"
 CLOSED = "CLOSED"
 ACTIVE = "ACTIVE"  # UDP
-
-FIN = 0x01
-SYN = 0x02
-RST = 0x04
-ACK = 0x10
 
 # where each tuple field sits in the quad saddr<<64 | daddr<<32 | sport<<16 | dport
 QUAD_SHIFT = {"ip-saddr": 64, "ip-daddr": 32,

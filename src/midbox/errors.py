@@ -26,8 +26,8 @@ class MalformedOption(PacketError):
 
 
 class CommandError(MidboxError):
-    """A command line was rejected. `position` is the byte offset of the
-    offending token within the line, when known."""
+    """A command line was rejected. `position` is the UTF-8 byte offset of
+    the offending token within the line, when known."""
 
     def __init__(self, message, position=None):
         super().__init__(message)

@@ -43,7 +43,12 @@ TCP_OPT_KINDS = {
 }
 TCP_OPT_NAMES = {v: k for k, v in TCP_OPT_KINDS.items()}
 
-# bit index within the TCP flags byte (LSB = FIN)
+# the TCP flag bits, and each flag's bit index within the flags byte
+FIN = 0x01
+SYN = 0x02
+RST = 0x04
+PSH = 0x08
+ACK = 0x10
 TCP_FLAG_BITS = {"fin": 0, "syn": 1, "rst": 2, "psh": 3, "ack": 4, "urg": 5}
 
 

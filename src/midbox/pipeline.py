@@ -2,7 +2,9 @@
 
 Packets flow in vectors (up to 256 by default) through a small node graph:
 input (parse/validate) -> classify -> {error-drop | rewrite -> output |
-output}. The engine is single-threaded: rule commands run between
+output}. The rewrite node is one `rewrite_packet` call per matched packet,
+which picks and runs its rules' writers and writes its connection's
+translation. The engine is single-threaded: rule commands run between
 `run_vector` calls and change the one compiled rule set in place, so one
 vector never sees two rule sets. One connection table serves every
 vector.
@@ -11,12 +13,11 @@ vector.
 import time
 from dataclasses import dataclass, field
 
-from . import rewrite
 # classify is not called here, but stays a name of this module, where
 # tracers look up the engine's entry points
 from .classifier import (DROP as V_DROP, MATCH as V_MATCH, RuleSetSnapshot, classify,  # noqa: F401
                          classify_vector, match_tables)
-from .conntrack import FWD, ConnTable, TimeoutPolicy
+from .conntrack import ConnTable, TimeoutPolicy
 from .errors import CommandError, MidboxError, NoSuchRule, NotIPv4, PacketError
 from .packet import ETHERNET, RAW_IP, PacketBuffer, parse_packet
 from .rewrite import rewrite_packet
@@ -289,23 +290,8 @@ class Engine:
         to_rewrite = [(p, r) for p, r in zip(pkts, results)
                       if r is not None and r[0] is V_MATCH]
         t2 = time.perf_counter_ns()
-        # a tracked packet that no rule matched goes straight to the
-        # session writer, unless its flow binds fields outside the tuple
-        # or its options were found malformed
-        translate_session = rewrite.translate_session
         for p, (_, crs, entry, direction) in to_rewrite:
-            if crs:
-                # the forward packets of a rule's own flow take the rule's
-                # writers without the bindings the session writer makes
-                own = entry.rule_id if entry is not None and direction == FWD else None
-                writers = ()
-                for cr in crs:
-                    writers += cr.own_writers if cr.rule.id == own else cr.writers
-                rewrite_packet(p, writers, entry, direction, counters)
-            elif entry.extra or p._opts_bad:
-                rewrite_packet(p, (), entry, direction, counters)
-            elif entry.plan is not None:
-                translate_session(p, entry, direction, ())
+            rewrite_packet(p, crs, entry, direction, counters)
         t3 = time.perf_counter_ns()
         if to_rewrite:
             stats["rewrite"].observe(len(to_rewrite), t3 - t2)
@@ -328,15 +314,15 @@ class Engine:
             counters["verdict_drops"] += ndrop
         return out
 
-    def run_stream(self, source, sink=None, reset=True):
-        """Drain a packet source in vectors; returns a RunReport.
+    def run_stream(self, source, sink=None):
+        """Drain a packet source in vectors; returns a RunReport of this
+        run alone.
 
         Source items are (bytes, ts_sec, ts_usec) records. `sink`
         receives forwarded packets: a list collects raw bytes, a callable
         gets the PacketBuffer.
         """
-        if reset:
-            self.reset_stats()
+        self.reset_stats()
         stats = self.node_stats
         counters = self.counters
         V = self.config.vector_size

@@ -1,5 +1,6 @@
-"""Target application: rule targets compiled into writers, and the
-connection translation of tracked packets.
+"""The rewrite node: rule targets compiled into writers, and
+rewrite_packet, which applies a matched packet's rules and its connection's
+translation.
 
 A rule's targets compile once (compile_targets) into writers `w(pkt,
 counters)`, each returning None when no byte changed, FULL when both
@@ -11,9 +12,10 @@ the transport header, written as (packet & mask) | key at the packet's own
 header offsets, whatever its IHL. A field the match does not guarantee to
 exist (e.g. a tcp-* target on a rule that can match UDP) gets a checked
 span, written only on packets of its protocol. Option edits rebuild the
-option area and keep the data offset and IP total length coherent. A
-tracked packet's addresses and ports are written by translate_session
-alone.
+option area and keep the data offset and IP total length coherent.
+rewrite_packet is the node's one entry point, called once per matched
+packet: it picks each rule's writers, runs them, updates the checksums, and
+last writes a tracked packet's addresses and ports from its connection.
 """
 
 import struct
@@ -25,7 +27,7 @@ from .packet import fix_checksums, options_map, patch_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
-# wire layouts of translate_session: the two addresses, the two ports
+# wire layouts of the connection's write: the two addresses, the two ports
 _ADDRS = struct.Struct("!Q")
 _PORTS = struct.Struct("!I")
 
@@ -51,8 +53,7 @@ def compile_targets(rule, session=False):
     With `session`, the writers are the ones for the forward packets of the
     rule's own connections: they leave out the shuffles and the mods of
     tuple fields the rule's protocol guarantees, since those are the
-    connection's bindings, which the session writer and `entry.extra`
-    write."""
+    connection's bindings, which rewrite_packet writes from the entry."""
     folded = {}  # base -> [bits, val] over fold's header integer
     checked = []  # (protocol, span) written on that protocol only
     payloads = []  # payload writers
@@ -240,44 +241,17 @@ def apply_option_edits(pkt, counters, strip=(), keep=None, adds=(), mods=()):
     return FULL
 
 
-def translate_session(pkt, entry, direction, writers):
-    """The connection translation of a tracked TCP or UDP packet, the one
-    writer of its addresses and ports. Forward packets leave with the quad
-    post_q, reverse packets with the mirror of pre_q: its upper 64 bits are
-    written as the addresses at l3+12 and its lower 32 as the ports at the
-    L4 offset, so any IHL works (fragments never have an entry). After
-    rule `writers` ran, a tuple field that no binding covers keeps what
-    they wrote there: the new quad is the packet's own outside the plan's
-    bound mask.
-
-    The checksums move as after any same-length write (patch_checksums). A
-    quad, like any big-endian integer, is congruent to the sum of its 16-bit
-    words modulo 0xFFFF, so the transport delta is old - new, from the quad
-    the packet carries (its probe window's) to the one it leaves with, and
-    the IPv4 header's (old >> 32) - (new >> 32), the addresses alone.
-    """
-    old = pkt.window() >> 128 & QUAD
-    plan = entry.plan
-    if direction == FWD:
-        new, bound = entry.post_q, plan.bound
-    else:
-        new, bound = mirror(entry.pre_q), plan.mirror
-    if writers:
-        new = old & ~bound | new & bound
-    d = pkt.writable()
-    _ADDRS.pack_into(d, pkt.l3_offset + 12, new >> 32)
-    _PORTS.pack_into(d, pkt.l4_offset, new & 0xFFFFFFFF)
-    if not patch_checksums(pkt, (old >> 32) - (new >> 32), old - new):
-        fix_checksums(pkt)
-
-
-def rewrite_packet(pkt, writers, entry, direction, counters):
-    """Run the matched rules' writers in rule order, then write the entry's
-    bindings outside the tuple (`entry.extra`: forward packets get the
-    rewritten value, reverse packets the original), then bring the
-    checksums up to date, and last write the connection's addresses and
-    ports (translate_session). Returns True when bytes changed; a write
-    that leaves the bytes as they were is no change.
+def rewrite_packet(pkt, rules, entry, direction, counters):
+    """The rewrite node for one matched packet: `rules` are its matched
+    compiled rules in id order, `entry` and `direction` its connection
+    (None when untracked). Runs each rule's writers in rule order (the
+    forward packets of the rule that owns the connection take its
+    `own_writers`, which leave the connection's bindings out), then writes
+    the entry's bindings outside the tuple (`entry.extra`: forward packets
+    get the rewritten value, reverse packets the original), then brings the
+    checksums up to date, and last writes the connection's addresses and
+    ports. Returns True when bytes changed; a write that leaves the bytes as
+    they were is no change.
 
     Every same-length header write (spans, checked spans, bindings) returns
     its RFC 1624 deltas, and patch_checksums moves both checksums by their
@@ -289,19 +263,36 @@ def rewrite_packet(pkt, writers, entry, direction, counters):
     malformed counts once in `malformed_options`. No rule writes ip-len
     (`validate_rule` rejects it): the total length is the engine's, set
     only by option edits.
+
+    The connection's write comes last and sets a tracked TCP or UDP packet's
+    addresses and ports: forward packets leave with the quad post_q, reverse
+    packets with the mirror of pre_q. The quad's upper 64 bits are written
+    as the addresses at l3+12 and its lower 32 as the ports at the L4
+    offset, so any IHL works (fragments never have an entry). When rule
+    writers ran, a tuple field that no binding covers keeps what they wrote
+    there: the new quad is the packet's own outside the plan's bound mask.
+    Its checksums move as after any same-length write: a quad, like any
+    big-endian integer, is congruent to the sum of its 16-bit words modulo
+    0xFFFF, so the transport delta is old - new, from the quad the packet
+    carries (its probe window's) to the one it leaves with, and the IPv4
+    header's (old >> 32) - (new >> 32), the addresses alone.
     """
-    changed = full = False
+    changed = full = ran = False
     ip = l4 = 0
-    for w in writers:
-        delta = w(pkt, counters)
-        if delta is None:
-            continue
-        changed = True
-        if delta is FULL:
-            full = True
-        else:
-            ip += delta[0]
-            l4 += delta[1]
+    if rules:
+        own = entry.rule_id if entry is not None and direction == FWD else None
+        for cr in rules:
+            for w in cr.own_writers if cr.rule.id == own else cr.writers:
+                ran = True
+                delta = w(pkt, counters)
+                if delta is None:
+                    continue
+                changed = True
+                if delta is FULL:
+                    full = True
+                else:
+                    ip += delta[0]
+                    l4 += delta[1]
     if entry is not None:
         for b in entry.extra:
             delta = _write_span(*(b.fwd if direction == FWD else b.rev), pkt)
@@ -314,7 +305,21 @@ def rewrite_packet(pkt, writers, entry, direction, counters):
         fix_checksums(pkt)
     if pkt._opts_bad:
         counters["malformed_options"] += 1
-    if entry is not None and entry.plan is not None:
-        translate_session(pkt, entry, direction, writers)
-        changed = True
-    return changed
+    if entry is None:
+        return changed
+    plan = entry.plan
+    if plan is None:
+        return changed
+    old = pkt.window() >> 128 & QUAD
+    if direction == FWD:
+        new, bound = entry.post_q, plan.bound
+    else:
+        new, bound = mirror(entry.pre_q), plan.mirror
+    if ran:
+        new = old & ~bound | new & bound
+    d = pkt.writable()
+    _ADDRS.pack_into(d, pkt.l3_offset + 12, new >> 32)
+    _PORTS.pack_into(d, pkt.l4_offset, new & 0xFFFFFFFF)
+    if not patch_checksums(pkt, (old >> 32) - (new >> 32), old - new):
+        fix_checksums(pkt)
+    return True

@@ -19,9 +19,9 @@ Repeated `strip ! X` clauses compose into one whitelist; mixing plain and
 negated strips in a rule is rejected.
 
 The tokens are `line.split()`, read in one pass by index. An error carries
-the index of its token until `parse_command` turns it into the token's byte
-offset in the line, so positions are found only on error. An error at end
-of line points just past the last token.
+the index of its token until `parse_command` turns it into the token's
+UTF-8 byte offset in the line, so positions are found only on error. An
+error at end of line points just past the last token.
 """
 
 import re
@@ -101,12 +101,15 @@ _NOT_A_VALUE = _TARGET_KEYWORDS | {"!", "tcp-opt"} | REGISTRY.keys()
 
 
 def _offset(line, toks, i):
-    """Byte offset in `line` of toks[i]; for the end sentinel, the end of
-    the last token (0 on a blank line)."""
+    """UTF-8 byte offset in `line` of toks[i]; for the end sentinel, the end
+    of the last token (0 on a blank line). A lone surrogate, which input()
+    can return, counts as its three-byte encoding rather than raising."""
     at = 0
     for tok in toks[:i]:
         at = line.index(tok, at) + len(tok)
-    return at if toks[i] is None else line.index(toks[i], at)
+    if toks[i] is not None:
+        at = line.index(toks[i], at)
+    return len(line[:at].encode("utf-8", "surrogatepass"))
 
 
 def _end(what, i):

@@ -3,21 +3,23 @@ mask-limit. Each builds a deterministic rule set and traffic profile, runs
 the pipeline, and reports per-node costs plus scenario-specific checks.
 """
 
+import inspect
 from dataclasses import dataclass, field
+from itertools import islice
+from statistics import median
 
 from .errors import MalformedOption
+from .fields import ACK, FIN, SYN
 from .packet import parse_packet, tcp_options, verify_checksums
 from .pipeline import DISP_DROP, Engine, EngineConfig
 from .rulegen import (SNAT_RULE, STRIP_EXCEPT_RULE, firewall_rules,
                       mask_limit_rules, stateful_rules, tcp_option_rules)
-from .traffic import (ACK, FIN, SYN, TrafficProfile, build_ipv4_tcp,
-                      generate_traffic, make_flows)
-
-SCENARIO_NAMES = ("forward", "firewall", "stateful", "nat", "tcp-opts",
-                  "mask-limit")
+from .traffic import TrafficProfile, build_ipv4_tcp, generate_traffic, make_flows
 
 NAT_PUBLIC_ADDR = 0xC8000001  # 200.0.0.1
 NAT_SPORT_RANGE = (1024, 65535)
+# packets per mask-limit round, rounded down to whole vectors
+_ROUND_PACKETS = 2048
 
 
 @dataclass
@@ -296,43 +298,48 @@ def scenario_tcp_opts(rule_count=100, packets=10000, flows=7, seed=0,
 
 def scenario_mask_limit(mask_counts=(1, 8, 26, 40, 64), packets=30000,
                         flows=7, seed=0, vector_size=256):
-    """Cost curve over the number of distinct masks, one table per rule."""
-    curve = []
-    tables_ok = True
+    """Cost curve over the number of distinct masks, one table per rule.
+    Every engine is built first; then each round of traffic (whole vectors,
+    about _ROUND_PACKETS packets) goes through all of them, the engine that
+    goes first rotating from round to round, so host noise falls on every
+    mask count alike. A mask count's cost is its median round cost."""
+    engines = []
     for n in mask_counts:
         engine = _engine(vector_size, seed)
         engine.add_commands(mask_limit_rules(n, seed))
-        if len(engine.snapshot.tables) != n:
-            tables_ok = False
-        profile = TrafficProfile(flows=flows, seed=seed)
-        report = engine.run_stream(generate_traffic(profile, packets))
-        curve.append((n, report.engine_ns_per_packet))
+        engines.append(engine)
+    tables_ok = all(len(e.snapshot.tables) == n
+                    for e, n in zip(engines, mask_counts))
+    costs = [[] for _ in engines]
+    per_round = vector_size * max(1, _ROUND_PACKETS // vector_size)
+    traffic = generate_traffic(TrafficProfile(flows=flows, seed=seed), packets)
+    first = 0
+    while chunk := list(islice(traffic, per_round)):
+        for k in range(len(engines)):
+            i = (first + k) % len(engines)
+            costs[i].append(engines[i].run_stream(iter(chunk)).engine_ns_per_packet)
+        first += 1
+    curve = [(n, median(c) if c else 0.0) for n, c in zip(mask_counts, costs)]
     checks = {
         "one_table_per_rule": (tables_ok, f"counts={list(mask_counts)}"),
     }
     return ScenarioReport("mask-limit", seed, checks, curve=curve)
 
 
+_SCENARIOS = {"forward": scenario_forward, "firewall": scenario_firewall,
+              "stateful": scenario_stateful, "nat": scenario_nat,
+              "tcp-opts": scenario_tcp_opts, "mask-limit": scenario_mask_limit}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
 def run_scenario(name, rule_count=None, packets=None, flows=None, seed=0,
                  vector_size=256, **kw):
-    """Dispatch by scenario name with per-scenario defaults."""
-    if name == "forward":
-        return scenario_forward(packets or 2000, flows or 7, seed,
-                                vector_size)
-    if name == "firewall":
-        return scenario_firewall(rule_count or 1000, packets or 20000,
-                                 flows or 7, seed, vector_size)
-    if name == "stateful":
-        return scenario_stateful(rule_count or 1000, packets or 20000,
-                                 flows or 7, seed, vector_size)
-    if name == "nat":
-        return scenario_nat(flows or 1000, kw.get("data_packets", 2), seed,
-                            vector_size)
-    if name == "tcp-opts":
-        return scenario_tcp_opts(rule_count or 100, packets or 10000,
-                                 flows or 7, seed, vector_size)
-    if name == "mask-limit":
-        return scenario_mask_limit(kw.get("mask_counts", (1, 8, 26, 40, 64)),
-                                   packets or 30000, flows or 7, seed,
-                                   vector_size)
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    """Dispatch by scenario name. A count left None takes the scenario's
+    own default, and one the scenario does not take is ignored."""
+    scenario = _SCENARIOS.get(name)
+    if scenario is None:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    takes = inspect.signature(scenario).parameters
+    given = dict(kw, rule_count=rule_count, packets=packets, flows=flows)
+    return scenario(seed=seed, vector_size=vector_size,
+                    **{k: v for k, v in given.items() if v is not None and k in takes})

@@ -10,13 +10,8 @@ generators can guarantee (non-)matching traffic by using the other half.
 import random
 from dataclasses import dataclass, replace
 
+from .fields import ACK, FIN, PSH, SYN
 from .packet import checksum16
-
-FIN = 0x01
-SYN = 0x02
-RST = 0x04
-PSH = 0x08
-ACK = 0x10
 
 # (kind, payload length) of options the generator may attach
 OPTION_CATALOG = [(2, 2), (3, 1), (4, 0), (8, 8), (6, 4), (7, 4),
@@ -174,14 +169,16 @@ def flow_packets(flow, profile, rng=None):
 def generate_traffic(profile, count=None):
     """Yield (bytes, ts_sec, ts_usec) records: flows interleaved round-robin,
     one packet per microsecond. With `count`, flow generations repeat (fresh
-    seeded flows) until exactly that many packets were emitted."""
+    seeded flows) until exactly that many packets were emitted; a profile
+    without flows emits none."""
     emitted = 0
     seed = profile.seed
-    while True:
+    while count is None or emitted < count:
         gen_profile = replace(profile, seed=seed)
         rng = random.Random(seed ^ 0x5EED)
         sequences = [flow_packets(f, gen_profile, rng)
                      for f in make_flows(gen_profile)]
+        start = emitted
         i = 0
         while sequences:
             live = False
@@ -195,6 +192,6 @@ def generate_traffic(profile, count=None):
             if not live:
                 break
             i += 1
-        if count is None or emitted >= count:
+        if count is None or emitted == start:
             return
         seed += 1

@@ -11,8 +11,9 @@ import refbuild as ref
 import midbox.rewrite as rw
 from bits import write_bits
 from flows import tuple_of
-from midbox import (Engine, EngineConfig, compile_targets, parse_command,
-                    parse_packet, verify_checksums)
+from midbox import (Engine, EngineConfig, parse_command, parse_packet,
+                    verify_checksums)
+from midbox.classifier import CompiledRule
 from midbox.conntrack import FWD
 from midbox.fields import FIXED, FLAG, L4, REGISTRY, byte_span, fold
 from midbox.packet import checksum16, fix_checksums
@@ -55,18 +56,17 @@ def _match(data, writes, guaranteed=True):
 
 
 def _program(data, writes, guaranteed=True):
-    """The compiled writers of the `mod` rule of `writes` for packet
-    `data` (see _match)."""
+    """The matched rules rewrite_packet takes for the `mod` rule of
+    `writes` and packet `data` (see _match): that rule, compiled."""
     mods = " ".join(f"mod {name} {value}" for name, value in writes)
-    return compile_targets(parse_command(
-        f"mmb add {_match(data, writes, guaranteed)} {mods}").rule)
+    return (CompiledRule(parse_command(
+        f"mmb add {_match(data, writes, guaranteed)} {mods}").rule),)
 
 
 def _incremental_and_full(data, writes, guaranteed=True):
-    """(bytes after the writers of the `mod` rule of `writes` ran through
-    rewrite_packet, bytes after the same writes field by field and
-    fix_checksums, whether the writer path kept to the incremental update)
-    for one packet."""
+    """(bytes after the `mod` rule of `writes` ran through rewrite_packet,
+    bytes after the same writes field by field and fix_checksums, whether
+    the writer path kept to the incremental update) for one packet."""
     inc = parse_packet(data)
     full = parse_packet(data)
     calls = []

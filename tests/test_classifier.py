@@ -9,7 +9,8 @@ import oracle
 import refbuild as ref
 from midbox import (CommandError, Engine, PacketBuffer, classify, parse_command,
                     parse_packet)
-from midbox.classifier import RuleSetSnapshot, compile_match, match_tables
+from midbox.classifier import (MISS, RuleSetSnapshot, classify_vector, compile_match,
+                               match_tables)
 from midbox.fields import FIXED, FLAG, REGISTRY, tcp_option_field
 from midbox.pipeline import DISP_DROP, DISP_FORWARD, DISP_REWRITTEN
 from midbox.rulegen import mask_limit_rules
@@ -585,9 +586,9 @@ def test_vector_probe_equals_per_packet_probe(case):
     hits = match_tables(pkts, snap)
     assert _ids(hits) == [_ids(match_tables([p], snap))[0] for p in pkts]
     alone = [classify(p, snap) for p in pkts]
-    in_vector = [classify(p, snap, None, 0.0, h) for p, h in zip(pkts, hits)]
-    assert [(v.kind, v.rule_ids) for v in in_vector] == \
-        [(v.kind, v.rule_ids) for v in alone]
+    in_vector = classify_vector(pkts, snap, None, 0.0, hits)
+    assert [(MISS, ()) if r is None else (r[0], tuple(cr.rule.id for cr in r[1]))
+            for r in in_vector] == [(v.kind, v.rule_ids) for v in alone]
     orc = oracle.LinearOracle(rules)
     assert [(v.kind, v.rule_ids) for v in alone] == [orc.verdict(b) for b in blobs]
 

@@ -136,6 +136,42 @@ def test_scenario_mask_limit_small():
     assert len(rep.curve) == 3
 
 
+def test_zero_counts_are_taken_as_given():
+    """A count of 0 is 0, not the scenario's default; a count the scenario
+    does not take is ignored."""
+    rep = run_scenario("firewall", rule_count=0, packets=0, seed=2)
+    assert rep.run["totals"]["packets_in"] == 0
+    assert rep.checks["single_table"] == (False, "tables=0")
+    rep = run_scenario("forward", packets=0, rule_count=5)
+    assert rep.ok and rep.run["totals"]["packets_in"] == 0
+    rep = run_scenario("forward", packets=10, flows=0)
+    assert rep.ok and rep.run["totals"]["packets_in"] == 0
+    rep = run_scenario("nat", flows=3, packets=0, rule_count=0, seed=4)
+    assert rep.ok and len(rep.artifacts["ports"]) == 3
+
+
+def test_traffic_count_zero_yields_nothing():
+    assert list(generate_traffic(TrafficProfile(seed=1), 0)) == []
+    assert len(list(generate_traffic(TrafficProfile(seed=1), 1))) == 1
+
+
+def test_traffic_without_flows_ends(monkeypatch):
+    """A profile without flows emits nothing and returns after its first
+    generation, with a count or without one."""
+    import midbox.traffic
+    made = []
+    real = midbox.traffic.make_flows
+
+    def counted(profile):
+        made.append(profile.seed)
+        assert len(made) <= 3, "generations repeat without emitting a packet"
+        return real(profile)
+    monkeypatch.setattr(midbox.traffic, "make_flows", counted)
+    assert list(generate_traffic(TrafficProfile(flows=0, seed=9), 5)) == []
+    assert list(generate_traffic(TrafficProfile(flows=0, seed=9))) == []
+    assert made == [9, 9]
+
+
 def test_cli_scenario_with_report(tmp_path):
     from midbox.cli import main
     report = tmp_path / "rep.json"

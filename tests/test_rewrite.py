@@ -9,11 +9,12 @@ import oracle
 import refbuild as ref
 from midbox import (compile_targets, parse_command, parse_packet, serialize,
                     verify_checksums)
-from midbox.conntrack import ConnTable
+from midbox.classifier import CompiledRule
+from midbox.conntrack import FWD, ConnTable
 from midbox.fields import L4, REGISTRY, byte_span, fold
 from midbox.packet import fix_checksums, tcp_options
 from midbox.pipeline import COUNTERS
-from midbox.rewrite import FULL, rewrite_packet, translate_session
+from midbox.rewrite import FULL, rewrite_packet
 
 
 def no_counts():
@@ -25,6 +26,13 @@ def program_of(line, session=False):
     r = parse_command(line).rule
     r.id = 1
     return r, compile_targets(r, session)
+
+
+def compiled_of(line):
+    """The matched rules rewrite_packet takes for the rule of `line`."""
+    r = parse_command(line).rule
+    r.id = 1
+    return (CompiledRule(r),)
 
 
 def run_writers(pkt, writers, counters=None):
@@ -118,18 +126,18 @@ def test_transport_mods_not_folded_without_transport_match():
 
 
 def test_identity_program_leaves_packet_alone():
-    _, writers = program_of("mmb add tcp-dport 80 drop")  # no writers
+    rules = compiled_of("mmb add tcp-dport 80 drop")  # no writers
     data = ref.tcp_packet(dport=80)
     pkt = parse_packet(data)
-    assert not rewrite_packet(pkt, writers, None, None, no_counts())
+    assert not rewrite_packet(pkt, rules, None, None, no_counts())
     assert serialize(pkt) == data
 
 
 def test_port_80_to_443():
-    _, writers = program_of("mmb add tcp-dport 80 mod tcp-dport 443")
+    rules = compiled_of("mmb add tcp-dport 80 mod tcp-dport 443")
     data = ref.tcp_packet(dport=80, payload=b"req")
     pkt = parse_packet(data)
-    assert rewrite_packet(pkt, writers, None, None, no_counts())
+    assert rewrite_packet(pkt, rules, None, None, no_counts())
     out = serialize(pkt)
     assert ref.ref_read(out, "tcp-dport") == 443
     # every other field is untouched
@@ -203,12 +211,12 @@ def test_static_mod_is_the_same_at_ihl_5_and_6(line, build, kw, changes):
     """IP options move the transport header, not what a static mod does:
     the same bytes come out and a change is reported only when bytes
     change."""
-    _, writers = program_of(line)
+    rules = compiled_of(line)
     results = []
     for ihl in (5, 6):
         data = build(ihl=ihl, ip_options=bytes([1] * 4 * (ihl - 5)), **kw)
         pkt = parse_packet(data)
-        changed = rewrite_packet(pkt, writers, None, None, no_counts())
+        changed = rewrite_packet(pkt, rules, None, None, no_counts())
         results.append((changed, _without_ip_options(bytes(pkt.data)),
                         _without_ip_options(data)))
     assert results[0] == results[1]
@@ -330,12 +338,15 @@ def test_option_area_is_walked_once_per_packet(monkeypatch):
 
 
 def test_dynamic_forward_and_reverse_roundtrip():
+    """SNAT through rewrite_packet: the SYN of a flow the rule owns takes
+    its own writers and the connection's translation, a reply to the
+    translated tuple is restored, and both leave with valid checksums."""
     conn = ConnTable(shuffle_seed=3)
     rule = parse_command(
         "mmb add-stateful ip-saddr 10.0.0.0/24 ip-proto tcp tcp-syn "
         "shuffle tcp-sport mod ip-saddr 200.0.0.1").rule
     rule.id = 1
-    writers = compile_targets(rule)
+    rules = (CompiledRule(rule),)
     failures = 0
     for i in range(1000):
         client = 0x0A000001 + (i % 250)
@@ -345,18 +356,16 @@ def test_dynamic_forward_and_reverse_roundtrip():
                                           flags=ref.SYN))
         entry = conn.insert(syn, rule, float(i))
         assert entry is not None
-        run_writers(syn, writers)
-        translate_session(syn, entry, "fwd", ())
-        fix_checksums(syn)
+        assert rewrite_packet(syn, rules, entry, FWD, no_counts())
         t5 = syn.five_tuple()
         assert t5[0] == 0xC8000001 and 1024 <= t5[2] <= 65535
+        assert ref.verify_packet_checksums(serialize(syn))
         # reverse: a reply to the translated tuple is restored
         reply = parse_packet(ref.tcp_packet(server, 0xC8000001, 80, t5[2],
                                             flags=ref.SYN | ref.ACK))
         e2, d2 = conn.lookup(reply, float(i))
         assert e2 is entry and d2 == "rev"
-        translate_session(reply, e2, d2, ())
-        fix_checksums(reply)
+        assert rewrite_packet(reply, (), e2, d2, no_counts())
         r5 = reply.five_tuple()
         if r5 != (server, client, 80, sport, 6):
             failures += 1
@@ -382,26 +391,38 @@ def _snat_flow(engine):
 
 
 def test_session_writer_is_the_one_tuple_writer(monkeypatch):
-    """Every packet of a two-way SNAT flow, the SYN whose rule's program
-    also runs included, has its addresses and ports written by
-    translate_session exactly once, and never field by field."""
+    """Every packet of a two-way SNAT flow, the SYN whose rule's writers
+    also run included, goes through rewrite_packet exactly once and leaves
+    with the right tuple and valid checksums, and no rule writer (span or
+    field write) writes one of its address or port bytes: the connection's
+    write in rewrite_packet is the one writer of the tuple."""
+    import midbox.pipeline
     import midbox.rewrite as rw
+    from midbox.fields import L3
     from midbox.pipeline import Engine
     from midbox.rules import TUPLE_FIELDS
     from midbox.rulegen import SNAT_RULE
     calls = []
     fields = []
-    writer, field_writer = rw.translate_session, rw.write_field
+    spans = []
+    rewrite, span_writer, field_writer = (midbox.pipeline.rewrite_packet,
+                                          rw._write_span, rw.write_field)
 
-    def counted(pkt, entry, direction, *args):
+    def counted(pkt, rules, entry, direction, counters):
         calls.append(direction)
-        return writer(pkt, entry, direction, *args)
+        return rewrite(pkt, rules, entry, direction, counters)
+
+    def recorded_span(base, lo, hi, keep, key, pkt, counters=None):
+        spans.append((base, lo, hi))
+        return span_writer(base, lo, hi, keep, key, pkt, counters)
 
     def recorded(pkt, fd, value):
         fields.append(fd.name)
         return field_writer(pkt, fd, value)
 
-    monkeypatch.setattr(rw, "translate_session", counted)
+    monkeypatch.setattr(midbox.pipeline, "rewrite_packet", counted)
+    # set before the rule compiles, so its writers bind the recorder too
+    monkeypatch.setattr(rw, "_write_span", recorded_span)
     monkeypatch.setattr(rw, "write_field", recorded)
     engine = Engine()
     engine.add_commands([SNAT_RULE])
@@ -409,9 +430,14 @@ def test_session_writer_is_the_one_tuple_writer(monkeypatch):
     assert len(out) == 4
     assert calls == ["fwd", "fwd", "rev", "rev"]
     assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
+    assert len({ref.ref_read(p, "tcp-sport") for p in out[:2]}) == 1
     assert [ref.ref_read(p, "ip-daddr") for p in out[2:]] == [0x0A000005] * 2
     assert [ref.ref_read(p, "tcp-dport") for p in out[2:]] == [40000] * 2
     assert all(ref.verify_packet_checksums(p) for p in out)
+    # the tuple is IPv4 bytes 12-19 and transport bytes 0-3
+    tuple_bytes = {L3: range(12, 20), L4: range(0, 4)}
+    assert not [s for s in spans
+                if set(range(s[1], s[2])) & set(tuple_bytes[s[0]])]
     assert not set(fields) & TUPLE_FIELDS
 
 

@@ -81,10 +81,11 @@ def test_errors_carry_byte_position():
 
 # One line per raise site in rules.py. `»` marks where the error is (the
 # offending token, or the end of the last token for an error at end of line)
-# and is removed before parsing; a line without it expects no position.
-# Tokens repeat and are separated by tabs, runs of spaces and no-break
-# spaces, so that a position found by searching the line for the token, or by
-# counting single spaces, cannot pass by accident.
+# and is removed before parsing; a line without it expects no position, and
+# one with it the UTF-8 byte offset of the mark. Tokens repeat and are
+# separated by tabs, runs of spaces and no-break spaces (two bytes in UTF-8),
+# so that a position found by searching the line for the token, by counting
+# single spaces or by counting characters cannot pass by accident.
 ERROR_SITES = [
     ("no-command", "»", CommandSyntaxError),
     ("not-mmb", "\t»mm mmb", CommandSyntaxError),
@@ -139,7 +140,27 @@ def test_error_sites_carry_byte_position(marked, cls):
     line = marked.replace("»", "")
     with pytest.raises(cls) as e:
         parse_command(line)
-    assert e.value.position == (marked.index("»") if "»" in marked else None)
+    assert e.value.position == (len(marked[:marked.index("»")].encode())
+                                if "»" in marked else None)
+
+
+@pytest.mark.parametrize("line,position", [
+    ("mmb\u3000zap", 6),
+    ("mmb \u3000\xa0 zap", 10),
+    ("mmb add ip-ttl\u3000\U0001F600 drop", 17),
+    ("mmb \udcff", 4),
+    ("mmb add tcp-syn \ud800 \udcff", 16),
+    ("mmb\u3000add\u3000tcp-syn\u3000drop\u3000\udcff", 29),
+    # Arabic-Indic digits are a decimal number, two bytes each
+    ("mmb add tcp-dport \u0661\u0662 zap", 23),
+])
+def test_error_positions_are_utf8_bytes(line, position):
+    """Positions count UTF-8 bytes, not characters, and a line holding a
+    lone surrogate (which input() can return) still gets one."""
+    with pytest.raises(CommandError) as e:
+        parse_command(line)
+    assert e.value.position == position
+    assert str(e.value).endswith(f"(at byte {position})")
 
 
 def test_drop_exclusive():
@@ -334,6 +355,6 @@ def test_parser_total_on_grammar_shaped_lines(line):
     try:
         cmd = parse_command(line)
     except CommandError as e:
-        assert e.position is None or 0 <= e.position <= len(line)
+        assert e.position is None or 0 <= e.position <= len(line.encode())
         return
     assert parse_command(format_command(cmd)) == cmd

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from midbox import Engine, RuleSetSnapshot, classifier, classify, parse_packet
-from midbox.classifier import match_tables
+from midbox.classifier import classify_vector, match_tables
 from midbox.rulegen import (SNAT_RULE, STRIP_EXCEPT_RULE, firewall_rules,
                             mask_limit_rules, tcp_option_rules)
 
@@ -42,9 +42,9 @@ def verdicts(snap):
     """Verdicts of PACKETS one at a time; classifying them as one vector
     must agree, so a snapshot's table grouping is its own."""
     out = [(v.kind, v.rule_ids) for v in (classify(p, snap) for p in PACKETS)]
-    hits = match_tables(PACKETS, snap)
-    assert [(v.kind, v.rule_ids) for v in
-            (classify(p, snap, hits=h) for p, h in zip(PACKETS, hits))] == out
+    vector = classify_vector(PACKETS, snap, None, 0.0, match_tables(PACKETS, snap))
+    assert [(classifier.MISS, ()) if r is None else
+            (r[0], tuple(cr.rule.id for cr in r[1])) for r in vector] == out
     return out
 
 
