@@ -3,6 +3,7 @@ benchmark scenarios."""
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import MidboxError
@@ -71,6 +72,19 @@ def _run_pcap(engine, args):
     return report
 
 
+def _print_report(text):
+    """Print a run's report. A reader that closed stdout early (`| head`)
+    ends the printing, not the run: stdout then points at os.devnull, so
+    the interpreter's final flush cannot raise again."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="midbox",
@@ -97,7 +111,7 @@ def main(argv=None):
         rep = run_scenario(args.scenario, rule_count=args.rule_count,
                            packets=args.packets, flows=args.flows,
                            seed=args.seed, vector_size=args.vector_size)
-        print(rep.to_text())
+        _print_report(rep.to_text())
         if args.report:
             with open(args.report, "w") as f:
                 json.dump(rep.to_json_dict(), f, indent=2)
@@ -119,7 +133,7 @@ def main(argv=None):
         except (PcapFormatError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        print(report.to_text())
+        _print_report(report.to_text())
         if args.report:
             with open(args.report, "w") as f:
                 json.dump(report.to_json_dict(), f, indent=2)

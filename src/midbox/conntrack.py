@@ -7,9 +7,12 @@ two endpoints addr<<16 | port, of which the smaller goes first, then the
 larger, then the protocol. So both directions of a flow hash to the same
 entry. Flows whose stateful rule translates tuple fields are additionally
 indexed under the translated tuple's key, which is what returning packets
-carry. An entry keeps the two quads (what its client sends, and what that
-leaves as) and nothing else of the tuple: the rewrite node's tuple write,
-the reverse direction and the release of shuffled ports all work from them.
+carry. An entry keeps three quads (what its client sends, what that leaves
+as, and what replies leave as, the mirror of the first, stored at insert)
+and nothing else of the tuple: the rewrite node's tuple write, the reverse
+direction and the release of shuffled ports all work from them. lookup
+steps a TCP flow's state only on a FIN, an RST or a packet of a NEW flow,
+the only ones that can move it.
 An entry ends when the sweep run before each packet vector finds it past its
 state's timeout (a heap of deadlines makes that exact), or when its rule is
 deleted.
@@ -47,6 +50,8 @@ QUAD_SHIFT = {"ip-saddr": 64, "ip-daddr": 32,
 # the quad is window bytes 12-23, which end 128 bits above the window's end
 QUAD = (1 << 96) - 1
 _ADDR = 0xFFFFFFFF << 16
+# the flags that can move a TCP flow out of any state but NEW
+_ENDS = FIN | RST
 
 
 @dataclass
@@ -110,19 +115,21 @@ class Plan:
 
 class ConnEntry:
     """One tracked flow, held as quads: pre_q is the quad of its client's
-    packets and post_q the quad they leave with, keyed by `key` and
-    `trans_key`. `plan` is its rule's Plan, or None when the flow binds
-    nothing; `extra` holds the bindings of fields outside the tuple. `due`
-    is its live sweep heap item's deadline, at most its true deadline."""
+    packets, post_q the quad they leave with and rev_q, mirror(pre_q), the
+    quad its replies leave with; keyed by `key` and `trans_key`. `plan` is
+    its rule's Plan, or None when the flow binds nothing; `extra` holds the
+    bindings of fields outside the tuple. `due` is its live sweep heap
+    item's deadline, at most its true deadline."""
 
-    __slots__ = ("key", "trans_key", "pre_q", "post_q", "proto", "state",
-                 "fin_dir", "created", "last_seen", "due", "rule_id", "plan",
-                 "extra", "pkts", "octets")
+    __slots__ = ("key", "trans_key", "pre_q", "post_q", "rev_q", "proto",
+                 "state", "fin_dir", "created", "last_seen", "due", "rule_id",
+                 "plan", "extra", "pkts", "octets")
 
     def __init__(self, key, q, post_q, proto, plan, extra, rule_id, now):
         self.key = key
         self.pre_q = q
         self.post_q = post_q
+        self.rev_q = mirror(q)
         self.trans_key = key if post_q == q else quad_key(post_q, proto)
         self.proto = proto
         self.state = NEW if proto == PROTO_TCP else ACTIVE
@@ -196,7 +203,10 @@ class ConnTable:
     def lookup(self, pkt, now):
         """(entry, direction) for a tracked packet, else (None, None).
         An expired entry is removed on the spot; a hit refreshes last_seen
-        and the per-direction counters and moves a TCP flow's state."""
+        and the per-direction counters, and moves a TCP flow's state through
+        update_state when its flags can: a FIN or RST, or any packet of a
+        NEW flow. No other flag byte moves any state, so other packets skip
+        the call."""
         entries = self._entries
         if not entries:
             return None, None
@@ -222,7 +232,9 @@ class ConnTable:
         e.pkts[i] += 1
         e.octets[i] += len(pkt.data) - pkt.l3_offset
         if proto == PROTO_TCP:
-            self.update_state(e, pkt.tcp_flags, direction)
+            flags = pkt.data[pkt.l4_offset + 13]
+            if flags & _ENDS or e.state == NEW:
+                self.update_state(e, flags, direction)
         return e, direction
 
     def insert(self, pkt, rule, now):

@@ -15,21 +15,27 @@ span, written only on packets of its protocol. Option edits rebuild the
 option area and keep the data offset and IP total length coherent.
 rewrite_packet is the node's one entry point, called once per matched
 packet: it picks each rule's writers, runs them, updates the checksums, and
-last writes a tracked packet's addresses and ports from its connection.
+last writes a tracked packet's addresses and ports from its connection. That
+tuple write moves its own checksums in the same write: one struct read and
+one struct write per header, the header's tuple bytes and its checksum
+together.
 """
 
 import struct
 from functools import partial
 
-from .conntrack import FWD, QUAD, mirror
+from .conntrack import FWD
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_TCP, PROTO_UDP, byte_span, fold
 from .packet import fix_checksums, options_map, patch_checksums, write_field
 from .rules import ADD_OPT, MOD, SHUFFLE, STRIP, STRIP_EXCEPT, TUPLE_FIELDS
 
 _MAX_OPT_AREA = 40
-# wire layouts of the connection's write: the two addresses, the two ports
-_ADDRS = struct.Struct("!Q")
-_PORTS = struct.Struct("!I")
+# wire layouts of the connection's write, a header's tuple bytes and its
+# checksum: IPv4 checksum and addresses at l3 + 10; TCP ports, sequence
+# number to window, checksum; UDP ports, length, checksum
+_IP_TUPLE = struct.Struct("!HQ")
+_TCP_TUPLE = struct.Struct("!I12sH")
+_UDP_TUPLE = struct.Struct("!IHH")
 
 # a writer's result when both checksums need a full recompute
 FULL = "full"
@@ -266,16 +272,19 @@ def rewrite_packet(pkt, rules, entry, direction, counters):
 
     The connection's write comes last and sets a tracked TCP or UDP packet's
     addresses and ports: forward packets leave with the quad post_q, reverse
-    packets with the mirror of pre_q. The quad's upper 64 bits are written
-    as the addresses at l3+12 and its lower 32 as the ports at the L4
-    offset, so any IHL works (fragments never have an entry). When rule
-    writers ran, a tuple field that no binding covers keeps what they wrote
-    there: the new quad is the packet's own outside the plan's bound mask.
-    Its checksums move as after any same-length write: a quad, like any
-    big-endian integer, is congruent to the sum of its 16-bit words modulo
-    0xFFFF, so the transport delta is old - new, from the quad the packet
-    carries (its probe window's) to the one it leaves with, and the IPv4
-    header's (old >> 32) - (new >> 32), the addresses alone.
+    packets with rev_q, the mirror of pre_q. The quad's upper 64 bits are
+    the addresses at l3+12 and its lower 32 the ports at the L4 offset, so
+    any IHL works (fragments never have an entry). When rule writers ran, a
+    tuple field that no binding covers keeps what they wrote there: the new
+    quad is the packet's own outside the plan's bound mask. Each header's
+    tuple bytes and checksum are one struct read and one struct write (the
+    TCP bytes between ports and checksum go back as read), and the
+    checksums move as in patch_checksums: a quad, like any big-endian
+    integer, is congruent to the sum of its 16-bit words modulo 0xFFFF, so
+    the transport delta is old - new, from the quad the packet carries to
+    the one it leaves with, and the IPv4 header's (old >> 32) - (new >> 32).
+    A UDP checksum of 0 gets the ports, then fix_checksums. No option
+    changes, so of the packet's caches only the probe window is dropped.
     """
     changed = full = ran = False
     ip = l4 = 0
@@ -310,16 +319,27 @@ def rewrite_packet(pkt, rules, entry, direction, counters):
     plan = entry.plan
     if plan is None:
         return changed
-    old = pkt.window() >> 128 & QUAD
+    d = pkt.writable()
+    at = pkt.l3_offset + 10
+    hc, addrs = _IP_TUPLE.unpack_from(d, at)
+    tcp = pkt.ip_proto == PROTO_TCP
+    layout = _TCP_TUPLE if tcp else _UDP_TUPLE
+    ports, mid, tc = layout.unpack_from(d, pkt.l4_offset)
+    old = addrs << 32 | ports
     if direction == FWD:
         new, bound = entry.post_q, plan.bound
     else:
-        new, bound = mirror(entry.pre_q), plan.mirror
+        new, bound = entry.rev_q, plan.mirror
     if ran:
         new = old & ~bound | new & bound
-    d = pkt.writable()
-    _ADDRS.pack_into(d, pkt.l3_offset + 12, new >> 32)
-    _PORTS.pack_into(d, pkt.l4_offset, new & 0xFFFFFFFF)
-    if not patch_checksums(pkt, (old >> 32) - (new >> 32), old - new):
+    if tcp:
+        tc = (tc + old - new) % 0xFFFF
+    elif tc:
+        tc = (tc + old - new) % 0xFFFF or 0xFFFF
+    layout.pack_into(d, pkt.l4_offset, new & 0xFFFFFFFF, mid, tc)
+    _IP_TUPLE.pack_into(d, at, (hc + addrs - (new >> 32)) % 0xFFFF, new >> 32)
+    if tcp or tc:
+        pkt._win = None
+    else:
         fix_checksums(pkt)
     return True

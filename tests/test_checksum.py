@@ -11,8 +11,8 @@ import refbuild as ref
 import midbox.rewrite as rw
 from bits import write_bits
 from flows import tuple_of
-from midbox import (Engine, EngineConfig, parse_command, parse_packet,
-                    verify_checksums)
+from midbox import (ETHERNET, RAW_IP, Engine, EngineConfig, parse_command,
+                    parse_packet, verify_checksums)
 from midbox.classifier import CompiledRule
 from midbox.conntrack import FWD
 from midbox.fields import FIXED, FLAG, L4, REGISTRY, byte_span, fold
@@ -445,6 +445,49 @@ def test_connection_rewrites_match_reference(case):
     report = engine.run_stream(iter(played), out)
     assert report.rewritten == len(played)
     assert out == expected
+
+
+ETH_HEADER = b"\x02\x00\x00\x00\x00\x01\x02\x00\x00\x00\x00\x02\x08\x00"
+
+
+@pytest.mark.parametrize("ihl", [5, 6])
+@pytest.mark.parametrize("proto", [ref.TCP, ref.UDP])
+def test_tracked_flow_over_ethernet_matches_raw_ip(proto, ihl):
+    """A two-way SNAT flow over Ethernet (L3 offset 14): each output frame
+    is the 14-byte header followed by what a RAW-IP engine emits for the
+    same datagram, with valid checksums."""
+    rules = ["mmb add-stateful ip-saddr 10.0.0.0/24 shuffle tcp-sport "
+             "shuffle udp-sport mod ip-saddr 200.0.0.1"]
+    raw, eth = (Engine(EngineConfig(link_type=link)) for link in (RAW_IP, ETHERNET))
+    for engine in (raw, eth):
+        engine.add_commands(rules)
+
+    def run(datagrams):
+        raw_out, eth_out = [], []
+        raw.run_stream(iter([(d, 0, 0) for d in datagrams]), raw_out)
+        eth.run_stream(iter([(ETH_HEADER + d, 0, 0) for d in datagrams]), eth_out)
+        assert len(raw_out) == len(eth_out) == len(datagrams)
+        for r, e in zip(raw_out, eth_out):
+            assert e == ETH_HEADER + r
+            assert ref.verify_packet_checksums(e, l3=14)
+        return raw_out
+
+    (first,) = run([_build(proto, CLIENT, 64, FIRST_IDENT, b"", ihl)])
+    post = parse_packet(first).five_tuple()[:4]
+    assert post[0] == 0xC8000001 and post[2] != CLIENT[2]
+    flow = []
+    for i, payload in enumerate((b"", b"x", b"data" * 50)):
+        fwd = _build(proto, CLIENT, 64, FIRST_IDENT + 1 + i, payload, ihl)
+        rev = _build(proto, _swap(post), 64, 9 + i, payload, ihl)
+        flow += [fwd, rev]
+        if proto == ref.UDP:
+            flow += [_build(proto, CLIENT, 64, 20 + i, payload, ihl, 0),
+                     _build(proto, _swap(post), 64, 30 + i, payload, ihl, 0)]
+    out = run(flow)
+    for got, sent in zip(out, flow):
+        t4 = parse_packet(sent).five_tuple()[:4]
+        want = post if t4 == CLIENT else _swap(CLIENT)
+        assert parse_packet(got).five_tuple()[:4] == want
 
 
 @pytest.mark.parametrize("direction", ["fwd", "rev"])

@@ -4,6 +4,7 @@ bindings."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -178,6 +179,42 @@ def test_lookup_moves_tcp_state():
                   flags=ref.RST)
     assert conn.lookup(rst, 3.0) == (e, REV)
     assert e.state == CLOSED
+
+
+STATES = ((NEW, None), (ESTABLISHED, None), (FIN_WAIT, FWD), (FIN_WAIT, REV),
+          (CLOSED, None))
+
+
+@pytest.mark.parametrize("state, fin_dir", STATES)
+def test_lookup_steps_state_as_update_state_does(state, fin_dir):
+    """Every state x all 256 flag bytes x both directions: after a packet
+    goes through lookup, the entry's state, fin_dir and due and the sweep
+    heap's length are those of a twin entry given update_state directly.
+    This pins lookup's skip of the packets whose flags cannot move the
+    state."""
+    policy = TimeoutPolicy(tcp_new=30.0, tcp_established=240.0,
+                           tcp_fin_wait=15.0, tcp_closed=5.0)
+    timeout = {NEW: 30.0, ESTABLISHED: 240.0, FIN_WAIT: 15.0, CLOSED: 5.0}
+    client = dict(saddr=0x0A000005, daddr=0x0A800001, sport=4321, dport=80)
+    server = dict(saddr=0x0A800001, daddr=0x0A000005, sport=80, dport=4321)
+    syn = tcp_pkt(flags=ref.SYN, **client)
+
+    def entry():
+        conn = ConnTable(policy)
+        e = conn.insert(syn, tracking_rule(), 0.0)
+        e.state, e.fin_dir, e.due = state, fin_dir, timeout[state]
+        return conn, e
+
+    for flags in range(256):
+        for direction, ends in ((FWD, client), (REV, server)):
+            (conn, e), (twin_conn, twin) = entry(), entry()
+            assert conn.lookup(tcp_pkt(flags=flags, **ends), 1.0) == (e, direction)
+            twin.last_seen = 1.0
+            twin_conn.update_state(twin, flags, direction)
+            case = (state, fin_dir, flags, direction)
+            assert (e.state, e.fin_dir, e.due) == \
+                (twin.state, twin.fin_dir, twin.due), case
+            assert len(conn._heap) == len(twin_conn._heap), case
 
 
 def test_lookup_drops_a_deleted_rules_flow():

@@ -1,6 +1,9 @@
 """Harness: traffic shapes, rule generators, scenario checks, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,6 +183,32 @@ def test_cli_scenario_with_report(tmp_path):
     assert rc == 0
     data = json.loads(report.read_text())
     assert data["scenario"] == "forward" and data["ok"]
+
+
+@pytest.mark.parametrize("run", ["scenario", "pcap"])
+def test_cli_survives_a_reader_that_closed_early(tmp_path, run):
+    """stdout is a pipe whose read end closed before the process started
+    (`midbox ... | head` once head has exited): the run exits with its own
+    status, and no traceback reaches stderr."""
+    import midbox
+    from midbox.pcap import write_pcap
+    if run == "scenario":
+        args = ["--scenario", "forward", "--packets", "10"]
+    else:
+        src = tmp_path / "in.pcap"
+        write_pcap(src, 101, [(ref.tcp_packet(), 0, 0), (ref.udp_packet(), 0, 1)])
+        args = ["--pcap-in", str(src)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(midbox.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "midbox.cli", *args],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
 
 
 def test_cli_rules_file_and_pcap(tmp_path):
