@@ -17,8 +17,7 @@ from .packet import (ABSENT, ETHERNET, RAW_IP, PacketBuffer, fix_checksums,
                      parse_packet, read_field, serialize, verify_checksums)
 from .pipeline import Engine, EngineConfig, RunReport
 from .rewrite import apply_option_edits, compile_targets
-from .rules import (MatchExpr, Rule, TargetExpr, format_command, format_rule,
-                    parse_command)
+from .rules import MatchExpr, Rule, TargetExpr, format_rule, parse_command
 from .scenarios import ScenarioReport, run_scenario
 
 __version__ = "0.1.0"

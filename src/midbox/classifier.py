@@ -268,14 +268,17 @@ class ClassifierTable:
 
 class RuleSetSnapshot:
     """The compiled rule set: the mask tables (`index` maps each table's
-    (shift, mask) to it), the maskless rules (`slow`) and every compiled
-    rule by id. The constructor places each rule through `add`, and
-    `version` counts the adds and removes, starting from `version`."""
+    (shift, mask) to it), the maskless rules (`slow`), every compiled rule
+    by id, and `stateful`, the number of stateful rules among them. The
+    constructor places each rule through `add`, and `version` counts the
+    adds and removes, starting from `version`."""
 
-    __slots__ = ("tables", "slow", "by_id", "version", "index", "_groups")
+    __slots__ = ("tables", "slow", "by_id", "stateful", "version", "index",
+                 "_groups")
 
     def __init__(self, rules, version=0):
         self.version = version
+        self.stateful = 0
         self._groups = None
         self.tables = []
         self.slow = []
@@ -289,6 +292,7 @@ class RuleSetSnapshot:
         so an entry's rules and the maskless rules stay in id order."""
         cr = self.by_id[rule.id] = CompiledRule(rule)
         self.version += 1
+        self.stateful += rule.stateful
         if cr.never:
             return
         if not cr.mask:
@@ -307,6 +311,7 @@ class RuleSetSnapshot:
         dropped."""
         cr = self.by_id.pop(rule_id)
         self.version += 1
+        self.stateful -= cr.rule.stateful
         if cr.never:
             return
         if not cr.mask:
@@ -365,7 +370,8 @@ def match_tables(pkts, snap):
     hits = [()] * len(pkts)
     if not snap.tables:
         return hits
-    wins = [p.window() for p in pkts]
+    # parse_packet leaves an IHL-5 packet's window cached
+    wins = [p._win or p.window() for p in pkts]
     for shift, tables in snap.groups():
         xs = [w >> shift for w in wins]
         for t in tables:
@@ -401,7 +407,8 @@ def classify_vector(pkts, snap, conn, now, hits):
     """The classify node over a vector, one packet after another: its
     connection (`conn.lookup`), then its rules (its `hits` from
     match_tables, then the maskless rules). A packet is looked up after
-    the packets before it have opened their flows, so it sees them.
+    the packets before it have opened their flows, so it sees them. With
+    `conn` None no packet is looked up or tracked.
 
     Returns one result per packet: None for a miss, else (kind, rules,
     entry, direction) with kind DROP or MATCH and the matched compiled
@@ -412,10 +419,12 @@ def classify_vector(pkts, snap, conn, now, hits):
     connection table full, is dropped.
     """
     slow = snap.slow
-    lookup = _untracked if conn is None else conn.lookup
+    lookup = None if conn is None else conn.lookup
     res = [None] * len(pkts)
+    e = d = None
     for i, p in enumerate(pkts):
-        e, d = lookup(p, now)
+        if lookup is not None:
+            e, d = lookup(p, now)
         h = hits[i]
         if slow:
             h = _with_slow(p, h, slow)
@@ -424,10 +433,6 @@ def classify_vector(pkts, snap, conn, now, hits):
         elif e is not None:
             res[i] = MATCH, (), e, d
     return res
-
-
-def _untracked(pkt, now):
-    return None, None
 
 
 def _with_slow(pkt, hits, slow):

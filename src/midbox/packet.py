@@ -1,14 +1,15 @@
 """IPv4 packet model: parsing, field access, TCP options, checksums.
 
 PacketBuffer holds the raw bytes of one packet (optionally prefixed by an
-Ethernet header that is carried through untouched) plus the parsed header
-offsets. All field reads/writes go through FieldDescriptors so the matching
-and rewrite stages never hardcode wire offsets.
+Ethernet header, with up to two VLAN tags, that is carried through
+untouched) plus the parsed header offsets. All field reads/writes go
+through FieldDescriptors so the matching and rewrite stages never hardcode
+wire offsets.
 
 Input is zero-copy: a packet keeps the bytes it was parsed from until its
-first write (PacketBuffer.writable), and parse_packet reads an IHL-5
-packet's 40-byte probe window once, for the header checksum and the
-classifier both.
+first write (PacketBuffer.writable), and parse_packet reads the fixed
+IPv4 fields it checks in one struct read and an IHL-5 packet's 40-byte
+probe window once, for the header checksum and the classifier both.
 
 TCP options are walked once per packet, until a write changes them, by one
 function (tcp_options): options_map caches a map of each option's payload
@@ -24,6 +25,12 @@ RAW_IP = 101  # pcap LINKTYPE_RAW
 ETHERNET = 1  # pcap LINKTYPE_EN10MB
 
 ETHERTYPE_IPV4 = 0x0800
+# the tag protocol ids of 802.1Q (VLAN) and 802.1ad (its outer, QinQ tag)
+_VLAN_TPIDS = (0x8100, 0x88A8)
+
+# the fixed IPv4 fields parse_packet checks, read at once: version and
+# IHL, total length, flags and fragment offset, protocol
+_IPV4_FIXED = struct.Struct("!BxHxxHxB")
 
 # a checksum's wire layout
 _WORD = struct.Struct("!H")
@@ -123,10 +130,6 @@ class PacketBuffer:
         return self.data[self.l4_offset + 12] >> 4
 
     @property
-    def tcp_flags(self):
-        return self.data[self.l4_offset + 13]
-
-    @property
     def payload_offset(self):
         """Start of the transport payload (after L4 header for TCP/UDP)."""
         if self.is_fragment:
@@ -195,37 +198,45 @@ class PacketBuffer:
 def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
     """Parse raw capture bytes into a PacketBuffer.
 
-    Raises NotIPv4 / TruncatedPacket / BadChecksum; callers turn these into
-    drop or bypass dispositions instead of passing bad packets downstream.
+    An Ethernet frame may carry up to two 802.1Q/802.1ad tags before its
+    IPv4 ethertype; they move the IPv4 header to byte 18 or 22 and leave
+    as they came. Raises NotIPv4 / TruncatedPacket / BadChecksum; callers
+    turn these into drop or bypass dispositions instead of passing bad
+    packets downstream.
     """
-    if not data:
+    n = len(data)
+    if not n:
         raise TruncatedPacket("empty packet")
-    if link_type == ETHERNET:
-        if len(data) < 14:
+    if link_type == RAW_IP:
+        l3 = 0
+    elif link_type == ETHERNET:
+        if n < 14:
             raise TruncatedPacket("short ethernet header")
         ethertype = (data[12] << 8) | data[13]
+        l3 = 14
+        while ethertype in _VLAN_TPIDS and l3 < 22:
+            if n < l3 + 4:
+                raise TruncatedPacket("short VLAN tag")
+            ethertype = (data[l3 + 2] << 8) | data[l3 + 3]
+            l3 += 4
         if ethertype != ETHERTYPE_IPV4:
             raise NotIPv4(f"ethertype 0x{ethertype:04x}")
-        l3 = 14
-    elif link_type == RAW_IP:
-        l3 = 0
     else:
         raise ValueError(f"unsupported link type {link_type}")
 
-    if len(data) < l3 + 20:
+    if n < l3 + 20:
         raise TruncatedPacket("short IPv4 header")
-    vh = data[l3]
+    vh, total_len, frag_field, proto = _IPV4_FIXED.unpack_from(data, l3)
     if vh >> 4 != 4:
         raise NotIPv4(f"version {vh >> 4}")
     ihl = vh & 0x0F
     if ihl < 5:
         raise TruncatedPacket(f"IHL {ihl} below minimum")
     hdr_len = 4 * ihl
-    total_len = (data[l3 + 2] << 8) | data[l3 + 3]
     if total_len < hdr_len:
         raise TruncatedPacket("total length below header length")
     end = l3 + total_len
-    if len(data) < end:
+    if n < end:
         raise TruncatedPacket("packet shorter than IPv4 total length")
     win = None
     if ihl == 5:
@@ -239,15 +250,12 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
     elif checksum16(data[l3:l3 + hdr_len]) != 0:
         raise BadChecksum("IPv4 header checksum")
 
-    if type(data) is bytes and len(data) == end:
+    if type(data) is bytes and n == end:
         buf, trailer = data, b""
     else:
         buf, trailer = bytes(data[:end]), bytes(data[end:])
-    proto = data[l3 + 9]
     l4 = l3 + hdr_len
-
-    frag_field = ((data[l3 + 6] << 8) | data[l3 + 7]) & 0x3FFF  # MF + offset
-    is_fragment = frag_field != 0
+    is_fragment = (frag_field & 0x3FFF) != 0  # MF + offset
 
     if not is_fragment:
         l4_len = total_len - hdr_len

@@ -21,9 +21,10 @@ class PcapFormatError(ValueError):
 
 class PcapReader:
     """Iterates (data, ts_sec, ts_usec) records of a pcap file of one of the
-    two link types the engine ingests. A record whose ts_usec is not below
-    10^6 is malformed: the engine carries a timestamp as one float and the
-    writer splits it again, so such a record could not leave as it came."""
+    two link types the engine ingests, from one generator that iter() and
+    next() both use. A record whose ts_usec is not below 10^6 is
+    malformed: the engine carries a timestamp as one float and the writer
+    splits it again, so such a record could not leave as it came."""
 
     def __init__(self, path):
         self.f = open(path, "rb")
@@ -44,23 +45,13 @@ class PcapReader:
         if self.link_type not in (RAW_IP, ETHERNET):
             self.f.close()
             raise PcapFormatError(f"unsupported link type {self.link_type}")
-        self._record = struct.Struct(self.endian + "IIII")
+        self._records = _records(self.f, struct.Struct(self.endian + "IIII"))
 
     def __iter__(self):
-        return self
+        return self._records
 
     def __next__(self):
-        hdr = self.f.read(RECORD_HEADER_LEN)
-        if len(hdr) < RECORD_HEADER_LEN:
-            raise StopIteration
-        ts_sec, ts_usec, incl_len, _orig = self._record.unpack(hdr)
-        if ts_usec >= 1_000_000:
-            raise PcapFormatError(f"record timestamp {ts_sec} s {ts_usec} us: "
-                                  "microseconds past 999999")
-        data = self.f.read(incl_len)
-        if len(data) < incl_len:
-            raise PcapFormatError("truncated pcap record")
-        return data, ts_sec, ts_usec
+        return next(self._records)
 
     def close(self):
         self.f.close()
@@ -72,6 +63,25 @@ class PcapReader:
         self.close()
 
 
+def _records(f, record):
+    """The records of the open file `f`, read from just past its global
+    header; `record` is the record header's struct in the file's byte
+    order. A header cut short ends the records."""
+    read, unpack = f.read, record.unpack
+    while True:
+        hdr = read(RECORD_HEADER_LEN)
+        if len(hdr) < RECORD_HEADER_LEN:
+            return
+        ts_sec, ts_usec, incl_len, _orig = unpack(hdr)
+        if ts_usec >= 1_000_000:
+            raise PcapFormatError(f"record timestamp {ts_sec} s {ts_usec} us: "
+                                  "microseconds past 999999")
+        data = read(incl_len)
+        if len(data) < incl_len:
+            raise PcapFormatError("truncated pcap record")
+        yield data, ts_sec, ts_usec
+
+
 class PcapWriter:
     """Writes a little-endian microsecond pcap file."""
 
@@ -80,8 +90,9 @@ class PcapWriter:
         self.f.write(struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, snaplen, link_type))
 
     def write(self, data, ts_sec=0, ts_usec=0):
-        self.f.write(_RECORD_LE.pack(ts_sec, ts_usec, len(data), len(data)))
-        self.f.write(data)
+        """One buffered write per record: its header, then its bytes."""
+        n = len(data)
+        self.f.write(_RECORD_LE.pack(ts_sec, ts_usec, n, n) + data)
 
     def close(self):
         self.f.close()

@@ -280,7 +280,10 @@ class Engine:
         # that expired before the vector is gone for all of them, whatever
         # the vector size
         conn.purge(now)
-        results = classify_vector(pkts, snap, conn, now, match_tables(pkts, snap))
+        # no packet can have or open a connection while the table is empty
+        # and no rule is stateful, so none is looked up
+        tracked = conn if snap.stateful or len(conn) else None
+        results = classify_vector(pkts, snap, tracked, now, match_tables(pkts, snap))
         t1 = time.perf_counter_ns()
         stats["classify"].observe(len(pkts), t1 - t0)
         counters["table_probes"] += len(snap.tables) * len(pkts)
@@ -326,6 +329,10 @@ class Engine:
         stats = self.node_stats
         counters = self.counters
         V = self.config.vector_size
+        link_type = self.config.link_type
+        # the module's parser, read once per stream and not at import, so a
+        # tracer that wraps it is the one called
+        parse = parse_packet
         vec = []
         packets_in = forwarded = dropped = rewritten = 0
 
@@ -372,12 +379,11 @@ class Engine:
         for data, ts_sec, ts_usec in source:
             packets_in += 1
             n += 1
+            ts = ts_sec + ts_usec / 1e6
             try:
-                pkt = parse_packet(data, self.config.link_type,
-                                   trace_id=packets_in - 1,
-                                   ts=ts_sec + ts_usec / 1e6)
+                pkt = parse(data, link_type, packets_in - 1, ts)
             except NotIPv4:
-                if self.config.link_type == ETHERNET:
+                if link_type == ETHERNET:
                     # non-IP frames never enter the engine; they pass
                     # through unparsed, in arrival order, after the
                     # packets already waiting in vectors
@@ -385,8 +391,7 @@ class Engine:
                     counters["bypass_non_ip"] += 1
                     flush()
                     output([PacketBuffer(bytes(data), 0, 0, 0, 0,
-                                         trace_id=packets_in - 1,
-                                         ts=ts_sec + ts_usec / 1e6)])
+                                         trace_id=packets_in - 1, ts=ts)])
                     n = 0
                     t0 = time.perf_counter_ns()
                     continue

@@ -464,11 +464,3 @@ def format_rule(rule):
         elif t.kind == SHUFFLE:
             parts += ["shuffle", t.field.name]
     return " ".join(parts)
-
-
-def format_command(cmd):
-    if cmd.verb in ("add", "add-stateful"):
-        return f"mmb {cmd.verb} {format_rule(cmd.rule)}"
-    if cmd.verb == "del":
-        return f"mmb del {cmd.rule_id}"
-    return f"mmb {cmd.verb}"

@@ -490,6 +490,58 @@ def test_tracked_flow_over_ethernet_matches_raw_ip(proto, ihl):
         assert parse_packet(got).five_tuple()[:4] == want
 
 
+# an 802.1Q tag (VLAN 10), and an 802.1ad outer tag (VLAN 100) before it
+VLAN_TAGS = {18: b"\x81\x00\x00\x0a", 22: b"\x88\xa8\x00\x64\x81\x00\x00\x0a"}
+TAGGED_RULE_SETS = {
+    "plain": [],
+    "drop": ["mmb add tcp-dport 80 drop", "mmb add udp-dport 80 drop"],
+    "snat": ["mmb add-stateful ip-saddr 10.0.0.0/24 shuffle tcp-sport "
+             "shuffle udp-sport mod ip-saddr 200.0.0.1"],
+}
+
+
+@pytest.mark.parametrize("rules", sorted(TAGGED_RULE_SETS))
+@pytest.mark.parametrize("l3", sorted(VLAN_TAGS))
+@pytest.mark.parametrize("ihl", [5, 6])
+@pytest.mark.parametrize("proto", [ref.TCP, ref.UDP])
+def test_tagged_flow_matches_raw_ip(proto, ihl, l3, rules):
+    """A two-way flow in single- (L3 offset 18) and double-tagged (22)
+    Ethernet frames: the same packets are dropped as on a RAW-IP link, and
+    each output frame is the MACs, the tags and the IPv4 ethertype followed
+    by what a RAW-IP engine emits for the same datagram, with valid
+    checksums."""
+    head = ETH_HEADER[:12] + VLAN_TAGS[l3] + ETH_HEADER[12:]
+    raw, eth = (Engine(EngineConfig(link_type=link)) for link in (RAW_IP, ETHERNET))
+    for engine in (raw, eth):
+        engine.add_commands(TAGGED_RULE_SETS[rules])
+
+    def run(datagrams):
+        raw_out, eth_out = [], []
+        raw_report = raw.run_stream(iter([(d, 0, 0) for d in datagrams]), raw_out)
+        eth_report = eth.run_stream(iter([(head + d, 0, 0) for d in datagrams]),
+                                    eth_out)
+        assert eth_report.dropped == raw_report.dropped
+        assert eth_report.counters["bypass_non_ip"] == 0
+        assert eth_out == [head + r for r in raw_out]
+        for e in eth_out:
+            assert ref.verify_packet_checksums(e, l3=l3)
+        return raw_out
+
+    first = _build(proto, CLIENT, 64, FIRST_IDENT, b"", ihl)
+    out = run([first])
+    post = parse_packet(out[0]).five_tuple()[:4] if out else CLIENT
+    flow = []
+    for i, payload in enumerate((b"", b"x", b"data" * 50)):
+        flow += [_build(proto, CLIENT, 64, FIRST_IDENT + 1 + i, payload, ihl),
+                 _build(proto, _swap(post), 64, 9 + i, payload, ihl)]
+    out = run(flow)
+    assert len(out) == {"plain": 6, "drop": 3, "snat": 6}[rules]
+    if rules == "snat":
+        assert post[0] == 0xC8000001
+        assert [parse_packet(d).five_tuple()[:4] for d in out] == \
+            [post, _swap(CLIENT)] * 3
+
+
 @pytest.mark.parametrize("direction", ["fwd", "rev"])
 @pytest.mark.parametrize("proto", [ref.TCP, ref.UDP])
 def test_session_checksum_landing_on_zero(proto, direction, monkeypatch):

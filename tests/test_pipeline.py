@@ -247,6 +247,32 @@ def test_ethernet_bypass_list_sink_keeps_order():
     assert ref.ref_read(out[0], "tcp-dport", l3=14) == 443
 
 
+def _tagged(frame, *tags):
+    """`frame` with 802.1Q/802.1ad tags (TPID, VLAN id) after its MACs."""
+    return frame[:12] + b"".join(t.to_bytes(2, "big") + v.to_bytes(2, "big")
+                                 for t, v in tags) + frame[12:]
+
+
+def test_tagged_ssh_is_dropped_and_tagged_arp_bypasses():
+    engine = fresh_engine(link_type=ETHERNET)
+    engine.add_commands(["mmb add tcp-dport 22 drop"])
+    ssh, web = _frame(ref.tcp_packet(dport=22)), _frame(ref.tcp_packet(dport=80))
+    q, qinq = [(0x8100, 10)], [(0x88A8, 100), (0x8100, 10)]
+    frames = [ssh, _tagged(ssh, *q), _tagged(ssh, *qinq),
+              _tagged(web, *q), _tagged(web, *qinq),
+              _tagged(ARP, *q), _tagged(ARP, *qinq),
+              # a third tag is not looked behind
+              _tagged(ssh, *qinq, (0x8100, 20)),
+              # a frame cut inside its tag
+              _tagged(ssh, *q)[:16]]
+    out = []
+    report = engine.run_stream(as_source(frames), out)
+    assert out == frames[3:8]
+    assert report.dropped == 4 and report.counters["verdict_drops"] == 3
+    assert report.counters["parse_error_drops"] == 1
+    assert report.counters["bypass_non_ip"] == 3
+
+
 def test_pcap_out_round_trip_keeps_arp(tmp_path):
     records = [(_frame(ref.tcp_packet(sport=1000 + i)), i, 250)
                for i in range(3)]
@@ -569,22 +595,28 @@ ETH_HEADER = b"\xaa" * 6 + b"\xbb" * 6
 @st.composite
 def engine_inputs(draw):
     """(link type, rule lines, frames): arbitrary bytes mixed with pool
-    packets (on Ethernet, framed as IPv4 or as a non-IP ethertype), against
-    a random rule set that may carry the SNAT rule."""
+    packets (on Ethernet, framed as IPv4, behind one to three VLAN tags,
+    or as a non-IP ethertype), against a random rule set that may carry
+    the SNAT rule."""
     link = draw(st.sampled_from([RAW_IP, ETHERNET]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     lines = oracle.random_ruleset(rng, draw(st.integers(0, 30)))
     if draw(st.booleans()):
         lines.append(SNAT_RULE)
     frames = []
-    kinds = st.sampled_from(["bytes", "ipv4", "ipv4", "non-ip"])
+    kinds = st.sampled_from(["bytes", "ipv4", "ipv4", "non-ip", "tagged"])
     for kind in draw(st.lists(kinds, max_size=40)):
         if kind == "bytes":
             frames.append(draw(st.binary(max_size=80)))
             continue
         raw = oracle.random_pool_packet(rng)
         if link == ETHERNET:
-            raw = ETH_HEADER + (b"\x08\x00" if kind == "ipv4" else b"\x08\x06") + raw
+            tags = b""
+            if kind == "tagged":
+                tags = draw(st.sampled_from([b"\x81\x00\x00\x0a",
+                                             b"\x88\xa8\x00\x64\x81\x00\x00\x0a",
+                                             b"\x81\x00\x00\x0a" * 3]))
+            raw = ETH_HEADER + tags + (b"\x08\x06" if kind == "non-ip" else b"\x08\x00") + raw
         frames.append(raw)
     return link, lines, frames
 
@@ -788,3 +820,104 @@ def test_connection_stage_is_independent_of_vector_size(rules, capacity, ports,
         for V in (7, 256):
             assert engines[V].counters == engines[1].counters
             assert _conn_state(engines[V]) == _conn_state(engines[1])
+
+
+# ------------------ the connection probe, skipped where it cannot matter
+
+PROBE_SNAT = ("mmb add-stateful ip-saddr 10.0.0.0/24 shuffle tcp-sport "
+              "shuffle udp-sport mod ip-saddr 200.0.0.1")
+PROBE_STATELESS = ["mmb add tcp-dport 22 drop", "mmb add tcp-dport 80 mod ip-ttl 9",
+                   "mmb add tcp-opt-mss drop"]  # the last is maskless
+
+
+def _counted_lookups(monkeypatch):
+    """The packets ConnTable.lookup is called with, from now on."""
+    from midbox.conntrack import ConnTable
+    calls = []
+    lookup = ConnTable.lookup
+
+    def counted(self, pkt, now):
+        calls.append(pkt)
+        return lookup(self, pkt, now)
+    monkeypatch.setattr(ConnTable, "lookup", counted)
+    return calls
+
+
+def test_connection_probe_runs_only_while_a_packet_can_be_tracked(monkeypatch):
+    calls = _counted_lookups(monkeypatch)
+    engine = fresh_engine()
+    engine.add_commands(PROBE_STATELESS)
+    client = (0x0A000005, 0xC6336401, 40000, 80)
+    fwd = ref.tcp_packet(*client)
+    engine.run_stream(as_source([fwd] * 3 + corpus(5, 40)))
+    assert calls == []
+
+    rid = int(engine.execute_line(PROBE_SNAT).split()[-1])
+    out = []
+    engine.run_stream(as_source([fwd]), out)
+    post = parse_packet(out[0]).five_tuple()[:4]
+    assert post[0] == 0xC8000001 and len(calls) == 1
+    out = []
+    report = engine.run_stream(as_source([ref.tcp_packet(*_swap4(post))]), out)
+    assert report.rewritten == 1 and len(calls) == 2
+    assert parse_packet(out[0]).five_tuple()[:4] == _swap4(client)
+
+    assert engine.execute_line(f"mmb del {rid}") == f"deleted rule {rid}"
+    assert len(engine.conn) == 0
+    del calls[:]
+    engine.run_stream(as_source([fwd, ref.tcp_packet(*_swap4(post))] + corpus(6, 40)))
+    assert calls == []
+
+
+def _swap4(t4):
+    return (t4[1], t4[0], t4[3], t4[2])
+
+
+def _reply(data):
+    """A TCP ACK or UDP packet answering the RAW-IP packet `data`, with a
+    TTL no rule of random_ruleset drops."""
+    t4 = ref.ref_read(data, "ip-saddr"), ref.ref_read(data, "ip-daddr")
+    l4 = 4 * (data[0] & 0x0F)
+    ports = int.from_bytes(data[l4:l4 + 2], "big"), int.from_bytes(data[l4 + 2:l4 + 4], "big")
+    build = ref.tcp_packet if data[9] == ref.TCP else ref.udp_packet
+    return build(t4[1], t4[0], ports[1], ports[0], ttl=200)
+
+
+@pytest.mark.parametrize("V", [1, 7, 256])
+def test_skipped_probe_changes_no_output(V, monkeypatch):
+    """Stateless rules, then a stateful rule added between vectors with
+    replies to its flows, then the rule deleted: the same outputs,
+    dispositions, counters and connections as an engine that looks every
+    packet up."""
+    import midbox.pipeline
+    from midbox.classifier import classify_vector
+    blobs = corpus(11, 300)
+    lines = PROBE_STATELESS + oracle.random_ruleset(random.Random(12), 30)
+
+    def run(engine):
+        engine.add_commands(lines)
+        seen = []
+
+        def stream(source):
+            out = []
+            report = engine.run_stream(as_source(source), out)
+            seen.append((out, report.dropped, report.rewritten, report.counters))
+            return out
+
+        stream(blobs)
+        rid = int(engine.execute_line(PROBE_SNAT).split()[-1])
+        out = stream(blobs)
+        stream([_reply(d) for d in out if d[9] in (ref.TCP, ref.UDP)])
+        seen.append(_conn_state(engine))
+        engine.execute_line(f"mmb del {rid}")
+        stream(blobs)
+        return seen
+
+    skipping = run(fresh_engine(vector_size=V))
+    probing = fresh_engine(vector_size=V)
+    monkeypatch.setattr(midbox.pipeline, "classify_vector",
+                        lambda pkts, snap, conn, now, hits: classify_vector(
+                            pkts, snap, probing.conn, now, hits))
+    assert run(probing) == skipping
+    # the stateful phase tracked flows and saw replies to them
+    assert any(pkts[1] for *_, pkts, _ in skipping[3])

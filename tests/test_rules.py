@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midbox import (CommandError, Engine, SemanticError, TypeMismatch,
-                    UnknownField, format_command, parse_command)
+                    UnknownField, format_rule, parse_command)
 from midbox.errors import CommandSyntaxError
 from midbox.fields import FLAG, OPT, PAYLOAD, REGISTRY
 from midbox.rules import ADD_OPT, EQ, MOD, PRESENT, SHUFFLE, STRIP_EXCEPT
@@ -15,6 +15,15 @@ from midbox.rules import ADD_OPT, EQ, MOD, PRESENT, SHUFFLE, STRIP_EXCEPT
 
 def rule_of(line):
     return parse_command(line).rule
+
+
+def format_command(cmd):
+    """A parsed command printed back as `mmb ...` text."""
+    if cmd.verb in ("add", "add-stateful"):
+        return f"mmb {cmd.verb} {format_rule(cmd.rule)}"
+    if cmd.verb == "del":
+        return f"mmb del {cmd.rule_id}"
+    return f"mmb {cmd.verb}"
 
 
 def test_port_rewrite_rule():
