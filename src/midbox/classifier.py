@@ -39,12 +39,11 @@ table hits plus the maskless rules. `classify` is its one-packet case.
 from operator import eq, ge, gt, is_not, le, lt, ne
 
 from .conntrack import FWD, OUT_OF_PORTS, TABLE_FULL
-from .fields import (FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP,
-                     PROTO_UDP, fold, prefix_mask)
+from .fields import (FIXED, FLAG, HDR, L3, L4, OPT, PAYLOAD, PROTO_ICMP,
+                     PROTO_TCP, PROTO_UDP, fold, prefix_mask)
 from .packet import options_map
 from .rewrite import compile_targets
-from .rules import (EQ, GEQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP,
-                    _match_is_foldable, tuple_writes)
+from .rules import EQ, GEQ, GT, LEQ, LT, NEQ, PRESENT, DROP as T_DROP, tuple_writes
 
 # where fold's header integers sit in the window: the IPv4 header at byte
 # 0, the transport header right after it
@@ -143,6 +142,12 @@ def compile_match(m):
     return _span(fd, op, val, (1 << fd.width) - 1)
 
 
+def _match_is_foldable(m):
+    """True when the match can live entirely in a classification mask/key:
+    a non-negated equality on a fixed span, or a set-flag presence bit."""
+    return not m.negated and (m.field.kind, m.cond) in ((FIXED, EQ), (FLAG, PRESENT))
+
+
 def _fold_matches(rule):
     """(shift, mask, key, residue, never): the rule's foldable matches
     folded into a table shift and a mask and key shifted by it (mask 0 when
@@ -229,25 +234,27 @@ class CompiledRule:
     """One rule prepared for execution: table shift, mask and key, match
     test, writers.
 
-    `residue` holds the matches the mask could not fold, and `test` is the
-    rule's protocol gate and residue compiled into one predicate; it runs
+    `test` is the rule's protocol gate and its residue, the matches the
+    mask could not fold, compiled into one predicate; it runs
     on packets that hit the rule's table entry, or on every packet for a
     maskless rule (mask 0). `writers` are the rule's rewrite writers and
     `own_writers` the ones for the forward packets of its own connections
-    (compile_targets with `session`); each is () when the rule writes
-    nothing."""
+    (compile_targets with `session`), the same unless the rule is stateful
+    and `translates`, writes the tuple (rules.tuple_writes); each is ()
+    when the rule writes nothing."""
 
-    __slots__ = ("rule", "shift", "mask", "key", "residue", "test",
-                 "writers", "own_writers", "drop", "never")
+    __slots__ = ("rule", "shift", "mask", "key", "test", "writers",
+                 "own_writers", "drop", "never", "translates")
 
     def __init__(self, rule):
         self.rule = rule
         self.shift, self.mask, self.key, residue, self.never = _fold_matches(rule)
-        self.residue = _options_last(residue)
-        self.test = _rule_test(rule.proto_req, self.residue)
+        self.test = _rule_test(rule.proto_req, _options_last(residue))
         self.drop = any(t.kind == T_DROP for t in rule.targets)
+        self.translates = bool(tuple_writes(rule))
         self.writers = compile_targets(rule)
-        self.own_writers = compile_targets(rule, True) if rule.stateful else self.writers
+        self.own_writers = (compile_targets(rule, True)
+                            if rule.stateful and self.translates else self.writers)
 
 
 class ClassifierTable:
@@ -446,15 +453,14 @@ def _rule_id(cr):
 
 
 def _owner(a, b):
-    """Of two stateful rules a packet matched, the one to own its
+    """Of two compiled stateful rules a packet matched, the one to own its
     connection: one that translates the tuple before one that does not,
     then the lower id. Otherwise a rule that only tracks would take a flow
     that another rule's address rewrite then sends out unshuffled and
     leaves its replies untranslated."""
-    ta, tb = bool(tuple_writes(a)), bool(tuple_writes(b))
-    if ta != tb:
-        return a if ta else b
-    return a if a.id < b.id else b
+    if a.translates != b.translates:
+        return a if a.translates else b
+    return a if a.rule.id < b.rule.id else b
 
 
 def _by_rules(pkt, matched, entry, direction, conn, now):
@@ -470,13 +476,13 @@ def _by_rules(pkt, matched, entry, direction, conn, now):
         if cr.drop:
             drop = True
         if rule.stateful:
-            owner = rule if owner is None else _owner(owner, rule)
+            owner = cr if owner is None else _owner(owner, cr)
     if len(matched) > 1:
         matched = sorted(matched, key=_rule_id)
     if drop:
         return DROP, matched, entry, direction
     if owner is not None and entry is None and conn is not None:
-        entry = conn.insert(pkt, owner, now)
+        entry = conn.insert(pkt, owner.rule, now)
         if entry is OUT_OF_PORTS or entry is TABLE_FULL:
             return DROP, matched, None, None
         direction = FWD if entry is not None else None

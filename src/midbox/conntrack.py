@@ -64,13 +64,14 @@ class TimeoutPolicy:
 
 
 class DynamicBinding(NamedTuple):
-    """A drawn value of a field outside the tuple, what it replaced, and
-    the byte spans (fields.byte_span) that write each into a packet."""
+    """A drawn value of a field outside the tuple, what it replaced, the
+    byte spans (fields.byte_span) that write each, and its pool."""
     field: object
     original: int
     rewritten: int
     fwd: tuple
     rev: tuple
+    pool: object
 
 
 def quad_key(q, proto):
@@ -98,19 +99,17 @@ class Plan:
     field outside it), a shuffle draws its value from the pool and a mod has
     it given. Only the last write to a tuple position is kept. `bound` is
     the quad mask of the positions the steps write, `mirror` the same mask
-    for reverse packets; `translates` says whether the rule binds anything
-    for any protocol."""
+    for reverse packets."""
 
-    __slots__ = ("steps", "bound", "mirror", "translates")
+    __slots__ = ("steps", "bound", "mirror")
 
-    def __init__(self, steps, translates):
+    def __init__(self, steps):
         self.steps = steps
         self.bound = 0
         for _, shift, width, _, _ in steps:
             if shift is not None:
                 self.bound |= width << shift
         self.mirror = mirror(self.bound)
-        self.translates = translates
 
 
 class ConnEntry:
@@ -174,6 +173,28 @@ class _ShuffleAlloc:
         self.in_use.discard(v)
 
 
+class RuleRecord(NamedTuple):
+    """A stateful rule's share of the table, made on its first insert and
+    dropped whole when the rule is deleted: its Plan per protocol, its
+    shuffle pools by field name (one pool serves both protocols' plans),
+    its flows by key, and whether it binds anything for any protocol."""
+    plans: dict
+    pools: dict
+    flows: dict
+    translates: bool
+
+
+def _release(steps, post, extra):
+    """Return the values `steps` drew to their pools: a tuple field's from
+    the translated quad `post`, any other field's from its binding in
+    `extra`."""
+    for _, shift, width, pool, _ in steps:
+        if pool is not None and shift is not None:
+            pool.release(post >> shift & width)
+    for b in extra:
+        b.pool.release(b.rewritten)
+
+
 class ConnTable:
     """The engine's connection table. `lookup` is the one place a packet
     becomes its connection entry and direction."""
@@ -186,9 +207,7 @@ class ConnTable:
         self.shuffle_range = shuffle_range
         self._entries = {}
         self._alias = {}
-        self._allocs = {}
-        self._plans = {}  # (rule id, protocol) -> Plan
-        self._by_rule = {}  # rule id -> {key: entry}
+        self._records = {}  # rule id -> RuleRecord
         self._heap = []  # (deadline, key); an item not its entry's due is stale
         self.full_drops = 0
         self.out_of_ports = 0
@@ -256,12 +275,13 @@ class ConnTable:
         existing = self._entries.get(k) or self._alias.get(k)
         if existing is not None:
             return existing
-        plan = self._plans.get((rule.id, proto))
-        if plan is None:
-            plan = self._plans[rule.id, proto] = self._plan(rule, proto)
+        record = self._records.get(rule.id)
+        if record is None:
+            record = self._records[rule.id] = self._record(rule)
+        plan = record.plans[proto]
         if len(self._entries) >= self.capacity:
             self.full_drops += 1
-            return TABLE_FULL if plan.translates else None
+            return TABLE_FULL if record.translates else None
 
         extra = ()
         post = q
@@ -274,12 +294,12 @@ class ConnTable:
             if alloc is not None:
                 value = alloc.allocate()
                 if value is None:
-                    self._release(rule.id, steps[:n], post, extra)
+                    _release(steps[:n], post, extra)
                     self.out_of_ports += 1
                     return OUT_OF_PORTS
             if shift is None:
                 extra += (DynamicBinding(fd, orig, value, byte_span(*fold(fd, value)),
-                                         byte_span(*fold(fd, orig))),)
+                                         byte_span(*fold(fd, orig)), alloc),)
             else:
                 post = post & ~(width << shift) | value << shift
 
@@ -292,45 +312,55 @@ class ConnTable:
                 self.remove(other)
                 other = None
             if other is not None:
-                self._release(rule.id, steps, post, extra)
+                _release(steps, post, extra)
                 self.out_of_ports += 1
                 return OUT_OF_PORTS
             self._alias[tk] = entry
         entry.pkts[0] = 1
         entry.octets[0] = len(pkt.data) - pkt.l3_offset
         self._entries[k] = entry
-        self._by_rule.setdefault(rule.id, {})[k] = entry
+        record.flows[k] = entry
         entry.due = now + self._timeout[entry.state]
         heappush(self._heap, (entry.due, k))
         return entry
 
-    def _plan(self, rule, proto):
-        """The Plan of `rule` for flows of protocol `proto`."""
+    def _record(self, rule):
+        """A new RuleRecord for `rule`: a pool per shuffled field, seeded by
+        the table's seed, the rule's id and the field's name, and the TCP
+        and UDP Plans that draw from them."""
+        lo, hi = self.shuffle_range
+        pools = {}
+        for t in rule.targets:
+            if t.kind == SHUFFLE:
+                top = (1 << t.field.width) - 1
+                # a field too narrow for the range draws from its whole space
+                pools[t.field.name] = _ShuffleAlloc(
+                    f"{self.shuffle_seed}:{rule.id}:{t.field.name}",
+                    *((0, top) if lo > top else (lo, min(hi, top))))
         writes = tuple_writes(rule)
-        steps = []
-        for t in writes:
-            fd = t.field
-            if fd.proto is not None and fd.proto != proto:
-                continue
-            shift = QUAD_SHIFT.get(fd.name)
-            if shift is not None:
-                steps = [s for s in steps if s[1] != shift]
-            steps.append((fd, shift, t.kind, t.value))
-        return Plan(tuple((fd, shift, (1 << fd.width) - 1,
-                           self._alloc_for(rule.id, fd) if kind == SHUFFLE else None,
-                           value)
-                          for fd, shift, kind, value in steps), bool(writes))
+        plans = {}
+        for proto in (PROTO_TCP, PROTO_UDP):
+            steps = []
+            for t in writes:
+                fd = t.field
+                if fd.proto is not None and fd.proto != proto:
+                    continue
+                shift = QUAD_SHIFT.get(fd.name)
+                if shift is not None:
+                    steps = [s for s in steps if s[1] != shift]
+                steps.append((fd, shift, (1 << fd.width) - 1,
+                              pools[fd.name] if t.kind == SHUFFLE else None, t.value))
+            plans[proto] = Plan(tuple(steps))
+        return RuleRecord(plans, pools, {}, bool(writes))
 
     def update_state(self, entry, flags, direction):
         """Simplified TCP machine: RST closes; a first FIN enters FIN_WAIT;
         FIN+ACK from the other side closes; an ACK without SYN establishes.
         No transition leaves CLOSED. A transition that moves the deadline
         earlier pushes the new one on the sweep heap."""
-        if entry.proto != PROTO_TCP:
-            return entry
         s = entry.state
-        if s == CLOSED:
-            return entry
+        if entry.proto != PROTO_TCP or s == CLOSED:
+            return
         if flags & RST:
             entry.state = CLOSED
         elif flags & FIN:
@@ -347,7 +377,6 @@ class ConnTable:
             if due < entry.due:
                 entry.due = due
                 heappush(self._heap, (due, entry.key))
-        return entry
 
     def purge(self, now, budget=None):
         """Expiry sweep: pops the heap while its head is due before `now`,
@@ -375,56 +404,28 @@ class ConnTable:
                 heappush(heap, (due, key))
         return removed
 
-    def _alloc_for(self, rule_id, fd):
-        key = (rule_id, fd.name)
-        alloc = self._allocs.get(key)
-        if alloc is None:
-            lo, hi = self.shuffle_range
-            top = (1 << fd.width) - 1
-            # a field too narrow for the range draws from its whole space
-            lo, hi = (0, top) if lo > top else (lo, min(hi, top))
-            alloc = _ShuffleAlloc(f"{self.shuffle_seed}:{rule_id}:{fd.name}", lo, hi)
-            self._allocs[key] = alloc
-        return alloc
-
     def forget_rule(self, rule):
-        """Release a deleted rule: drop its plans and shuffle pools, and
-        remove its connections, in time linear in their number. Their heap
-        items go stale, unless the table is left empty: then every item is,
-        and the heap is emptied."""
-        self._plans.pop((rule.id, PROTO_TCP), None)
-        self._plans.pop((rule.id, PROTO_UDP), None)
-        for t in rule.targets:
-            if t.kind == SHUFFLE:
-                self._allocs.pop((rule.id, t.field.name), None)
-        for e in self._by_rule.pop(rule.id, {}).values():
-            self.remove(e)
+        """Release a deleted rule: pop its record, and with it its plans
+        and shuffle pools, and remove its flows, in time linear in their
+        number. Their heap items go stale, unless the table is left empty:
+        then every item is, and the heap is emptied."""
+        record = self._records.pop(rule.id, None)
+        if record is not None:
+            for e in record.flows.values():
+                self.remove(e)
         if not self._entries:
             self._heap.clear()
 
     def remove(self, entry):
         self._entries.pop(entry.key, None)
-        self._by_rule.get(entry.rule_id, {}).pop(entry.key, None)
+        record = self._records.get(entry.rule_id)
+        if record is not None:
+            record.flows.pop(entry.key, None)
         # a later flow may have taken over the translated key
         if entry.trans_key != entry.key and self._alias.get(entry.trans_key) is entry:
             del self._alias[entry.trans_key]
         if entry.plan is not None:
-            self._release(entry.rule_id, entry.plan.steps, entry.post_q, entry.extra)
-
-    def _release(self, rule_id, steps, post, extra):
-        """Return the values `steps` drew to their pools: a tuple field's
-        from the translated quad `post`, any other field's from its binding
-        in `extra`."""
-        allocs = self._allocs
-        for fd, shift, width, alloc, _ in steps:
-            if alloc is not None and shift is not None:
-                pool = allocs.get((rule_id, fd.name))
-                if pool is not None:
-                    pool.release(post >> shift & width)
-        for b in extra:
-            pool = allocs.get((rule_id, b.field.name))
-            if pool is not None:
-                pool.release(b.rewritten)
+            _release(entry.plan.steps, entry.post_q, entry.extra)
 
     def entries(self):
         return list(self._entries.values())

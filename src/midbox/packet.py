@@ -18,7 +18,7 @@ and integer, for matches, beside the walk in wire order, for edits.
 
 import struct
 
-from .errors import BadChecksum, NotIPv4, TruncatedPacket
+from .errors import BadChecksum, NotIPv4, PacketError, TruncatedPacket
 from .fields import HDR, L4, OPT, PAYLOAD, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 RAW_IP = 101  # pcap LINKTYPE_RAW
@@ -202,7 +202,8 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
     IPv4 ethertype; they move the IPv4 header to byte 18 or 22 and leave
     as they came. Raises NotIPv4 / TruncatedPacket / BadChecksum; callers
     turn these into drop or bypass dispositions instead of passing bad
-    packets downstream.
+    packets downstream. Behind an IPv4 ethertype a version other than 4 is
+    a plain PacketError, a drop: only a frame that claims no IPv4 bypasses.
     """
     n = len(data)
     if not n:
@@ -228,7 +229,7 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
         raise TruncatedPacket("short IPv4 header")
     vh, total_len, frag_field, proto = _IPV4_FIXED.unpack_from(data, l3)
     if vh >> 4 != 4:
-        raise NotIPv4(f"version {vh >> 4}")
+        raise (PacketError if l3 else NotIPv4)(f"version {vh >> 4}")
     ihl = vh & 0x0F
     if ihl < 5:
         raise TruncatedPacket(f"IHL {ihl} below minimum")

@@ -242,13 +242,17 @@ class Engine:
             return f"error: {e}"
 
     def list_rules_text(self):
+        """One line per rule, tagged by where the rule set placed it:
+        `[fast-path]` in a mask table, `[never]` nowhere (its equalities
+        contradict each other), no tag among the maskless rules."""
         if not self.rules:
             return "no rules"
         lines = []
         for rid in sorted(self.rules):
             r = self.rules[rid]
+            cr = self.snapshot.by_id[rid]
             verb = "add-stateful" if r.stateful else "add"
-            tag = " [fast-path]" if r.fast_path_eligible else ""
+            tag = " [never]" if cr.never else " [fast-path]" if cr.mask else ""
             lines.append(f"{rid}: mmb {verb} {format_rule(r)}{tag} hits={r.hits}")
         return "\n".join(lines)
 

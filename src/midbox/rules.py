@@ -80,7 +80,6 @@ class Rule:
     targets: list
     stateful: bool = False
     id: int | None = None
-    fast_path_eligible: bool = False
     proto_req: int | None = None  # implied by protocol-specific fields
     hits: int = 0
 
@@ -373,16 +372,6 @@ def _implied_protos(rule):
     return transport, explicit
 
 
-def _match_is_foldable(m):
-    """True when the match can live entirely in a classification mask/key:
-    a non-negated equality on a fixed span, or a set-flag presence bit."""
-    if m.field.kind == FLAG and m.cond == PRESENT and not m.negated:
-        return True
-    if m.field.kind == FIXED and m.cond == EQ and not m.negated:
-        return True
-    return False
-
-
 def tuple_writes(rule):
     """The targets of `rule` that translate the connection tuple: its
     shuffles and its mods of TUPLE_FIELDS."""
@@ -391,7 +380,7 @@ def tuple_writes(rule):
 
 
 def validate_rule(rule):
-    """Semantic validation; computes fast_path_eligible and proto_req."""
+    """Semantic validation; computes proto_req."""
     kinds = [t.kind for t in rule.targets]
     if DROP in kinds and len(rule.targets) > 1:
         raise SemanticError("a drop rule cannot carry other targets")
@@ -408,8 +397,6 @@ def validate_rule(rule):
         names = sorted(PROTO_NAMES.get(p, str(p)) for p in transport | explicit)
         raise SemanticError(f"rule mixes fields of different protocols: {names}")
     rule.proto_req = next(iter(transport)) if transport else None
-
-    rule.fast_path_eligible = all(map(_match_is_foldable, rule.matches))
     return rule
 
 

@@ -17,7 +17,6 @@ from .rulegen import (SNAT_RULE, STRIP_EXCEPT_RULE, firewall_rules,
 from .traffic import TrafficProfile, build_ipv4_tcp, generate_traffic, make_flows
 
 NAT_PUBLIC_ADDR = 0xC8000001  # 200.0.0.1
-NAT_SPORT_RANGE = (1024, 65535)
 # packets per mask-limit round, rounded down to whole vectors
 _ROUND_PACKETS = 2048
 
@@ -143,7 +142,7 @@ def scenario_nat(flows=1000, data_packets=2, seed=0, vector_size=256):
                              server_port=80, options="none")
     specs = make_flows(profile)
 
-    lo, hi = NAT_SPORT_RANGE
+    lo, hi = engine.config.shuffle_range
     payload = b"\x42" * 100
     emitted = []
     state = [{"f": f, "seq_c": f.isn_c, "seq_s": f.isn_s, "tsp": None}

@@ -1,9 +1,11 @@
 """The IPv4 parser as it stood before it read the fixed header fields in
 one struct read and skipped VLAN tags, kept verbatim as the reference the
 differential tests (test_parse_differential.py) hold `parse_packet` to.
-Only its imports are new."""
+Only its imports are new, and one change since: an Ethernet frame with the
+IPv4 ethertype whose version is not 4 raises a plain PacketError (a drop)
+rather than NotIPv4 (a bypass), as `parse_packet` does."""
 
-from midbox.errors import BadChecksum, NotIPv4, TruncatedPacket
+from midbox.errors import BadChecksum, NotIPv4, PacketError, TruncatedPacket
 from midbox.fields import HDR, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from midbox.packet import ETHERNET, ETHERTYPE_IPV4, RAW_IP, PacketBuffer, checksum16
 
@@ -32,7 +34,7 @@ def parse_packet(data, link_type=RAW_IP, trace_id=None, ts=0.0):
         raise TruncatedPacket("short IPv4 header")
     vh = data[l3]
     if vh >> 4 != 4:
-        raise NotIPv4(f"version {vh >> 4}")
+        raise (PacketError if l3 else NotIPv4)(f"version {vh >> 4}")
     ihl = vh & 0x0F
     if ihl < 5:
         raise TruncatedPacket(f"IHL {ihl} below minimum")

@@ -356,7 +356,10 @@ def test_shuffle_values_unique_and_released():
         entries.append(conn.insert(pkt, rule, 0.0))
     ports = [tuple_of(e.post_q)[2] for e in entries]
     assert len(set(ports)) == len(ports) == 300
+    pool = conn._records[1].pools["tcp-sport"]
+    assert pool.allocate() is None
     conn.remove(entries[0])
+    assert pool.in_use == set(ports[1:])
     pkt = tcp_pkt(saddr=0x0A00F001, daddr=0x0A800001, sport=9999, dport=80,
                   flags=ref.SYN)
     e = conn.insert(pkt, rule, 0.0)
@@ -377,7 +380,7 @@ def test_out_of_ports_tracks_nothing_and_returns_taken_values():
                        0.0) is OUT_OF_PORTS
     assert conn.out_of_ports == 1
     assert len(conn) == 6
-    assert len(conn._allocs[(1, "tcp-sport")].in_use) == 6
+    assert len(conn._records[1].pools["tcp-sport"].in_use) == 6
 
 
 def test_table_full_policy():

@@ -143,12 +143,23 @@ def test_lowest_id_stateful_rule_owns_new_connection():
     assert engine.list_connections_text().endswith("rule=1")
 
 
+TTL_TRACKER = "mmb add-stateful ip-saddr 10.0.0.0/8 mod ip-ttl 63"
+
+
 def test_translating_stateful_rule_owns_the_connection_over_a_lower_id():
     # rule 1 only tracks (a TTL rewrite); rule 2 translates. The flow is
     # rule 2's, so its SYN leaves shuffled and the reply comes back
+    _assert_translating_owner([TTL_TRACKER, SNAT_RULE], 2)
+
+
+def test_translating_stateful_rule_owns_the_connection_over_a_higher_id():
+    # the same rules in the other order: the flow is rule 1's
+    _assert_translating_owner([SNAT_RULE, TTL_TRACKER], 1)
+
+
+def _assert_translating_owner(rules, owner):
     engine = fresh_engine()
-    engine.add_commands(["mmb add-stateful ip-saddr 10.0.0.0/8 mod ip-ttl 63",
-                         SNAT_RULE])
+    engine.add_commands(rules)
     syn = ref.tcp_packet(saddr=0x0A000001, daddr=0xC6336401, sport=5000,
                          dport=80, flags=ref.SYN)
     out = []
@@ -158,7 +169,7 @@ def test_translating_stateful_rule_owns_the_connection_over_a_lower_id():
     assert ref.ref_read(out[0], "ip-ttl") == 63
     port = ref.ref_read(out[0], "tcp-sport")
     assert port != 5000 and port >= engine.config.shuffle_range[0]
-    assert engine.list_connections_text().endswith("rule=2")
+    assert engine.list_connections_text().endswith(f"rule={owner}")
     reply = ref.tcp_packet(saddr=0xC6336401, daddr=0xC8000001, sport=80,
                            dport=port, flags=ref.SYN | ref.ACK)
     back = []
@@ -273,6 +284,22 @@ def test_tagged_ssh_is_dropped_and_tagged_arp_bypasses():
     assert report.counters["bypass_non_ip"] == 3
 
 
+def test_ipv4_ethertype_with_another_version_is_dropped():
+    """A frame whose ethertype says IPv4, untagged or tagged, but whose
+    header is not version 4 is a parse error, not a bypass."""
+    engine = fresh_engine(link_type=ETHERNET)
+    engine.add_commands(["mmb add tcp-dport 22 drop"])
+    v6 = bytearray(ref.tcp_packet(dport=22))
+    v6[0] = 0x65  # version 6
+    bad = _frame(bytes(v6))
+    frames = [bad, _tagged(bad, (0x8100, 10)), ARP, _tagged(ARP, (0x8100, 10))]
+    out = []
+    report = engine.run_stream(as_source(frames), out)
+    assert out == frames[2:]
+    assert report.dropped == report.counters["parse_error_drops"] == 2
+    assert report.counters["bypass_non_ip"] == 2
+
+
 def test_pcap_out_round_trip_keeps_arp(tmp_path):
     records = [(_frame(ref.tcp_packet(sport=1000 + i)), i, 250)
                for i in range(3)]
@@ -341,6 +368,24 @@ def test_execute_line_errors_keep_session():
     assert "tcp-dport 80" in engine.execute_line("mmb list")
 
 
+def test_list_tags_each_rule_where_the_rule_set_placed_it():
+    """`[fast-path]` for a rule in a mask table, `[never]` for one whose
+    equalities contradict each other, no tag for a maskless rule."""
+    engine = fresh_engine()
+    for line in ("mmb add ip-saddr 0.0.0.0/0 drop",
+                 "mmb add tcp-dport 22 tcp-dport 23 drop",
+                 "mmb add tcp-dport 80 drop",
+                 "mmb add tcp-dport > 80 drop"):
+        engine.execute_line(line)
+    assert engine.execute_line("mmb list").splitlines() == [
+        "1: mmb add ip-saddr 0.0.0.0/0 drop hits=0",
+        "2: mmb add tcp-dport 22 tcp-dport 23 drop [never] hits=0",
+        "3: mmb add tcp-dport 80 drop [fast-path] hits=0",
+        "4: mmb add tcp-dport > 80 drop hits=0"]
+    assert engine.execute_line("list tables").splitlines()[0] == \
+        "1 tables, 2 maskless rules"
+
+
 def test_hit_counters_in_list():
     engine = fresh_engine()
     engine.execute_line("mmb add tcp-dport 80 mod tcp-win 9")
@@ -360,7 +405,7 @@ def test_removed_rule_stops_translating_its_connections(removal):
     assert ref.ref_read(out[0], "ip-saddr") == 0xC8000001
     assert "rule=1" in engine.list_connections_text()
     engine.execute_line(removal)
-    assert engine.conn._allocs == {}
+    assert engine.conn._records == {}
     assert engine.list_connections_text() == "no connections"
     out = []
     report = engine.run_stream(as_source([ack]), out)
@@ -504,6 +549,21 @@ def test_deleted_rule_connections_free_their_slots():
     assert "rule=2" in engine.list_connections_text()
 
 
+def test_one_shuffle_pool_serves_a_rules_tcp_and_udp_flows():
+    """A rule's TCP and UDP flows draw their shuffled ip-id from one pool,
+    in one seeded sequence."""
+    engine = fresh_engine()
+    engine.add_commands(["mmb add-stateful ip-saddr 10.0.0.0/8 shuffle ip-id"])
+    pkts = ([ref.tcp_packet(saddr=0x0A000001, sport=1000 + i, flags=ref.SYN)
+             for i in range(3)]
+            + [ref.udp_packet(saddr=0x0A000001, sport=2000 + i) for i in range(3)])
+    out = []
+    engine.run_stream(as_source(pkts), out)
+    assert [ref.ref_read(p, "ip-id") for p in out] == \
+        [14409, 34240, 50077, 37250, 8604, 44148]
+    assert list(engine.conn._records[1].pools) == ["ip-id"]
+
+
 def test_deleted_rules_leave_no_per_rule_state():
     """Adds and deletes of a stateful rule beside an open flow leave the
     table's per-rule state (plans, shuffle pools, flows by rule) holding
@@ -518,9 +578,9 @@ def test_deleted_rules_leave_no_per_rule_state():
         rid = int(added.rsplit(" ", 1)[1])
         assert engine.execute_line(f"mmb del {rid}") == f"deleted rule {rid}"
     conn = engine.conn
-    ids = ({rid for rid, _ in conn._plans} | {rid for rid, _ in conn._allocs}
-           | set(conn._by_rule))
-    assert ids == set(engine.rules) == {1}
+    assert set(conn._records) == set(engine.rules) == {1}
+    assert set(conn._records[1].pools) == {"tcp-sport"}
+    assert len(conn._records[1].flows) == 1
     assert len(conn) == 1
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from midbox import (CommandError, Engine, SemanticError, TypeMismatch,
                     UnknownField, format_rule, parse_command)
+from midbox.classifier import RuleSetSnapshot
 from midbox.errors import CommandSyntaxError
 from midbox.fields import FLAG, OPT, PAYLOAD, REGISTRY
 from midbox.rules import ADD_OPT, EQ, MOD, PRESENT, SHUFFLE, STRIP_EXCEPT
@@ -219,25 +220,34 @@ def test_generic_option_kind():
     assert r2.targets[0].kind == ADD_OPT and r2.targets[0].field.opt_kind == 77
 
 
+def in_table(line):
+    """True when the compiled rule set places the rule of `line` in a mask
+    table, False when among its maskless rules."""
+    rule = rule_of(line)
+    rule.id = 1
+    snap = RuleSetSnapshot([rule])
+    assert len(snap.tables) + len(snap.slow) == 1
+    return bool(snap.tables)
+
+
 def test_eligibility_five_tuple_eq():
-    r = rule_of("mmb add ip-saddr 1.2.3.4 ip-daddr 5.6.7.8 ip-proto tcp "
-                "tcp-sport 1 tcp-dport 2 drop")
-    assert r.fast_path_eligible
+    assert in_table("mmb add ip-saddr 1.2.3.4 ip-daddr 5.6.7.8 ip-proto tcp "
+                    "tcp-sport 1 tcp-dport 2 drop")
 
 
 def test_eligibility_complex_condition():
-    assert not rule_of("mmb add tcp-dport <= 1024 drop").fast_path_eligible
+    assert not in_table("mmb add tcp-dport <= 1024 drop")
 
 
 def test_eligibility_option_match():
-    assert not rule_of("mmb add tcp-opt-mss 1460 drop").fast_path_eligible
+    assert not in_table("mmb add tcp-opt-mss 1460 drop")
 
 
 def test_negated_matches():
     r = rule_of("mmb add ! tcp-syn ! tcp-dport 80 drop")
     assert r.matches[0].negated and r.matches[0].cond == PRESENT
     assert r.matches[1].negated and r.matches[1].cond == EQ
-    assert not r.fast_path_eligible
+    assert not in_table("mmb add ! tcp-syn ! tcp-dport 80 drop")
 
 
 def test_hex_and_decimal_literals():
